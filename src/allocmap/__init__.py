@@ -42,6 +42,7 @@ from .features import (
     CapExceeded,
     FeatureTable,
     UnknownFeature,
+    allocation_features,
     ef_exists,
     efpo_exists,
     enumerate_allocations,

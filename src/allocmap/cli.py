@@ -162,6 +162,8 @@ def _cmd_pipeline(args) -> None:
         features=args.features.split(",") if args.features else None,
         color_feature=args.color,
         valuation_cap=args.cap,
+        alloc_cap=args.alloc_cap,
+        quad_cap=args.quad_cap,
     )
     outputs = run_pipeline(config)
     for stage in outputs:
@@ -256,6 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--features", help="comma list of feature columns")
     pl.add_argument("--color", default="max_demand", help="feature for the colored renders")
     pl.add_argument("--cap", type=int, default=EXACT_SEARCH_CAP)
+    pl.add_argument("--alloc-cap", type=int, default=ALLOC_CAP, help="max n^m for exhaustive features")
+    pl.add_argument("--quad-cap", type=int, default=EFPO_QUAD_CAP, help="max n^m for the EF+PO check")
     pl.set_defaults(func=_cmd_pipeline)
     return p
 

@@ -1,10 +1,11 @@
 """Fairness features of an instance, by exhaustive allocation search.
 
 Every complete allocation of m goods to n agents is one of n^m owner
-vectors; the search walks them in counter order (good m-1 varies fastest)
-in vectorized chunks. Accumulation is in ascending good and agent order
-throughout, so a plain-loop reimplementation reproduces values bit for bit.
-All of these are exponential and guarded by an explicit cap.
+vectors; one search walks them in counter order (good m-1 varies fastest)
+in vectorized chunks and computes every requested feature. Accumulation is
+in ascending good and agent order throughout, so a plain-loop
+reimplementation reproduces values bit for bit. All of these are
+exponential and guarded by an explicit cap.
 """
 
 from __future__ import annotations
@@ -23,7 +24,11 @@ EF_TOL = 1e-9
 MMS_TOL = 1e-9
 PO_STRICT_TOL = 1e-9
 SINGLE_MINDED_TOL = 1e-9
-_CHUNK = 4096
+# A chunk's (n, n, C) bundle block holds at most this many entries: 128 KiB
+# of float64, under glibc's default mmap threshold, so the blocks come from
+# reused heap memory. On a 2-core x86 VM, 4x larger blocks made the features
+# of the 5x5 preset 1.6x slower, mostly in page faults on fresh mappings.
+_CHUNK_ENTRIES = 16_384
 
 ALLOCATION_FEATURES = (
     "minimax_envy",
@@ -43,6 +48,7 @@ MATRIX_FEATURES = (
     "frac_single_minded",
 )
 ALL_FEATURES = ALLOCATION_FEATURES + MATRIX_FEATURES
+_ENGINE_FEATURES = ALLOCATION_FEATURES + ("mms_shares",)
 
 
 class CapExceeded(CapError):
@@ -79,171 +85,50 @@ class Allocation:
         return b
 
 
-def _check_cap(n: int, m: int, cap: int) -> int:
-    total = n**m
-    if total > cap:
-        raise CapExceeded(n, m, cap)
-    return total
-
-
 def enumerate_allocations(n: int, m: int, cap: int = ALLOC_CAP) -> Iterator[Allocation]:
-    _check_cap(n, m, cap)
+    if n**m > cap:
+        raise CapExceeded(n, m, cap)
     for owner in itertools.product(range(n), repeat=m):
         yield Allocation(owner)
 
 
-def _owner_chunks(n: int, m: int, total: int) -> Iterator[np.ndarray]:
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        owners = np.empty((idx.size, m), dtype=np.int64)
-        for j in range(m):
-            owners[:, j] = (idx // n ** (m - 1 - j)) % n
-        yield owners
+def _bundle_chunks(arr: np.ndarray) -> Iterator[np.ndarray]:
+    """(n, n, C) stacks of bundle matrices over every owner vector, in
+    counter order: B[i, k, c] is the value agent i puts on agent k's bundle
+    in allocation c.
 
-
-def _bundle_matrices(arr: np.ndarray, owners: np.ndarray) -> np.ndarray:
-    """(C, n, n) stack of bundle matrices, accumulated good by good."""
-    c, m = owners.shape[0], owners.shape[1]
-    n = arr.shape[0]
-    b = np.zeros((c, n, n))
-    rows = np.arange(c)
-    for j in range(m):
-        b[rows, :, owners[:, j]] += arr[:, j]
-    return b
-
-
-def _diag(b: np.ndarray) -> np.ndarray:
-    n = b.shape[1]
-    idx = np.arange(n)
-    return b[:, idx, idx]
-
-
-def _ascending_sum(x: np.ndarray) -> np.ndarray:
-    acc = x[:, 0].copy()
-    for i in range(1, x.shape[1]):
-        acc += x[:, i]
-    return acc
-
-
-def _ascending_prod(x: np.ndarray) -> np.ndarray:
-    acc = x[:, 0].copy()
-    for i in range(1, x.shape[1]):
-        acc *= x[:, i]
-    return acc
-
-
-def _envy(b: np.ndarray) -> np.ndarray:
-    """(C, n, n) envy of i toward k, diagonal masked to -inf."""
-    n = b.shape[1]
-    idx = np.arange(n)
-    envy = b - _diag(b)[:, :, None]
-    envy[:, idx, idx] = -np.inf
-    return envy
-
-
-def minimax_envy(matrix: UtilityMatrix, cap: int = ALLOC_CAP) -> float:
-    """Smallest achievable maximum pairwise envy over all allocations."""
-    arr = matrix.values
-    n, m = arr.shape
-    total = _check_cap(n, m, cap)
-    best = np.inf
-    for owners in _owner_chunks(n, m, total):
-        worst = _envy(_bundle_matrices(arr, owners)).max(axis=(1, 2))
-        best = min(best, float(worst.min()))
-    return best
-
-
-def ef_exists(matrix: UtilityMatrix, cap: int = ALLOC_CAP) -> bool:
-    return minimax_envy(matrix, cap) <= EF_TOL
-
-
-def max_nash(matrix: UtilityMatrix, cap: int = ALLOC_CAP) -> float:
-    """Largest product of own-bundle utilities over all allocations."""
-    arr = matrix.values
-    n, m = arr.shape
-    total = _check_cap(n, m, cap)
-    best = -np.inf
-    for owners in _owner_chunks(n, m, total):
-        prod = _ascending_prod(_diag(_bundle_matrices(arr, owners)))
-        best = max(best, float(prod.max()))
-    return best
-
-
-def max_util(matrix: UtilityMatrix) -> float:
-    """Utilitarian optimum: each good to whoever values it most (closed form)."""
-    return float(matrix.values.max(axis=0).sum())
-
-
-def prop_fraction(matrix: UtilityMatrix, cap: int = ALLOC_CAP) -> float:
-    """n times the best egalitarian welfare: >= 1 means a proportional
-    allocation exists."""
-    arr = matrix.values
-    n, m = arr.shape
-    total = _check_cap(n, m, cap)
-    best = -np.inf
-    for owners in _owner_chunks(n, m, total):
-        egal = _diag(_bundle_matrices(arr, owners)).min(axis=1)
-        best = max(best, float(egal.max()))
-    return n * best
-
-
-def sum_max_envies(matrix: UtilityMatrix, cap: int = ALLOC_CAP) -> float:
-    """Minimum over allocations of the sum of each agent's maximal envy."""
-    arr = matrix.values
-    n, m = arr.shape
-    total = _check_cap(n, m, cap)
-    best = np.inf
-    for owners in _owner_chunks(n, m, total):
-        per_agent = _envy(_bundle_matrices(arr, owners)).max(axis=2)
-        best = min(best, float(_ascending_sum(per_agent).min()))
-    return best
-
-
-def mms_shares(matrix: UtilityMatrix, cap: int = ALLOC_CAP) -> np.ndarray:
-    """Each agent's maximin share: best worst bundle over n-partitions it
-    could cut itself."""
-    arr = matrix.values
-    n, m = arr.shape
-    total = _check_cap(n, m, cap)
-    shares = np.full(n, -np.inf)
-    for owners in _owner_chunks(n, m, total):
-        worst = _bundle_matrices(arr, owners).min(axis=2)
-        shares = np.maximum(shares, worst.max(axis=0))
-    return shares
-
-
-def mms_ok(matrix: UtilityMatrix, cap: int = ALLOC_CAP) -> bool:
-    """True iff some allocation gives every agent its maximin share."""
-    arr = matrix.values
-    n, m = arr.shape
-    total = _check_cap(n, m, cap)
-    shares = mms_shares(matrix, cap)
-    for owners in _owner_chunks(n, m, total):
-        ok = _diag(_bundle_matrices(arr, owners)) >= shares[None, :] - MMS_TOL
-        if ok.all(axis=1).any():
-            return True
-    return False
-
-
-def efpo_exists(matrix: UtilityMatrix, quad_cap: int = EFPO_QUAD_CAP) -> bool:
-    """True iff some allocation is envy-free and not Pareto-dominated.
-
-    Stores all n^m utility profiles and checks EF candidates against
-    higher-welfare allocations only, so the quadratic phase gets its own
-    (smaller) cap.
+    A chunk fixes the owners of the leading goods and expands the trailing
+    ones a good at a time: each allocation is repeated n times and good j is
+    added to owner k's column of the k-th copy. Entries thus accumulate from
+    zero in ascending good order, as in Allocation.bundle_matrix.
     """
-    arr = matrix.values
     n, m = arr.shape
-    total = _check_cap(n, m, quad_cap)
-    profiles = np.empty((total, n))
-    worst_envy = np.empty(total)
-    pos = 0
-    for owners in _owner_chunks(n, m, total):
-        b = _bundle_matrices(arr, owners)
-        c = b.shape[0]
-        profiles[pos : pos + c] = _diag(b)
-        worst_envy[pos : pos + c] = _envy(b).max(axis=(1, 2))
-        pos += c
+    trailing = m
+    while trailing > 1 and n ** (trailing + 2) > _CHUNK_ENTRIES:
+        trailing -= 1
+    lead = m - trailing
+    for prefix in itertools.product(range(n), repeat=lead):
+        b = np.zeros((n, n, 1))
+        for j, k in enumerate(prefix):
+            b[:, k, 0] += arr[:, j]
+        for j in range(lead, m):
+            b = np.repeat(b, n, axis=2)
+            for k in range(n):
+                b[:, k, k::n] += arr[:, j, None]
+        yield b
+
+
+def _ascending(op: np.ufunc, x: np.ndarray) -> np.ndarray:
+    """Fold the rows of x with op in ascending agent order."""
+    acc = x[0].copy()
+    for row in x[1:]:
+        op(acc, row, out=acc)
+    return acc
+
+
+def _efpo_from(profiles: np.ndarray, worst_envy: np.ndarray) -> bool:
+    """Some envy-free profile that no other profile Pareto-dominates; EF
+    candidates are checked against higher-welfare profiles only."""
     ef_idx = np.nonzero(worst_envy <= EF_TOL)[0]
     if not ef_idx.size:
         return False
@@ -257,6 +142,152 @@ def efpo_exists(matrix: UtilityMatrix, quad_cap: int = EFPO_QUAD_CAP) -> bool:
         if not dominated:
             return True
     return False
+
+
+def allocation_features(
+    matrix: UtilityMatrix,
+    names,
+    cap: int = ALLOC_CAP,
+    quad_cap: int = EFPO_QUAD_CAP,
+) -> dict:
+    """The requested allocation features of one instance, from one walk over
+    the n^m owner vectors.
+
+    ``names`` come from ALLOCATION_FEATURES or "mms_shares". Each maps to
+    its value or, when n^m is over its cap, to the CapExceeded that the cap
+    raises; a capped feature leaves the others computed. ``quad_cap`` bounds
+    efpo_exists, which keeps every utility profile, and ``cap`` the rest.
+    max_util is closed form and never capped. mms_ok needs a second,
+    early-exit pass once the shares are known.
+    """
+    arr = matrix.values
+    n, m = arr.shape
+    total = n**m
+    out: dict = {}
+    want = set()
+    for name in names:
+        if name not in _ENGINE_FEATURES:
+            raise UnknownFeature(name)
+        limit = quad_cap if name == "efpo_exists" else cap
+        if name == "max_util":
+            out[name] = max_util(matrix)
+        elif total > limit:
+            out[name] = CapExceeded(n, m, limit)
+        else:
+            want.add(name)
+    if not want:
+        return out
+
+    envy = not want.isdisjoint(("minimax_envy", "ef_exists", "sum_max_envies", "efpo_exists"))
+    mms = not want.isdisjoint(("mms_ok", "mms_shares"))
+    keep = "efpo_exists" in want
+    if keep:
+        profiles = np.empty((total, n))
+        worst_envy = np.empty(total)
+    idx = np.arange(n)
+    min_envy = min_sum = np.inf
+    nash = egal = -np.inf
+    shares = np.full(n, -np.inf)
+    pos = 0
+    for b in _bundle_chunks(arr):
+        own = b[idx, idx]
+        if mms:
+            shares = np.maximum(shares, b.min(axis=1).max(axis=1))
+        if envy:
+            # Rounding of x - c is monotone in x, so the largest envy of
+            # agent i is its best other bundle minus its own, bit for bit.
+            # Masking in place: nothing below reads the diagonal of b.
+            b[idx, idx] = -np.inf
+            per_agent = b.max(axis=1) - own
+            worst = per_agent.max(axis=0)
+            min_envy = min(min_envy, float(worst.min()))
+            if "sum_max_envies" in want:
+                min_sum = min(min_sum, float(_ascending(np.add, per_agent).min()))
+            if keep:
+                profiles[pos : pos + own.shape[1]] = own.T
+                worst_envy[pos : pos + own.shape[1]] = worst
+                pos += own.shape[1]
+        if "max_nash" in want:
+            nash = max(nash, float(_ascending(np.multiply, own).max()))
+        if "prop_fraction" in want:
+            egal = max(egal, float(own.min(axis=0).max()))
+
+    values = {
+        "minimax_envy": min_envy,
+        "ef_exists": min_envy <= EF_TOL,
+        "max_nash": nash,
+        "prop_fraction": n * egal,
+        "sum_max_envies": min_sum,
+        "mms_shares": shares,
+    }
+    if "mms_ok" in want:
+        # second pass: stop at the first chunk where every agent gets its share
+        floor = (shares - MMS_TOL)[:, None]
+        values["mms_ok"] = any(
+            bool((b[idx, idx] >= floor).all(axis=0).any()) for b in _bundle_chunks(arr)
+        )
+    if keep:
+        values["efpo_exists"] = _efpo_from(profiles, worst_envy)
+    out.update((name, values[name]) for name in want)
+    return out
+
+
+def _single(matrix: UtilityMatrix, name: str, cap: int = ALLOC_CAP, quad_cap: int = EFPO_QUAD_CAP):
+    value = allocation_features(matrix, (name,), cap, quad_cap)[name]
+    if isinstance(value, CapExceeded):
+        raise value
+    return value
+
+
+def minimax_envy(matrix: UtilityMatrix, cap: int = ALLOC_CAP) -> float:
+    """Smallest achievable maximum pairwise envy over all allocations."""
+    return _single(matrix, "minimax_envy", cap)
+
+
+def ef_exists(matrix: UtilityMatrix, cap: int = ALLOC_CAP) -> bool:
+    return _single(matrix, "ef_exists", cap)
+
+
+def max_nash(matrix: UtilityMatrix, cap: int = ALLOC_CAP) -> float:
+    """Largest product of own-bundle utilities over all allocations."""
+    return _single(matrix, "max_nash", cap)
+
+
+def max_util(matrix: UtilityMatrix) -> float:
+    """Utilitarian optimum: each good to whoever values it most (closed form)."""
+    return float(matrix.values.max(axis=0).sum())
+
+
+def prop_fraction(matrix: UtilityMatrix, cap: int = ALLOC_CAP) -> float:
+    """n times the best egalitarian welfare: >= 1 means a proportional
+    allocation exists."""
+    return _single(matrix, "prop_fraction", cap)
+
+
+def sum_max_envies(matrix: UtilityMatrix, cap: int = ALLOC_CAP) -> float:
+    """Minimum over allocations of the sum of each agent's maximal envy."""
+    return _single(matrix, "sum_max_envies", cap)
+
+
+def mms_shares(matrix: UtilityMatrix, cap: int = ALLOC_CAP) -> np.ndarray:
+    """Each agent's maximin share: best worst bundle over n-partitions it
+    could cut itself."""
+    return _single(matrix, "mms_shares", cap)
+
+
+def mms_ok(matrix: UtilityMatrix, cap: int = ALLOC_CAP) -> bool:
+    """True iff some allocation gives every agent its maximin share."""
+    return _single(matrix, "mms_ok", cap)
+
+
+def efpo_exists(matrix: UtilityMatrix, quad_cap: int = EFPO_QUAD_CAP) -> bool:
+    """True iff some allocation is envy-free and not Pareto-dominated.
+
+    Stores all n^m utility profiles and checks EF candidates against
+    higher-welfare allocations only, so the quadratic phase gets its own
+    (smaller) cap.
+    """
+    return _single(matrix, "efpo_exists", quad_cap=quad_cap)
 
 
 def gini(x) -> float:
@@ -333,30 +364,19 @@ def feature_table(
     for name in columns:
         if name not in ALL_FEATURES:
             raise UnknownFeature(name)
-    alloc_funcs = {
-        "minimax_envy": lambda u: minimax_envy(u, cap),
-        "ef_exists": lambda u: ef_exists(u, cap),
-        "max_nash": lambda u: max_nash(u, cap),
-        "max_util": lambda u: max_util(u),
-        "prop_fraction": lambda u: prop_fraction(u, cap),
-        "sum_max_envies": lambda u: sum_max_envies(u, cap),
-        "mms_ok": lambda u: mms_ok(u, cap),
-        "efpo_exists": lambda u: efpo_exists(u, quad_cap),
-    }
+    alloc_names = [name for name in columns if name in ALLOCATION_FEATURES]
     rows = []
     reasons = []
     for rec in records:
-        row: dict = {}
         plain = matrix_features(rec.matrix)
+        alloc = allocation_features(rec.matrix, alloc_names, cap, quad_cap)
+        row: dict = {}
         for name in columns:
-            if name in plain:
-                row[name] = plain[name]
-                continue
-            try:
-                row[name] = alloc_funcs[name](rec.matrix)
-            except CapError as exc:
-                row[name] = None
-                reasons.append((rec.label, name, str(exc)))
+            value = plain[name] if name in plain else alloc[name]
+            if isinstance(value, CapError):
+                reasons.append((rec.label, name, str(value)))
+                value = None
+            row[name] = value
         rows.append(row)
     return FeatureTable(
         columns=columns, labels=[rec.label for rec in records], rows=rows, reasons=reasons

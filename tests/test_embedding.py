@@ -58,6 +58,31 @@ def test_trace_is_nonincreasing_and_consistent():
     assert (np.diff(trace) <= 1e-12).all()
 
 
+def reference_trace(d, seed, iterations):
+    """Guttman transforms with stress() recomputing every distance."""
+    k = d.shape[0]
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, (k, 2))
+    trace = [stress(d, x)]
+    for _ in range(iterations):
+        diff = x[:, None, :] - x[None, :, :]
+        e = np.sqrt((diff * diff).sum(axis=2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(e > 0, d / np.where(e > 0, e, 1.0), 0.0)
+        b = -ratio
+        np.fill_diagonal(b, 0.0)
+        np.fill_diagonal(b, -b.sum(axis=1))
+        x = (b @ x) / k
+        trace.append(stress(d, x))
+    return np.array(trace)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_trace_matches_reference_loop(seed):
+    for d in (small_demand_matrix().values, trio_matrix()):
+        emb = mds_embed(d, seed=seed)
+        assert emb.stress_trace.tobytes() == reference_trace(d, seed, emb.iterations).tobytes()
+
+
 def test_canonical_frame():
     emb = mds_embed(small_demand_matrix(), seed=4)
     pts = emb.points

@@ -1,13 +1,17 @@
-import itertools
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from allocmap.core import InstanceRecord, Source, validate
+from allocmap import features
+from allocmap.core import InstanceRecord, Source, UtilityMatrix, validate
 from allocmap.features import (
     ALL_FEATURES,
     ALLOCATION_FEATURES,
+    MATRIX_FEATURES,
     Allocation,
     CapExceeded,
     UnknownFeature,
@@ -37,26 +41,21 @@ def record(label, u):
 
 # --------------------------------------------------------------- oracle
 #
-# Plain-loop ground truth. Bundles are accumulated good by good and agent
-# aggregates in ascending index order, the same arithmetic order as the
-# vectorized search, so float results must agree bit for bit.
+# Plain-loop ground truth. Bundles are accumulated good by good
+# (Allocation.bundle_matrix) and agent aggregates in ascending index order,
+# the same arithmetic order as the vectorized search, so float results must
+# agree bit for bit.
 
 
 def oracle_features(u):
-    arr = [[float(v) for v in row] for row in u.values]
-    n = len(arr)
-    m = len(arr[0])
+    n, m = u.n, u.m
     profiles = []
     max_envies = []
     egal = []
     sme = []
     worst_bundles = []
-    for owner in itertools.product(range(n), repeat=m):
-        b = [[0.0] * n for _ in range(n)]
-        for j in range(m):
-            o = owner[j]
-            for i in range(n):
-                b[i][o] += arr[i][j]
+    for alloc in enumerate_allocations(n, m):
+        b = alloc.bundle_matrix(u).tolist()
         own = [b[i][i] for i in range(n)]
         per_agent = []
         for i in range(n):
@@ -76,6 +75,7 @@ def oracle_features(u):
 
     out = {}
     out["minimax_envy"] = min(max_envies)
+    out["ef_exists"] = out["minimax_envy"] <= 1e-9
     nash = []
     for own in profiles:
         p = own[0]
@@ -88,20 +88,20 @@ def oracle_features(u):
     out["max_util"] = max(sum(own) for own in profiles)
 
     shares = [max(w[i] for w in worst_bundles) for i in range(n)]
+    out["mms_shares"] = shares
     out["mms_ok"] = any(
         all(own[i] >= shares[i] - 1e-9 for i in range(n)) for own in profiles
     )
 
-    ef_idx = [a for a, e in enumerate(max_envies) if e <= 1e-9]
+    # Dominance by comparisons alone, so the array form is exact; only
+    # envy-free allocations are candidates.
+    table = np.array(profiles)
     def dominated(a):
-        va = profiles[a]
-        for other in profiles:
-            if all(x >= y for x, y in zip(other, va)) and any(
-                x > y + 1e-9 for x, y in zip(other, va)
-            ):
-                return True
-        return False
-    out["efpo_exists"] = any(not dominated(a) for a in ef_idx)
+        va = table[a]
+        return bool(np.any((table >= va).all(axis=1) & (table > va + 1e-9).any(axis=1)))
+    out["efpo_exists"] = any(
+        not dominated(a) for a, e in enumerate(max_envies) if e <= 1e-9
+    )
     return out
 
 
@@ -129,6 +129,39 @@ def test_enumeration_features_match_plain_loop_oracle():
             got = funcs[name](u)
             assert got == want[name], (trial, name, got, want[name])
         assert abs(max_util(u) - want["max_util"]) < 1e-12, trial
+
+
+def weights_matrix(weights):
+    """Rows of small integer weights divided by their sums: ties and zero
+    entries throughout. An all-zero row stays zero; validate() would refuse
+    it, but every allocation feature is defined on it."""
+    arr = np.asarray(weights, dtype=np.float64)
+    sums = arr.sum(axis=1, keepdims=True)
+    arr = np.divide(arr, sums, out=np.zeros_like(arr), where=sums > 0)
+    arr.setflags(write=False)
+    return UtilityMatrix(arr)
+
+
+@pytest.mark.parametrize("n,m,examples", [(2, 3, 60), (3, 4, 60), (3, 6, 40), (5, 5, 20)])
+def test_feature_table_matches_oracle_bitwise(n, m, examples):
+    @settings(max_examples=examples, deadline=None, derandomize=True)
+    @given(hnp.arrays(np.int64, (n, m), elements=st.integers(0, 3)))
+    def check(weights):
+        u = weights_matrix(weights)
+        table = feature_table([record("x", u)], ALLOCATION_FEATURES)
+        want = oracle_features(u)
+        assert table.reasons == []
+        for name, got in table.rows[0].items():
+            if isinstance(want[name], bool):
+                assert got is want[name], name
+            elif name == "max_util":
+                # closed form, summed in NumPy's order rather than the oracle's
+                assert abs(got - want[name]) < 1e-12
+            else:
+                assert np.float64(got).tobytes() == np.float64(want[name]).tobytes(), name
+        assert mms_shares(u).tobytes() == np.array(want["mms_shares"]).tobytes()
+
+    check()
 
 
 # -------------------------------------------------------- frozen values
@@ -215,6 +248,59 @@ def test_enumeration_cap():
         minimax_envy(gen_iid(3, 4, "uniform01", seed=1), cap=80)
     with pytest.raises(CapExceeded):
         efpo_exists(gen_iid(3, 4, "uniform01", seed=1), quad_cap=80)
+
+
+def capped_cells(table):
+    return [(label, name) for label, name, _ in table.reasons]
+
+
+def test_cap_boundary_is_inclusive():
+    u = gen_iid(3, 4, "uniform01", seed=5)  # 3^4 = 81 allocations
+    recs = [record("a", u), record("b", u)]
+    at_cap = feature_table(recs, ALLOCATION_FEATURES, cap=81, quad_cap=81)
+    assert at_cap.reasons == []
+    assert all(v is not None for row in at_cap.rows for v in row.values())
+
+    over = feature_table(recs, ALLOCATION_FEATURES, cap=80, quad_cap=80)
+    capped = [f for f in ALLOCATION_FEATURES if f != "max_util"]
+    assert over.reasons == [
+        (label, name, "n^m = 3^4 allocations exceed the cap 80")
+        for label in ("a", "b")
+        for name in capped
+    ]
+    assert [row["max_util"] for row in over.rows] == [max_util(u)] * 2
+
+
+def test_quad_cap_only_drops_efpo():
+    u = gen_iid(3, 4, "uniform01", seed=6)
+    full = feature_table([record("a", u)], ALLOCATION_FEATURES)
+    tab = feature_table([record("a", u)], ALLOCATION_FEATURES, cap=81, quad_cap=80)
+    assert capped_cells(tab) == [("a", "efpo_exists")]
+    assert tab.rows[0]["efpo_exists"] is None
+    assert {k: v for k, v in tab.rows[0].items() if k != "efpo_exists"} == {
+        k: v for k, v in full.rows[0].items() if k != "efpo_exists"
+    }
+
+
+def test_efpo_follows_quad_cap_above_cap():
+    u = gen_iid(3, 4, "uniform01", seed=7)
+    tab = feature_table([record("a", u)], ALLOCATION_FEATURES, cap=80, quad_cap=81)
+    assert capped_cells(tab) == [
+        ("a", f) for f in ALLOCATION_FEATURES if f not in ("max_util", "efpo_exists")
+    ]
+    assert tab.rows[0]["efpo_exists"] is efpo_exists(u)
+
+
+@pytest.mark.parametrize("columns", [["max_util"], list(MATRIX_FEATURES)])
+def test_closed_form_columns_enumerate_nothing(monkeypatch, columns):
+    def no_walk(arr):
+        raise AssertionError("allocations were enumerated")
+
+    monkeypatch.setattr(features, "_bundle_chunks", no_walk)
+    recs = [record("a", gen_iid(3, 4, "uniform01", seed=8))]
+    tab = feature_table(recs, columns)
+    assert tab.reasons == []
+    assert all(tab.rows[0][c] is not None for c in columns)
 
 
 # ------------------------------------------------------------ invariants

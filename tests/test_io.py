@@ -11,7 +11,7 @@ from allocmap.core import InstanceRecord, Source, ValidationError, validate
 from allocmap.dataio import ParseError, fmt17
 from allocmap.distance import DistanceMatrix, pairwise_distances
 from allocmap.embedding import Embedding, mds_embed
-from allocmap.features import feature_table
+from allocmap.features import ALLOCATION_FEATURES, feature_table
 from allocmap.generators import GeneratorSpec, gen_characteristic, gen_dataset, gen_iid
 from allocmap.render import render_svg
 
@@ -451,3 +451,25 @@ def test_cli_pipeline_failure_cleans_up(tmp_path):
     assert code == 3
     leftovers = list(out.glob("*")) if out.exists() else []
     assert leftovers == []
+
+
+def test_cli_pipeline_alloc_caps(tmp_path):
+    out = tmp_path / "capped"
+    assert run_cli("--out-dir", out, "pipeline", "--preset", "3x6", "--quad-cap", 100) == 0
+    labels, _, rows = dataio.read_features_csv(out / "features.csv")
+    assert len(labels) == 165
+    for row in rows:
+        assert row["efpo_exists"] is None
+        assert all(row[f] is not None for f in ALLOCATION_FEATURES if f != "efpo_exists")
+    reasons = (out / "features_reasons.csv").read_text().splitlines()
+    assert reasons[1:] == [
+        f"{label},efpo_exists,n^m = 3^6 allocations exceed the cap 100" for label in labels
+    ]
+    # --alloc-cap reaches every other enumerated feature (3^4 = 81 allocations)
+    out2 = tmp_path / "alloc"
+    ds = make_input_dataset(tmp_path)
+    assert run_cli("--out-dir", out2, "pipeline", "--dataset", ds, "--alloc-cap", 80) == 0
+    _, _, rows = dataio.read_features_csv(out2 / "features.csv")
+    capped = [f for f in ALLOCATION_FEATURES if f not in ("max_util", "efpo_exists")]
+    assert all(row[f] is None for row in rows for f in capped)
+    assert all(row["efpo_exists"] is not None and row["max_util"] is not None for row in rows)
