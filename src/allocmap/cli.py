@@ -17,7 +17,7 @@ from .embedding import mds_embed
 from .features import ALL_FEATURES, ALLOC_CAP, EFPO_QUAD_CAP, feature_table
 from .generators import GeneratorSpec, gen_dataset, gen_preset
 from .pipeline import PipelineConfig, PipelineError, run_pipeline
-from .render import render_svg
+from .render import map_kwargs, render_svg
 from .spectral import explicit_coords
 
 
@@ -83,69 +83,23 @@ def _cmd_explicit(args) -> None:
 def _cmd_features(args) -> None:
     records, _ = dataio.read_dataset(args.dataset)
     names = args.features.split(",") if args.features else None
-    table = feature_table(records, names, cap=args.cap, quad_cap=args.quad_cap)
+    table = feature_table(records, names, cap=args.alloc_cap, quad_cap=args.quad_cap)
     dataio.write_features_csv(_outpath(args, "features.csv"), table, args.reasons)
 
 
 def _cmd_render(args) -> None:
     labels, pts, _, header = dataio.read_points_csv(args.points)
-    explicit = args.explicit or header[1:] == ["sigma1", "sigma2"]
-    if explicit:
-        xs, ys = pts[:, 1], pts[:, 0]
-        x_label, y_label = "sigma2", "sigma1"
-    else:
-        xs, ys = pts[:, 0], pts[:, 1]
-        x_label, y_label = "x", "y"
-
-    categories = None
-    boundary = None
-    stars = None
-    if args.dataset:
-        records, _ = dataio.read_dataset(args.dataset)
-        by_label = {rec.label: rec for rec in records}
-        missing = [lab for lab in labels if lab not in by_label]
-        if missing:
-            raise ValidationError(f"labels missing from dataset: {missing[:3]}")
-        if args.by_source:
-            categories = [by_label[lab].source.model for lab in labels]
-        stars = [by_label[lab].source.model == "characteristic" for lab in labels]
-        if explicit:
-            first = by_label[labels[0]].matrix
-            boundary = (first.n, first.m)
-
-    color_values = None
-    cross = None
-    if args.features_csv:
-        flabels, columns, rows = dataio.read_features_csv(args.features_csv)
-        by_label_row = dict(zip(flabels, rows))
-        if args.color:
-            if args.color not in columns:
-                from .features import UnknownFeature
-
-                raise UnknownFeature(args.color)
-            color_values = [
-                by_label_row.get(lab, {}).get(args.color) for lab in labels
-            ]
-        if "ef_exists" in columns:
-            cross = [
-                bool(by_label_row.get(lab, {}).get("ef_exists") or 0.0) for lab in labels
-            ]
-
-    render_svg(
-        _outpath(args, "map.svg"),
-        xs,
-        ys,
+    kwargs = map_kwargs(
         labels,
-        x_label=x_label,
-        y_label=y_label,
+        pts,
+        explicit=args.explicit or header[1:] == ["sigma1", "sigma2"],
+        records=dataio.read_dataset(args.dataset)[0] if args.dataset else None,
+        by_source=args.by_source,
+        features=dataio.read_features_csv(args.features_csv) if args.features_csv else None,
+        color=args.color,
         title=args.title,
-        color_values=color_values,
-        color_label=args.color,
-        categories=categories,
-        cross_flags=cross,
-        star_flags=stars,
-        boundary_shape=boundary,
     )
+    render_svg(_outpath(args, "map.svg"), **kwargs)
 
 
 def _cmd_pipeline(args) -> None:
@@ -231,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("features", help="fairness features for a dataset")
     f.add_argument("dataset")
     f.add_argument("--features", help=f"comma list from: {','.join(ALL_FEATURES)}")
-    f.add_argument("--cap", type=int, default=ALLOC_CAP, help="max n^m for exhaustive features")
+    f.add_argument("--alloc-cap", type=int, default=ALLOC_CAP, help="max n^m for exhaustive features")
     f.add_argument("--quad-cap", type=int, default=EFPO_QUAD_CAP, help="max n^m for the EF+PO check")
     f.add_argument("--reasons", help="sidecar CSV for absent cells")
     f.add_argument("-o", "--output")

@@ -30,13 +30,13 @@ def fmt17(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _parse_floats(tokens: list[str], line_no: int) -> list[float]:
+def _parse_floats(tokens: list[str], line_no: int, context: str = "") -> list[float]:
     out = []
     for tok in tokens:
         try:
             out.append(float(tok))
         except ValueError:
-            raise ParseError(line_no, f"not a number: {tok!r}") from None
+            raise ParseError(line_no, f"{context}not a number: {tok!r}") from None
     return out
 
 
@@ -84,8 +84,24 @@ def _matrix_to_rows(arr: np.ndarray) -> list[str]:
     return [" ".join(fmt17(v) for v in row) for row in arr]
 
 
-def _rows_to_matrix(rows: list[str]) -> np.ndarray:
-    return np.array([_parse_floats(r.split(), 0) for r in rows], dtype=np.float64)
+def _rows_to_matrix(rows: list, where: str) -> np.ndarray:
+    if not all(isinstance(r, str) for r in rows):
+        raise ParseError(1, f"{where}: matrix rows must be JSON strings")
+    values = [_parse_floats(r.split(), 1, f"{where}, matrix row {k}: ") for k, r in enumerate(rows)]
+    if len({len(v) for v in values}) > 1:
+        raise ParseError(1, f"{where}: matrix rows differ in length")
+    return np.array(values, dtype=np.float64)
+
+
+_JSON_TYPES = {str: "string", dict: "object", list: "array"}
+
+
+def _field(obj: dict, key: str, kind: type, where: str):
+    """obj[key], which a well-formed dataset always has with this type."""
+    value = obj.get(key)
+    if not isinstance(value, kind):
+        raise ParseError(1, f"{where}: {key!r} must be a JSON {_JSON_TYPES[kind]}")
+    return value
 
 
 def write_dataset(path, records: list[InstanceRecord], seed: int | None = None) -> None:
@@ -117,21 +133,29 @@ def read_dataset(path) -> tuple[list[InstanceRecord], dict]:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(exc.lineno, exc.msg) from None
-    if doc.get("format") != DATASET_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != DATASET_FORMAT:
         raise ParseError(1, f"not a {DATASET_FORMAT} file")
     records = []
     seen = set()
-    for item in doc["instances"]:
-        label = item["label"]
+    for index, item in enumerate(_field(doc, "instances", list, "dataset")):
+        where = f"instance {index}"
+        if not isinstance(item, dict):
+            raise ParseError(1, f"{where} must be a JSON object")
+        label = _field(item, "label", str, where)
         if label in seen:
             raise ParseError(1, f"duplicate label {label!r}")
         seen.add(label)
+        source = _field(item, "source", dict, where)
+        if "seed" not in item:
+            raise ParseError(1, f"{where}: 'seed' is missing")
         records.append(
             InstanceRecord(
                 label=label,
-                source=Source(item["source"]["model"], dict(item["source"]["params"])),
+                source=Source(
+                    _field(source, "model", str, where), dict(_field(source, "params", dict, where))
+                ),
                 seed=item["seed"],
-                matrix=validate(_rows_to_matrix(item["matrix"])),
+                matrix=validate(_rows_to_matrix(_field(item, "matrix", list, where), where)),
             )
         )
     meta = {"seed": doc.get("seed"), "version": doc.get("version")}
@@ -231,7 +255,9 @@ def write_distance_csv(path, dm: DistanceMatrix) -> None:
             fh.write(",".join(fmt17(v) for v in row) + "\n")
 
 
-def read_distance_csv(path) -> tuple[list[str], np.ndarray, dict]:
+def _read_csv(path) -> tuple[dict, list[str]]:
+    """Split a CSV into the key=value pairs of its '#' comment lines and its
+    non-blank other lines; at least a header line must be there."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     meta: dict = {}
@@ -246,6 +272,11 @@ def read_distance_csv(path) -> tuple[list[str], np.ndarray, dict]:
             body.append(ln)
     if not body:
         raise ParseError(1, "no data rows")
+    return meta, body
+
+
+def read_distance_csv(path) -> tuple[list[str], np.ndarray, dict]:
+    meta, body = _read_csv(path)
     labels = body[0].split(",")
     k = len(labels)
     if len(body) != k + 1:
@@ -284,20 +315,7 @@ def write_explicit_csv(path, labels: list[str], coords: np.ndarray) -> None:
 def read_points_csv(path) -> tuple[list[str], np.ndarray, dict, list[str]]:
     """Read an embedding or explicit-map CSV: (labels, k x 2 points, comment
     metadata, column header)."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    meta: dict = {}
-    body = []
-    for ln in lines:
-        if ln.startswith("#"):
-            for part in ln[1:].split():
-                if "=" in part:
-                    key, val = part.split("=", 1)
-                    meta[key] = val
-        elif ln.strip():
-            body.append(ln)
-    if not body:
-        raise ParseError(1, "no data rows")
+    meta, body = _read_csv(path)
     header = body[0].split(",")
     if len(header) != 3 or header[0] != "label":
         raise ParseError(1, f"expected 'label,<x>,<y>' header, got {body[0]!r}")
@@ -347,11 +365,7 @@ def _reasons_path(path) -> str:
 
 
 def read_features_csv(path) -> tuple[list[str], list[str], list[dict]]:
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    body = [ln for ln in lines if not ln.startswith("#")]
-    if not body:
-        raise ParseError(1, "no data rows")
+    _, body = _read_csv(path)
     header = body[0].split(",")
     if header[0] != "label":
         raise ParseError(1, "first column must be 'label'")
@@ -363,8 +377,10 @@ def read_features_csv(path) -> tuple[list[str], list[str], list[dict]]:
         if len(parts) != len(header):
             raise ParseError(i, f"expected {len(header)} fields, found {len(parts)}")
         labels.append(parts[0])
-        row: dict = {}
-        for name, cell in zip(columns, parts[1:]):
-            row[name] = None if cell == "" else float(cell)
-        rows.append(row)
+        rows.append(
+            {
+                name: None if cell == "" else _parse_floats([cell], i)[0]
+                for name, cell in zip(columns, parts[1:])
+            }
+        )
     return labels, columns, rows

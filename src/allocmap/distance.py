@@ -99,8 +99,7 @@ def demand_distance(u1: UtilityMatrix, u2: UtilityMatrix) -> float:
     d1 = demand_vectors(u1)
     d2 = demand_vectors(u2)
     cost = np.abs(d1[:, None, :] - d2[None, :, :]).sum(axis=2)
-    perm, _ = hungarian_min_cost(cost)
-    return _entrywise_l1(d1, d2[perm])
+    return _goods_matched_l1(d1.T, d2.T, cost)
 
 
 def valuation_distance_fixed_agents(u1: UtilityMatrix, u2: UtilityMatrix, agent_perm) -> float:
@@ -112,9 +111,16 @@ def valuation_distance_fixed_agents(u1: UtilityMatrix, u2: UtilityMatrix, agent_
     if perm.shape != (n,) or sorted(perm.tolist()) != list(range(n)):
         raise BadPermutation(agent_perm)
     b2 = a2[perm]
-    cost = np.abs(a1[:, :, None] - b2[:, None, :]).sum(axis=0)
-    good_perm, _ = hungarian_min_cost(cost)
-    return _entrywise_l1(a1, b2[:, good_perm])
+    return _goods_matched_l1(a1, b2, np.abs(a1[:, :, None] - b2[:, None, :]).sum(axis=0))
+
+
+def _goods_matched_l1(a1: np.ndarray, b2: np.ndarray, cost: np.ndarray) -> float:
+    """Canonical l1 between a1 and b2 with the goods (columns) of b2 matched
+    to those of a1 by a min-cost assignment; cost[j, j'] prices good j of a1
+    against good j' of b2. For a square cost, linear_sum_assignment returns
+    rows 0..m-1 in order, so its cols are the goods permutation."""
+    _, cols = linear_sum_assignment(cost)
+    return _entrywise_l1(a1, b2[:, cols])
 
 
 # Slack for branch pruning. Relaxation totals are plain float sums and can
@@ -138,7 +144,7 @@ def _valuation_search(a1: np.ndarray, a2: np.ndarray, root_lb: float) -> tuple[f
     order = np.argsort(-a1.var(axis=1), kind="stable")
 
     best_perm = np.arange(n)
-    best = _fixed_total(a1, a2, best_perm)
+    best = _goods_matched_l1(a1, a2, tensor[best_perm, best_perm].sum(axis=0))
     used = np.zeros(n, dtype=bool)
     assign = np.full(n, -1, dtype=np.intp)
 
@@ -155,7 +161,7 @@ def _valuation_search(a1: np.ndarray, a2: np.ndarray, root_lb: float) -> tuple[f
             child_cost = cost + tensor[i, i2]
             if last:
                 assign[i] = i2
-                val = _leaf_total(a1, a2, assign, child_cost)
+                val = _goods_matched_l1(a1, a2[assign], child_cost)
                 if val < best:
                     best = val
                     best_perm = assign.copy()
@@ -179,22 +185,6 @@ def _valuation_search(a1: np.ndarray, a2: np.ndarray, root_lb: float) -> tuple[f
 
     rec(np.zeros((m, m)), 0)
     return best, best_perm
-
-
-def _leaf_total(a1: np.ndarray, a2: np.ndarray, perm: np.ndarray, cost: np.ndarray) -> float:
-    rows, cols = linear_sum_assignment(cost)
-    good_perm = np.empty(cost.shape[0], dtype=np.intp)
-    good_perm[rows] = cols
-    return _entrywise_l1(a1, a2[perm][:, good_perm])
-
-
-def _fixed_total(a1: np.ndarray, a2: np.ndarray, perm: np.ndarray) -> float:
-    b2 = a2[perm]
-    cost = np.abs(a1[:, :, None] - b2[:, None, :]).sum(axis=0)
-    rows, cols = linear_sum_assignment(cost)
-    good_perm = np.empty(cost.shape[0], dtype=np.intp)
-    good_perm[rows] = cols
-    return _entrywise_l1(a1, b2[:, good_perm])
 
 
 def valuation_distance(
@@ -232,28 +222,22 @@ class DistanceMatrix:
             raise ValidationError("distance matrix has negative entries")
 
 
+def _distance_row(i: int, matrices, metric: str, cap: int) -> list[float]:
+    """Distances from instance i to every later instance."""
+    if metric == "demand":
+        return [demand_distance(matrices[i], u2) for u2 in matrices[i + 1 :]]
+    return [valuation_distance(matrices[i], u2, cap=cap) for u2 in matrices[i + 1 :]]
+
+
 _POOL_STATE: dict = {}
 
 
-def _pool_init(arrays, metric, cap):
-    _POOL_STATE["arrays"] = arrays
-    _POOL_STATE["metric"] = metric
-    _POOL_STATE["cap"] = cap
+def _pool_init(matrices, metric, cap):
+    _POOL_STATE.update(matrices=matrices, metric=metric, cap=cap)
 
 
-def _pool_row(i: int) -> list[tuple[int, int, float]]:
-    arrays = _POOL_STATE["arrays"]
-    metric = _POOL_STATE["metric"]
-    cap = _POOL_STATE["cap"]
-    out = []
-    for j in range(i + 1, len(arrays)):
-        u1, u2 = UtilityMatrix(arrays[i]), UtilityMatrix(arrays[j])
-        if metric == "demand":
-            val = demand_distance(u1, u2)
-        else:
-            val = valuation_distance(u1, u2, cap=cap)
-        out.append((i, j, val))
-    return out
+def _pool_row(i: int) -> list[float]:
+    return _distance_row(i, **_POOL_STATE)
 
 
 def pairwise_distances(
@@ -275,21 +259,16 @@ def pairwise_distances(
         if n > cap:
             raise ExactSearchCapExceeded(n, cap)
     k = len(records)
-    values = np.zeros((k, k))
+    matrices = [rec.matrix for rec in records]
     if threads > 1 and k > 2:
-        arrays = [rec.matrix.values for rec in records]
         with ProcessPoolExecutor(
-            max_workers=threads, initializer=_pool_init, initargs=(arrays, metric, cap)
+            max_workers=threads, initializer=_pool_init, initargs=(matrices, metric, cap)
         ) as pool:
-            for row in pool.map(_pool_row, range(k - 1)):
-                for i, j, val in row:
-                    values[i, j] = values[j, i] = val
+            rows = list(pool.map(_pool_row, range(k - 1)))
     else:
-        for i in range(k - 1):
-            for j in range(i + 1, k):
-                if metric == "demand":
-                    val = demand_distance(records[i].matrix, records[j].matrix)
-                else:
-                    val = valuation_distance(records[i].matrix, records[j].matrix, cap=cap)
-                values[i, j] = values[j, i] = val
+        rows = [_distance_row(i, matrices, metric, cap) for i in range(k - 1)]
+    values = np.zeros((k, k))
+    for i, row in enumerate(rows):
+        values[i, i + 1 :] = row
+        values[i + 1 :, i] = row
     return DistanceMatrix(labels=[rec.label for rec in records], values=values, metric=metric)

@@ -332,14 +332,17 @@ def frac_single_minded(matrix: UtilityMatrix) -> float:
     return float((positive == 1).mean())
 
 
+_MATRIX_FUNCTIONS = {
+    "max_demand": max_demand,
+    "preference_diversity": preference_diversity,
+    "demand_gini": demand_gini,
+    "pickiness": pickiness,
+    "frac_single_minded": frac_single_minded,
+}
+
+
 def matrix_features(matrix: UtilityMatrix) -> dict[str, float]:
-    return {
-        "max_demand": max_demand(matrix),
-        "preference_diversity": preference_diversity(matrix),
-        "demand_gini": demand_gini(matrix),
-        "pickiness": pickiness(matrix),
-        "frac_single_minded": frac_single_minded(matrix),
-    }
+    return {name: fn(matrix) for name, fn in _MATRIX_FUNCTIONS.items()}
 
 
 @dataclass
@@ -368,11 +371,10 @@ def feature_table(
     rows = []
     reasons = []
     for rec in records:
-        plain = matrix_features(rec.matrix)
         alloc = allocation_features(rec.matrix, alloc_names, cap, quad_cap)
         row: dict = {}
         for name in columns:
-            value = plain[name] if name in plain else alloc[name]
+            value = _MATRIX_FUNCTIONS[name](rec.matrix) if name in _MATRIX_FUNCTIONS else alloc[name]
             if isinstance(value, CapError):
                 reasons.append((rec.label, name, str(value)))
                 value = None

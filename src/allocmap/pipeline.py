@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from . import dataio
 from .distance import EXACT_SEARCH_CAP, pairwise_distances
 from .embedding import mds_embed
-from .features import ALLOC_CAP, EFPO_QUAD_CAP, UnknownFeature, feature_table
+from .features import ALLOC_CAP, EFPO_QUAD_CAP, feature_table
 from .generators import gen_preset
-from .render import render_svg
+from .render import map_kwargs, render_svg
 from .spectral import explicit_coords
 
 
@@ -102,71 +102,24 @@ def run_pipeline(config: PipelineConfig) -> dict[str, list[str]]:
 
         stage = "render"
         feat = config.color_feature
-        if feat not in table.columns:
-            raise UnknownFeature(feat)
-        color_vals = [
-            None if row[feat] is None else float(row[feat]) for row in table.rows
-        ]
-        cross = None
-        if "ef_exists" in table.columns:
-            cross = [bool(row["ef_exists"]) if row["ef_exists"] is not None else False for row in table.rows]
-        cats = [rec.source.model for rec in records]
-        stars = [rec.source.model == "characteristic" for rec in records]
-        n, m = records[0].matrix.n, records[0].matrix.m
-        labels = [rec.label for rec in records]
-
-        render_svg(
-            out("map_embedding_source.svg", stage),
-            emb.points[:, 0],
-            emb.points[:, 1],
-            labels,
-            x_label="x",
-            y_label="y",
-            title=f"{config.metric} distance map",
-            categories=cats,
-            cross_flags=cross,
-            star_flags=stars,
-        )
-        render_svg(
-            out(f"map_embedding_{feat}.svg", stage),
-            emb.points[:, 0],
-            emb.points[:, 1],
-            labels,
-            x_label="x",
-            y_label="y",
-            title=f"{config.metric} distance map",
-            color_values=color_vals,
-            color_label=feat,
-            cross_flags=cross,
-            star_flags=stars,
-        )
-        render_svg(
-            out("map_explicit_source.svg", stage),
-            coords[:, 1],
-            coords[:, 0],
-            labels,
-            x_label="sigma2",
-            y_label="sigma1",
-            title="singular-value map",
-            categories=cats,
-            cross_flags=cross,
-            star_flags=stars,
-            boundary_shape=(n, m),
-        )
-        render_svg(
-            out(f"map_explicit_{feat}.svg", stage),
-            coords[:, 1],
-            coords[:, 0],
-            labels,
-            x_label="sigma2",
-            y_label="sigma1",
-            title="singular-value map",
-            color_values=color_vals,
-            color_label=feat,
-            cross_flags=cross,
-            star_flags=stars,
-            boundary_shape=(n, m),
-        )
+        features = (table.labels, table.columns, table.rows)
+        for kind, points, title in (
+            ("embedding", emb.points, f"{config.metric} distance map"),
+            ("explicit", coords, "singular-value map"),
+        ):
+            for by_source in (True, False):
+                kwargs = map_kwargs(
+                    dm.labels,
+                    points,
+                    explicit=kind == "explicit",
+                    records=records,
+                    by_source=by_source,
+                    features=features,
+                    color=None if by_source else feat,
+                    title=title,
+                )
+                name = f"map_{kind}_{'source' if by_source else feat}.svg"
+                render_svg(out(name, stage), **kwargs)
     except BaseException as exc:
         for path in written:
             try:

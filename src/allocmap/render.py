@@ -13,6 +13,9 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 
+from .core import ValidationError
+from .features import UnknownFeature
+
 _VIRIDIS = [
     (0.000, (68, 1, 84)),
     (0.125, (72, 40, 120)),
@@ -92,6 +95,58 @@ def _boundary_path(n: int, m: int) -> list[tuple[float, float]]:
         pts.append((np.sqrt(n) * np.sin(t), np.sqrt(n) * np.cos(t)))
     pts.append((0.0, s_floor))
     return pts
+
+
+def map_kwargs(
+    labels,
+    points,
+    *,
+    explicit: bool = False,
+    records=None,
+    by_source: bool = False,
+    features=None,
+    color: str | None = None,
+    title: str | None = None,
+) -> dict:
+    """Keyword arguments of render_svg for one map of labeled k x 2 points.
+
+    An explicit map plots (sigma1, sigma2) points as sigma2 across and sigma1
+    up, inside the boundary of the first record's shape. ``records`` (any
+    order, every label present) give the stars for characteristic instances
+    and, with ``by_source``, a category per generator. ``features`` is a
+    (labels, columns, rows) table: ``color`` picks the column of the color
+    ramp and an ``ef_exists`` column marks crosses.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    kwargs = {"labels": labels, "title": title, "color_label": color}
+    if explicit:
+        kwargs.update(xs=points[:, 1], ys=points[:, 0], x_label="sigma2", y_label="sigma1")
+    else:
+        kwargs.update(xs=points[:, 0], ys=points[:, 1], x_label="x", y_label="y")
+    if records is not None:
+        by_label = {rec.label: rec for rec in records}
+        missing = [lab for lab in labels if lab not in by_label]
+        if missing:
+            raise ValidationError(f"labels missing from dataset: {missing[:3]}")
+        if by_source:
+            kwargs["categories"] = [by_label[lab].source.model for lab in labels]
+        kwargs["star_flags"] = [by_label[lab].source.model == "characteristic" for lab in labels]
+        if explicit:
+            first = by_label[labels[0]].matrix
+            kwargs["boundary_shape"] = (first.n, first.m)
+    if features is not None:
+        flabels, columns, rows = features
+        by_label_row = dict(zip(flabels, rows))
+        cells = [by_label_row.get(lab, {}) for lab in labels]
+        if color is not None:
+            if color not in columns:
+                raise UnknownFeature(color)
+            kwargs["color_values"] = [
+                None if row.get(color) is None else float(row[color]) for row in cells
+            ]
+        if "ef_exists" in columns:
+            kwargs["cross_flags"] = [bool(row.get("ef_exists") or 0.0) for row in cells]
+    return kwargs
 
 
 def render_svg(

@@ -422,6 +422,21 @@ def test_feature_table_absent_with_reason():
         assert "cap" in reason
 
 
+def test_feature_table_computes_only_requested_matrix_features(monkeypatch):
+    def boom(matrix):
+        raise AssertionError("matrix feature computed but not requested")
+
+    assert tuple(features._MATRIX_FUNCTIONS) == MATRIX_FEATURES
+    for name in MATRIX_FEATURES:
+        monkeypatch.setitem(features._MATRIX_FUNCTIONS, name, boom)
+    recs = [record("a", gen_iid(3, 4, "uniform01", seed=3))]
+    tab = feature_table(recs, ALLOCATION_FEATURES)
+    assert tab.columns == list(ALLOCATION_FEATURES) and not tab.reasons
+    # the table is where feature_table looks names up: a requested one runs
+    with pytest.raises(AssertionError):
+        feature_table(recs, ["preference_diversity"])
+
+
 def test_feature_table_subset_and_empty():
     recs = [record("a", gen_iid(3, 4, "uniform01", seed=3))]
     tab = feature_table(recs, features=["max_demand", "ef_exists"])

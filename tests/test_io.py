@@ -275,6 +275,13 @@ def test_features_csv_cells_and_reasons(tmp_path):
     assert len(body) > 1
 
 
+def test_features_csv_non_numeric_cell(tmp_path):
+    p = tmp_path / "f.csv"
+    p.write_text("# note=x\nlabel,max_demand\na,0.5\n\nb,zz\n")
+    with pytest.raises(ParseError, match=r"line 3: not a number: 'zz'"):
+        dataio.read_features_csv(p)
+
+
 # ------------------------------------------------------------------ SVG
 
 
@@ -392,6 +399,80 @@ def test_cli_exit_codes(tmp_path):
     assert run_cli("--out-dir", tmp_path, "distance", tmp_path / "absent.json") == 4
 
 
+def test_cli_render_non_numeric_feature_cell(tmp_path):
+    pts = tmp_path / "p.csv"
+    pts.write_text("label,x,y\na,0,0\nb,1,1\n")
+    feats = tmp_path / "f.csv"
+    feats.write_text("label,max_demand\na,0.5\nb,zz\n")
+    code = run_cli(
+        "render", pts, "--features-csv", feats, "--color", "max_demand",
+        "-o", tmp_path / "m.svg",
+    )
+    assert code == 4
+    assert not (tmp_path / "m.svg").exists()
+
+
+def _dataset_doc(**changes):
+    item = {
+        "label": "a",
+        "source": {"model": "iid", "params": {}},
+        "seed": 1,
+        "matrix": ["0.5 0.5 0", "0 0.5 0.5"],
+    }
+    item.update(changes)
+    return {"format": "allocmap-dataset", "version": 1, "seed": 0, "instances": [item]}
+
+
+MALFORMED_DATASETS = {
+    "no_instances": {"format": "allocmap-dataset", "version": 1},
+    "top_level_list": [_dataset_doc()],
+    "instances_not_a_list": {"format": "allocmap-dataset", "instances": {"a": 1}},
+    "instance_not_an_object": {"format": "allocmap-dataset", "instances": [["a"]]},
+    "no_label": {"format": "allocmap-dataset", "instances": [{"matrix": []}]},
+    "label_not_a_string": _dataset_doc(label=5),
+    "no_seed": {
+        "format": "allocmap-dataset",
+        "instances": [{k: v for k, v in _dataset_doc()["instances"][0].items() if k != "seed"}],
+    },
+    "source_without_params": _dataset_doc(source={"model": "iid"}),
+    "matrix_not_a_list": _dataset_doc(matrix="0.5 0.5"),
+    "matrix_row_not_a_string": _dataset_doc(matrix=[[0.5, 0.5], [0.5, 0.5]]),
+    "ragged_rows": _dataset_doc(matrix=["0.5 0.5 0", "1"]),
+    "non_numeric_cell": _dataset_doc(matrix=["0.5 0.5 0", "0 x 0.5"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DATASETS))
+def test_cli_malformed_dataset_exits_4(tmp_path, capsys, case):
+    p = tmp_path / "d.json"
+    p.write_text(json.dumps(MALFORMED_DATASETS[case]))
+    with pytest.raises(ParseError):
+        dataio.read_dataset(p)
+    assert run_cli("--out-dir", tmp_path, "distance", p) == 4
+    assert capsys.readouterr().err.startswith("error: line 1: ")
+
+
+def test_dataset_non_numeric_cell_names_instance_and_row(tmp_path):
+    p = tmp_path / "d.json"
+    p.write_text(json.dumps(MALFORMED_DATASETS["non_numeric_cell"]))
+    with pytest.raises(ParseError, match=r"^line 1: instance 0, matrix row 1: not a number: 'x'$"):
+        dataio.read_dataset(p)
+
+
+def test_cli_features_alloc_cap(tmp_path, capsys):
+    ds = make_input_dataset(tmp_path)
+    out = tmp_path / "f.csv"
+    assert run_cli("features", ds, "--alloc-cap", 80, "-o", out) == 0
+    _, _, rows = dataio.read_features_csv(out)
+    capped = [f for f in ALLOCATION_FEATURES if f not in ("max_util", "efpo_exists")]
+    assert all(row[f] is None for row in rows for f in capped)
+    assert all(row["efpo_exists"] is not None for row in rows)
+    # --cap is the exact valuation-search limit and no longer a features flag
+    with pytest.raises(SystemExit) as exc:
+        run_cli("features", ds, "--cap", 80)
+    assert exc.value.code == 2
+
+
 def test_cli_generate_preset(tmp_path):
     ds = tmp_path / "p.json"
     assert run_cli("--seed", 1, "generate", "--preset", "3x6", "-o", ds) == 0
@@ -473,3 +554,29 @@ def test_cli_pipeline_alloc_caps(tmp_path):
     capped = [f for f in ALLOCATION_FEATURES if f not in ("max_util", "efpo_exists")]
     assert all(row[f] is None for row in rows for f in capped)
     assert all(row["efpo_exists"] is not None and row["max_util"] is not None for row in rows)
+
+
+def test_cli_render_reproduces_pipeline_maps(tmp_path, capsys):
+    recs = [
+        record(f"r{i}", gen_iid(3, 4, "uniform01", seed=i), model="iid", seed=i)
+        for i in range(5)
+    ]
+    recs += [record(kind, gen_characteristic(kind, 3, 4), model="characteristic") for kind in ("SEP", "CON")]
+    ds = tmp_path / "input.json"
+    dataio.write_dataset(ds, recs, seed=0)
+    out = tmp_path / "run"
+    assert run_cli("--seed", 7, "--out-dir", out, "pipeline", "--dataset", ds) == 0
+    maps = {
+        "embedding": "demand distance map",
+        "explicit": "singular-value map",
+    }
+    for kind, title in maps.items():
+        for coloring, flags in (("source", ["--by-source"]), ("max_demand", ["--color", "max_demand"])):
+            name = f"map_{kind}_{coloring}.svg"
+            assert run_cli(
+                "render", out / f"{kind}.csv",
+                "--dataset", out / "dataset.json",
+                "--features-csv", out / "features.csv",
+                *flags, "--title", title, "-o", tmp_path / name,
+            ) == 0
+            assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
