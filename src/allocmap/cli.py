@@ -12,10 +12,18 @@ import sys
 
 from . import dataio
 from .core import CapError, ValidationError
-from .distance import EXACT_SEARCH_CAP, pairwise_distances
-from .embedding import mds_embed
+from .distance import EXACT_SEARCH_CAP, METRICS, pairwise_distances
+from .embedding import SMACOF_MAX_ITERS, SMACOF_TOL, mds_embed
 from .features import ALL_FEATURES, ALLOC_CAP, EFPO_QUAD_CAP, feature_table
-from .generators import GeneratorSpec, gen_dataset, gen_preset
+from .generators import (
+    CHARACTERISTIC_KINDS,
+    IID_DISTS,
+    MODELS,
+    PRESET_SHAPES,
+    GeneratorSpec,
+    gen_dataset,
+    gen_preset,
+)
 from .pipeline import PipelineConfig, PipelineError, run_pipeline
 from .render import map_kwargs, render_svg
 from .spectral import explicit_coords
@@ -35,18 +43,8 @@ def _cmd_generate(args) -> None:
     else:
         if not args.model or args.n is None or args.m is None:
             raise ValidationError("generate needs --preset or --model with --n and --m")
-        params: dict = {}
-        if args.model == "iid":
-            params["dist"] = args.dist
-        elif args.model == "attributes":
-            params["d"] = args.d
-        elif args.model == "resampling":
-            params["p"] = args.p
-            params["phi"] = args.phi
-        elif args.model == "characteristic":
-            params["kind"] = args.kind
-        else:
-            raise ValidationError(f"unknown model {args.model!r}")
+        names = MODELS[args.model].params if args.model in MODELS else ("kind",)
+        params = {name: getattr(args, name) for name in names}
         specs = [GeneratorSpec(args.model, args.count, params)]
         records = gen_dataset(specs, args.n, args.m, args.seed)
     dataio.write_dataset(_outpath(args, "dataset.json"), records, seed=args.seed)
@@ -135,17 +133,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".", help="directory for default output paths")
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="write a dataset from a preset or one generator")
-    g.add_argument("--preset", choices=("3x6", "5x5", "10x20"))
-    g.add_argument("--model", choices=("iid", "attributes", "resampling", "characteristic"))
+    # Flags that pipeline shares with a stage command, declared once each.
+    preset = argparse.ArgumentParser(add_help=False)
+    preset.add_argument("--preset", choices=PRESET_SHAPES)
+    distances = argparse.ArgumentParser(add_help=False)
+    distances.add_argument("--metric", choices=METRICS, default="demand")
+    distances.add_argument("--cap", type=int, default=EXACT_SEARCH_CAP, help="max n for exact valuation search")
+    smacof = argparse.ArgumentParser(add_help=False)
+    smacof.add_argument("--max-iters", type=int, default=SMACOF_MAX_ITERS)
+    smacof.add_argument("--tol", type=float, default=SMACOF_TOL)
+    smacof.add_argument("--restarts", type=int, default=1, help="best-of-R seeded restarts")
+    features = argparse.ArgumentParser(add_help=False)
+    features.add_argument("--features", help=f"comma list from: {','.join(ALL_FEATURES)}")
+    features.add_argument("--alloc-cap", type=int, default=ALLOC_CAP, help="max n^m for exhaustive features")
+    features.add_argument("--quad-cap", type=int, default=EFPO_QUAD_CAP, help="max n^m for the EF+PO check")
+
+    g = sub.add_parser("generate", parents=[preset], help="write a dataset from a preset or one generator")
+    g.add_argument("--model", choices=(*MODELS, "characteristic"))
     g.add_argument("--n", type=int)
     g.add_argument("--m", type=int)
     g.add_argument("--count", type=int, default=1)
-    g.add_argument("--dist", choices=("uniform01", "exponential"), default="uniform01")
+    g.add_argument("--dist", choices=IID_DISTS, default="uniform01")
     g.add_argument("--d", type=int, default=2)
     g.add_argument("--p", type=float, default=0.5)
     g.add_argument("--phi", type=float, default=0.5)
-    g.add_argument("--kind", choices=("IND", "SEP", "CON", "WSEP", "WSEPf", "BIC"), default="IND")
+    g.add_argument("--kind", choices=CHARACTERISTIC_KINDS, default="IND")
     g.add_argument("-o", "--output")
     g.set_defaults(func=_cmd_generate)
 
@@ -162,18 +174,13 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("-o", "--output")
     i.set_defaults(func=_cmd_ingest)
 
-    d = sub.add_parser("distance", help="all-pairs distance matrix for a dataset")
+    d = sub.add_parser("distance", parents=[distances], help="all-pairs distance matrix for a dataset")
     d.add_argument("dataset")
-    d.add_argument("--metric", choices=("demand", "valuation"), default="demand")
-    d.add_argument("--cap", type=int, default=EXACT_SEARCH_CAP, help="max n for exact valuation search")
     d.add_argument("-o", "--output")
     d.set_defaults(func=_cmd_distance)
 
-    e = sub.add_parser("embed", help="SMACOF 2-D embedding of a distance CSV")
+    e = sub.add_parser("embed", parents=[smacof], help="SMACOF 2-D embedding of a distance CSV")
     e.add_argument("distances")
-    e.add_argument("--max-iters", type=int, default=10000)
-    e.add_argument("--tol", type=float, default=1e-9)
-    e.add_argument("--restarts", type=int, default=1, help="best-of-R seeded restarts")
     e.add_argument("-o", "--output")
     e.set_defaults(func=_cmd_embed)
 
@@ -182,11 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("-o", "--output")
     x.set_defaults(func=_cmd_explicit)
 
-    f = sub.add_parser("features", help="fairness features for a dataset")
+    f = sub.add_parser("features", parents=[features], help="fairness features for a dataset")
     f.add_argument("dataset")
-    f.add_argument("--features", help=f"comma list from: {','.join(ALL_FEATURES)}")
-    f.add_argument("--alloc-cap", type=int, default=ALLOC_CAP, help="max n^m for exhaustive features")
-    f.add_argument("--quad-cap", type=int, default=EFPO_QUAD_CAP, help="max n^m for the EF+PO check")
     f.add_argument("--reasons", help="sidecar CSV for absent cells")
     f.add_argument("-o", "--output")
     f.set_defaults(func=_cmd_features)
@@ -202,18 +206,13 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("-o", "--output")
     r.set_defaults(func=_cmd_render)
 
-    pl = sub.add_parser("pipeline", help="dataset -> distances -> maps -> features -> SVGs")
-    pl.add_argument("--preset", choices=("3x6", "5x5", "10x20"))
+    pl = sub.add_parser(
+        "pipeline",
+        parents=[preset, distances, smacof, features],
+        help="dataset -> distances -> maps -> features -> SVGs",
+    )
     pl.add_argument("--dataset", help="existing dataset or instance file instead of a preset")
-    pl.add_argument("--metric", choices=("demand", "valuation"), default="demand")
-    pl.add_argument("--max-iters", type=int, default=10000)
-    pl.add_argument("--tol", type=float, default=1e-9)
-    pl.add_argument("--restarts", type=int, default=1)
-    pl.add_argument("--features", help="comma list of feature columns")
     pl.add_argument("--color", default="max_demand", help="feature for the colored renders")
-    pl.add_argument("--cap", type=int, default=EXACT_SEARCH_CAP)
-    pl.add_argument("--alloc-cap", type=int, default=ALLOC_CAP, help="max n^m for exhaustive features")
-    pl.add_argument("--quad-cap", type=int, default=EFPO_QUAD_CAP, help="max n^m for the EF+PO check")
     pl.set_defaults(func=_cmd_pipeline)
     return p
 

@@ -19,9 +19,16 @@ class ValidationError(ValueError):
 
 
 class BadDimensions(ValidationError):
-    def __init__(self, n: int, m: int):
-        self.n, self.m = n, m
-        super().__init__(f"need n >= 2 agents and m >= n goods, got n={n}, m={m}")
+    def __init__(self, *shape: int):
+        self.shape = shape
+        got = "n={}, m={}".format(*shape) if len(shape) == 2 else f"shape {shape}"
+        super().__init__(f"need n >= 2 agents and m >= n goods, got {got}")
+
+
+def check_shape(n: int, m: int) -> None:
+    """The instance shape rule: n >= 2 agents and m >= n goods."""
+    if n < 2 or m < n:
+        raise BadDimensions(n, m)
 
 
 class NegativeEntry(ValidationError):
@@ -95,10 +102,16 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_matrix(raw) -> np.ndarray:
+def _checked_array(raw) -> np.ndarray:
+    """raw as a float64 matrix of a valid shape with no negative entry."""
     arr = np.asarray(raw, dtype=np.float64)
     if arr.ndim != 2:
-        raise BadDimensions(*(arr.shape if arr.ndim == 2 else (arr.ndim, -1)))
+        raise BadDimensions(*arr.shape)
+    check_shape(*arr.shape)
+    neg = np.argwhere(arr < 0)
+    if neg.size:
+        i, j = neg[0]
+        raise NegativeEntry(int(i), int(j))
     return arr
 
 
@@ -115,20 +128,13 @@ def validate(raw) -> UtilityMatrix:
     inside that band, validating a validated matrix is a bitwise no-op, which
     is what keeps file round trips exact.
     """
-    arr = _as_matrix(raw)
-    n, m = arr.shape
-    if n < 2 or m < n:
-        raise BadDimensions(n, m)
-    neg = np.argwhere(arr < 0)
-    if neg.size:
-        i, j = neg[0]
-        raise NegativeEntry(int(i), int(j))
+    arr = _checked_array(raw)
     sums = arr.sum(axis=1)
     bad = np.nonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOL))[0]
     if bad.size:
         i = int(bad[0])
         raise RowSumViolation(i, float(sums[i]))
-    band = 16.0 * m * np.finfo(np.float64).eps
+    band = 16.0 * arr.shape[1] * np.finfo(np.float64).eps
     off = np.abs(sums - 1.0) > band
     if off.any():
         arr = np.where(off[:, None], arr / sums[:, None], arr)
@@ -137,14 +143,7 @@ def validate(raw) -> UtilityMatrix:
 
 def normalize_rows(raw) -> UtilityMatrix:
     """Divide each nonnegative row by its sum; zero rows are an error."""
-    arr = _as_matrix(raw)
-    n, m = arr.shape
-    if n < 2 or m < n:
-        raise BadDimensions(n, m)
-    neg = np.argwhere(arr < 0)
-    if neg.size:
-        i, j = neg[0]
-        raise NegativeEntry(int(i), int(j))
+    arr = _checked_array(raw)
     sums = arr.sum(axis=1)
     zero = np.nonzero(sums <= 0.0)[0]
     if zero.size:

@@ -30,6 +30,10 @@ def fmt17(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _matrix_to_rows(arr: np.ndarray) -> list[str]:
+    return [" ".join(fmt17(v) for v in row) for row in arr]
+
+
 def _parse_floats(tokens: list[str], line_no: int, context: str = "") -> list[float]:
     out = []
     for tok in tokens:
@@ -44,11 +48,10 @@ def _parse_floats(tokens: list[str], line_no: int, context: str = "") -> list[fl
 
 
 def write_instance(path, matrix: UtilityMatrix) -> None:
-    arr = matrix.values
     with open(path, "w", newline="\n") as fh:
-        fh.write(f"{arr.shape[0]} {arr.shape[1]}\n")
-        for row in arr:
-            fh.write(" ".join(fmt17(v) for v in row) + "\n")
+        fh.write(f"{matrix.n} {matrix.m}\n")
+        for row in _matrix_to_rows(matrix.values):
+            fh.write(row + "\n")
 
 
 def read_instance_array(path) -> np.ndarray:
@@ -80,10 +83,6 @@ def read_instance_array(path) -> np.ndarray:
 # ---------------------------------------------------------------- dataset JSON
 
 
-def _matrix_to_rows(arr: np.ndarray) -> list[str]:
-    return [" ".join(fmt17(v) for v in row) for row in arr]
-
-
 def _rows_to_matrix(rows: list, where: str) -> np.ndarray:
     if not all(isinstance(r, str) for r in rows):
         raise ParseError(1, f"{where}: matrix rows must be JSON strings")
@@ -108,6 +107,7 @@ def write_dataset(path, records: list[InstanceRecord], seed: int | None = None) 
     labels = [r.label for r in records]
     if len(set(labels)) != len(labels):
         raise ValidationError("duplicate labels in dataset")
+    _check_labels(labels)
     doc = {
         "format": DATASET_FORMAT,
         "version": 1,
@@ -144,6 +144,10 @@ def read_dataset(path) -> tuple[list[InstanceRecord], dict]:
         label = _field(item, "label", str, where)
         if label in seen:
             raise ParseError(1, f"duplicate label {label!r}")
+        try:
+            _check_labels([label])
+        except ValidationError as exc:
+            raise ParseError(1, f"{where}: {exc}") from None
         seen.add(label)
         source = _field(item, "source", dict, where)
         if "seed" not in item:
@@ -290,26 +294,25 @@ def read_distance_csv(path) -> tuple[list[str], np.ndarray, dict]:
     return labels, values, meta
 
 
-def write_embedding_csv(path, labels: list[str], emb: Embedding) -> None:
+def _write_points(path, labels: list[str], points, what: str, header: str) -> None:
+    """A 'label,<x>,<y>' CSV of k x 2 points; ``header`` is written first."""
     _check_labels(labels)
-    if len(labels) != emb.points.shape[0]:
-        raise ValidationError("label count does not match point count")
+    if len(labels) != points.shape[0]:
+        raise ValidationError(f"label count does not match {what} count")
     with open(path, "w", newline="\n") as fh:
-        flag = " degenerate=1" if emb.degenerate else ""
-        fh.write(f"# stress={fmt17(emb.stress)} iterations={emb.iterations}{flag}\n")
-        fh.write("label,x,y\n")
-        for lab, (x, y) in zip(labels, emb.points):
+        fh.write(header)
+        for lab, (x, y) in zip(labels, points):
             fh.write(f"{lab},{fmt17(x)},{fmt17(y)}\n")
 
 
+def write_embedding_csv(path, labels: list[str], emb: Embedding) -> None:
+    flag = " degenerate=1" if emb.degenerate else ""
+    header = f"# stress={fmt17(emb.stress)} iterations={emb.iterations}{flag}\nlabel,x,y\n"
+    _write_points(path, labels, emb.points, "point", header)
+
+
 def write_explicit_csv(path, labels: list[str], coords: np.ndarray) -> None:
-    _check_labels(labels)
-    if len(labels) != coords.shape[0]:
-        raise ValidationError("label count does not match coordinate count")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("label,sigma1,sigma2\n")
-        for lab, (s1, s2) in zip(labels, coords):
-            fh.write(f"{lab},{fmt17(s1)},{fmt17(s2)}\n")
+    _write_points(path, labels, coords, "coordinate", "label,sigma1,sigma2\n")
 
 
 def read_points_csv(path) -> tuple[list[str], np.ndarray, dict, list[str]]:

@@ -22,6 +22,8 @@ from .core import CapError, ShapeMismatch, UtilityMatrix, ValidationError
 
 EXACT_SEARCH_CAP = 8
 
+METRICS = ("demand", "valuation")
+
 # Matchings are frequently tied in exact arithmetic (swapping two goods whose
 # demand columns sit on the same side of two others changes nothing), and an
 # order-sensitive float sum would let tied matchings differ by an ulp
@@ -248,16 +250,17 @@ def pairwise_distances(
     With threads > 1 the pair grid is computed by a process pool; entries are
     assembled by index, so the result is identical for any thread count.
     """
-    if metric not in ("demand", "valuation"):
+    if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
+    if not records:
+        raise ValidationError("need at least one instance, got none")
     shapes = {rec.matrix.values.shape for rec in records}
     if len(shapes) > 1:
         a, b = sorted(shapes)[:2]
         raise ShapeMismatch(a, b)
-    if records and metric == "valuation":
-        n = records[0].matrix.n
-        if n > cap:
-            raise ExactSearchCapExceeded(n, cap)
+    n = records[0].matrix.n
+    if metric == "valuation" and n > cap:
+        raise ExactSearchCapExceeded(n, cap)
     k = len(records)
     matrices = [rec.matrix for rec in records]
     if threads > 1 and k > 2:

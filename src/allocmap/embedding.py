@@ -15,6 +15,9 @@ import numpy as np
 
 from .core import ShapeMismatch, ValidationError
 
+SMACOF_MAX_ITERS = 10000
+SMACOF_TOL = 1e-9
+
 
 @dataclass
 class Embedding:
@@ -113,7 +116,9 @@ def _run_once(d: np.ndarray, seed, max_iters: int, tol: float) -> Embedding:
     )
 
 
-def mds_embed(dist, seed, max_iters: int = 10000, tol: float = 1e-9, restarts: int = 1) -> Embedding:
+def mds_embed(
+    dist, seed, max_iters: int = SMACOF_MAX_ITERS, tol: float = SMACOF_TOL, restarts: int = 1
+) -> Embedding:
     """Embed a k x k distance matrix (raw array or DistanceMatrix) into the
     plane.
 

@@ -9,16 +9,16 @@ reproducible one at a time, in any order, on any platform or thread count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from .core import (
-    BadDimensions,
     InstanceRecord,
     Source,
     UnsupportedShape,
     UtilityMatrix,
+    check_shape,
     normalize_rows,
     validate,
 )
@@ -28,11 +28,6 @@ CHARACTERISTIC_KINDS = ("IND", "SEP", "CON", "WSEP", "WSEPf", "BIC")
 IID_DISTS = ("uniform01", "exponential")
 
 PRESET_SHAPES = {"3x6": (3, 6), "5x5": (5, 5), "10x20": (10, 20)}
-
-
-def _check_shape(n: int, m: int) -> None:
-    if n < 2 or m < n:
-        raise BadDimensions(n, m)
 
 
 def gen_characteristic(kind: str, n: int, m: int) -> UtilityMatrix:
@@ -49,7 +44,7 @@ def gen_characteristic(kind: str, n: int, m: int) -> UtilityMatrix:
     BIC    floor(n/2) agents want only good 0, floor(n/2) want only good 1,
            and for odd n the last agent wants only good 2.
     """
-    _check_shape(n, m)
+    check_shape(n, m)
     arr = np.zeros((n, m))
     if kind == "IND":
         arr[:] = 1.0 / m
@@ -93,7 +88,7 @@ def gen_iid(n: int, m: int, dist: str, seed) -> UtilityMatrix:
     A row that comes out all-zero (measure zero for both distributions) is
     redrawn so normalization is always defined.
     """
-    _check_shape(n, m)
+    check_shape(n, m)
     if dist not in IID_DISTS:
         raise ValueError(f"unknown iid dist {dist!r}, expected one of {IID_DISTS}")
     rng = _rng(seed)
@@ -120,7 +115,7 @@ def gen_attributes(n: int, m: int, d: int, seed) -> UtilityMatrix:
     normalized. With d=1 all rows are proportional, hence identical after
     normalization.
     """
-    _check_shape(n, m)
+    check_shape(n, m)
     if d < 1:
         raise ValueError(f"attribute dimension must be >= 1, got {d}")
     rng = _rng(seed)
@@ -145,7 +140,7 @@ def gen_resampling(n: int, m: int, p: float, phi: float, seed) -> UtilityMatrix:
     approve one uniformly random good. Utilities split 1 equally over the
     approved goods.
     """
-    _check_shape(n, m)
+    check_shape(n, m)
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must be in (0, 1], got {p}")
     if not 0.0 <= phi <= 1.0:
@@ -171,16 +166,24 @@ class GeneratorSpec:
     params: dict[str, Any] = field(default_factory=dict)
 
 
-def _label_prefix(spec: GeneratorSpec) -> str:
-    p = spec.params
-    if spec.model == "iid":
-        short = "uniform" if p["dist"] == "uniform01" else "exp"
-        return f"iid_{short}"
-    if spec.model == "attributes":
-        return f"attr_d{p['d']}"
-    if spec.model == "resampling":
-        return f"resamp_p{p['p']:g}_phi{p['phi']:g}"
-    raise ValueError(f"unknown generator model {spec.model!r}")
+class Model(NamedTuple):
+    """A sampled model: sampler(n, m, *params, seed) and the label prefix of
+    its records as a function of the params."""
+
+    sampler: Callable[..., UtilityMatrix]
+    params: tuple[str, ...]
+    label: Callable[[dict], str]
+
+
+MODELS = {
+    "iid": Model(
+        gen_iid, ("dist",), lambda p: "iid_" + ("uniform" if p["dist"] == "uniform01" else "exp")
+    ),
+    "attributes": Model(gen_attributes, ("d",), lambda p: f"attr_d{p['d']}"),
+    "resampling": Model(
+        gen_resampling, ("p", "phi"), lambda p: f"resamp_p{p['p']:g}_phi{p['phi']:g}"
+    ),
+}
 
 
 def _child_seed(dataset_seed: int, index: int) -> int:
@@ -207,24 +210,20 @@ def gen_dataset(specs: list[GeneratorSpec], n: int, m: int, seed: int) -> list[I
                 )
                 index += 1
             continue
-        prefix = _label_prefix(spec)
+        if spec.model not in MODELS:
+            raise ValueError(f"unknown generator model {spec.model!r}")
+        model = MODELS[spec.model]
+        prefix = model.label(spec.params)
+        args = [spec.params[name] for name in model.params]
         start = counters.get(prefix, 0)
         for k in range(start, start + spec.count):
             child = _child_seed(seed, index)
-            if spec.model == "iid":
-                matrix = gen_iid(n, m, spec.params["dist"], child)
-            elif spec.model == "attributes":
-                matrix = gen_attributes(n, m, spec.params["d"], child)
-            elif spec.model == "resampling":
-                matrix = gen_resampling(n, m, spec.params["p"], spec.params["phi"], child)
-            else:
-                raise ValueError(f"unknown generator model {spec.model!r}")
             records.append(
                 InstanceRecord(
                     label=f"{prefix}_{k:03d}",
                     source=Source(spec.model, dict(spec.params, n=n, m=m)),
                     seed=child,
-                    matrix=matrix,
+                    matrix=model.sampler(n, m, *args, child),
                 )
             )
             index += 1

@@ -8,11 +8,11 @@ whatever this run already wrote and surfaces the stage name.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import dataio
 from .distance import EXACT_SEARCH_CAP, pairwise_distances
-from .embedding import mds_embed
+from .embedding import SMACOF_MAX_ITERS, SMACOF_TOL, mds_embed
 from .features import ALLOC_CAP, EFPO_QUAD_CAP, feature_table
 from .generators import gen_preset
 from .render import map_kwargs, render_svg
@@ -34,16 +34,14 @@ class PipelineConfig:
     seed: int = 0
     metric: str = "demand"
     threads: int = 1
-    max_iters: int = 10000
-    tol: float = 1e-9
+    max_iters: int = SMACOF_MAX_ITERS
+    tol: float = SMACOF_TOL
     restarts: int = 1
     features: list[str] | None = None
     color_feature: str = "max_demand"
     valuation_cap: int = EXACT_SEARCH_CAP
     alloc_cap: int = ALLOC_CAP
     quad_cap: int = EFPO_QUAD_CAP
-    normalize: bool = False
-    subsample: tuple[int, int, int] | None = field(default=None)
 
 
 def run_pipeline(config: PipelineConfig) -> dict[str, list[str]]:
@@ -64,12 +62,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, list[str]]:
         if config.preset is not None:
             records = gen_preset(config.preset, config.seed)
         else:
-            records = dataio.ingest(
-                config.dataset_path,
-                normalize=config.normalize,
-                subsample=config.subsample,
-                seed=config.seed,
-            )
+            records = dataio.ingest(config.dataset_path)
         dataio.write_dataset(out("dataset.json", stage), records, seed=config.seed)
 
         stage = "distances"

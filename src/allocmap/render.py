@@ -296,9 +296,6 @@ def render_svg(
         for t, _ in _VIRIDIS:
             ET.SubElement(grad, "stop", {"offset": f"{t:g}", "stop-color": ramp_color(t)})
         ET.SubElement(root, "rect", {"x": f"{lx}", "y": f"{ly}", "width": "14", "height": "120", "fill": "url(#ramp)", "stroke": "#333333", "stroke-width": "0.5"})
-        vals = [v for v in color_values if v is not None and not (isinstance(v, float) and np.isnan(v))]
-        lo = min(vals) if vals else 0.0
-        hi = max(vals) if vals else 1.0
         _text(root, lx + 20, ly + 8, f"{hi:.3g}")
         _text(root, lx + 20, ly + 122, f"{lo:.3g}")
         if color_label:

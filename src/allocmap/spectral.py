@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BadDimensions, UnsupportedShape, UtilityMatrix, validate
+from .core import UnsupportedShape, UtilityMatrix, check_shape, validate
 from .generators import gen_characteristic
 
 JACOBI_OFF_TOL = 1e-12
@@ -113,8 +113,7 @@ def explicit_coords(records) -> np.ndarray:
 
 def corner_coordinates(kind: str, n: int, m: int) -> SpectralPoint:
     """Closed-form map position of a characteristic instance."""
-    if n < 2 or m < n:
-        raise BadDimensions(n, m)
+    check_shape(n, m)
     block = m // n
     if kind == "IND":
         return SpectralPoint(np.sqrt(n / m), 0.0)
@@ -272,8 +271,7 @@ def boundary_interpolation(kind: str, n: int, m: int, resolution: int = 11) -> l
            merges of single-minded pairs down to the two-good corner,
            interpolated pair by pair (sigma1 = sigma2 throughout)
     """
-    if n < 2 or m < n:
-        raise BadDimensions(n, m)
+    check_shape(n, m)
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     thetas = np.linspace(0.0, 1.0, resolution)
@@ -336,8 +334,7 @@ def dirichlet_duplicated_sample(n: int, m: int, count: int, seed) -> DirichletSu
     """Monte-Carlo summary of sigma1^2 for a flat Dirichlet row copied to all
     agents (normalized i.i.d. exponentials; the duplication forces sigma2 = 0).
     """
-    if n < 2 or m < n:
-        raise BadDimensions(n, m)
+    check_shape(n, m)
     if count < 2:
         raise ValueError(f"count must be >= 2, got {count}")
     rng = np.random.default_rng(seed)

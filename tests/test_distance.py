@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from allocmap.core import InstanceRecord, ShapeMismatch, Source, UtilityMatrix, validate
+from allocmap.core import (
+    InstanceRecord,
+    ShapeMismatch,
+    Source,
+    UtilityMatrix,
+    ValidationError,
+    validate,
+)
 from allocmap.distance import (
     BadPermutation,
     DistanceMatrix,
@@ -318,6 +325,8 @@ def test_pairwise_validation():
         pairwise_distances(recs, "demand")
     with pytest.raises(ValueError):
         pairwise_distances([], "euclidean")
+    with pytest.raises(ValidationError, match="at least one instance"):
+        pairwise_distances([], "demand")
     big = [record(f"x{i}", gen_iid(9, 9, "uniform01", seed=i)) for i in range(2)]
     with pytest.raises(ExactSearchCapExceeded):
         pairwise_distances(big, "valuation")

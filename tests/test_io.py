@@ -5,14 +5,15 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from allocmap import dataio
-from allocmap.cli import main
+from allocmap import cli, dataio
+from allocmap.cli import build_parser, main
 from allocmap.core import InstanceRecord, Source, ValidationError, validate
 from allocmap.dataio import ParseError, fmt17
 from allocmap.distance import DistanceMatrix, pairwise_distances
 from allocmap.embedding import Embedding, mds_embed
 from allocmap.features import ALLOCATION_FEATURES, feature_table
 from allocmap.generators import GeneratorSpec, gen_characteristic, gen_dataset, gen_iid
+from allocmap.pipeline import PipelineConfig, PipelineError, run_pipeline
 from allocmap.render import render_svg
 
 
@@ -439,17 +440,24 @@ MALFORMED_DATASETS = {
     "matrix_row_not_a_string": _dataset_doc(matrix=[[0.5, 0.5], [0.5, 0.5]]),
     "ragged_rows": _dataset_doc(matrix=["0.5 0.5 0", "1"]),
     "non_numeric_cell": _dataset_doc(matrix=["0.5 0.5 0", "0 x 0.5"]),
+    "label_with_comma": _dataset_doc(label="a,b"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_DATASETS))
-def test_cli_malformed_dataset_exits_4(tmp_path, capsys, case):
+def test_cli_malformed_dataset_exits_4(tmp_path, capsys, monkeypatch, case):
     p = tmp_path / "d.json"
     p.write_text(json.dumps(MALFORMED_DATASETS[case]))
     with pytest.raises(ParseError):
         dataio.read_dataset(p)
-    assert run_cli("--out-dir", tmp_path, "distance", p) == 4
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("distances computed for an unreadable dataset")
+
+    monkeypatch.setattr(cli, "pairwise_distances", unreachable)
+    assert run_cli("--out-dir", tmp_path, "distance", p, "--metric", "valuation") == 4
     assert capsys.readouterr().err.startswith("error: line 1: ")
+    assert not (tmp_path / "distances_valuation.csv").exists()
 
 
 def test_dataset_non_numeric_cell_names_instance_and_row(tmp_path):
@@ -480,6 +488,82 @@ def test_cli_generate_preset(tmp_path):
     assert len(records) == 165
     kinds = [r.label for r in records if r.source.model == "characteristic"]
     assert sorted(kinds) == ["BIC", "CON", "IND", "SEP", "WSEP"]
+
+
+@pytest.mark.parametrize(
+    "model, params, count",
+    [
+        ("iid", {"dist": "exponential"}, 3),
+        ("attributes", {"d": 4}, 3),
+        ("resampling", {"p": 0.3, "phi": 0.7}, 3),
+        ("characteristic", {"kind": "WSEPf"}, 1),
+    ],
+)
+def test_cli_generate_model_matches_gen_dataset(tmp_path, model, params, count):
+    flags = [x for name, value in params.items() for x in (f"--{name}", value)]
+    got = tmp_path / "cli.json"
+    assert run_cli(
+        "--seed", 4, "generate", "--model", model, "--n", 3, "--m", 5,
+        "--count", count, *flags, "-o", got,
+    ) == 0
+    want = tmp_path / "lib.json"
+    dataio.write_dataset(
+        want, gen_dataset([GeneratorSpec(model, count, params)], 3, 5, 4), seed=4
+    )
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_cli_non_matrix_names_its_shape(tmp_path, capsys):
+    p = tmp_path / "d.json"
+    p.write_text(json.dumps(_dataset_doc(matrix=[])))
+    assert run_cli("--out-dir", tmp_path, "distance", p) == 2
+    assert "got shape (0,)" in capsys.readouterr().err
+
+
+def test_cli_empty_dataset_exits_2(tmp_path):
+    p = tmp_path / "d.json"
+    p.write_text(json.dumps({"format": "allocmap-dataset", "seed": 0, "instances": []}))
+    assert run_cli("distance", p, "-o", tmp_path / "dist.csv") == 2
+    assert not (tmp_path / "dist.csv").exists()
+    out = tmp_path / "run"
+    assert run_cli("--out-dir", out, "pipeline", "--dataset", p) == 2
+    assert list(out.glob("*")) == []
+    with pytest.raises(PipelineError) as exc:
+        run_pipeline(PipelineConfig(out_dir=str(out), dataset_path=str(p)))
+    assert exc.value.stage == "distances"
+
+
+def test_write_dataset_rejects_labels_with_commas(tmp_path):
+    with pytest.raises(ValidationError, match="label 'a,b' cannot contain commas"):
+        dataio.write_dataset(tmp_path / "w.json", [record("a,b", gen_iid(2, 3, "uniform01", seed=1))])
+    assert not (tmp_path / "w.json").exists()
+    # an instance file's stem becomes its label
+    inst = tmp_path / "a,b.txt"
+    dataio.write_instance(inst, gen_iid(2, 3, "uniform01", seed=1))
+    assert run_cli("ingest", inst, "-o", tmp_path / "i.json") == 2
+    assert not (tmp_path / "i.json").exists()
+
+
+# pipeline flag -> (PipelineConfig field, stage command sharing the flag)
+SHARED_FLAGS = {
+    "preset": ("preset", ["generate"]),
+    "metric": ("metric", ["distance", "d.json"]),
+    "cap": ("valuation_cap", ["distance", "d.json"]),
+    "max_iters": ("max_iters", ["embed", "d.csv"]),
+    "tol": ("tol", ["embed", "d.csv"]),
+    "restarts": ("restarts", ["embed", "d.csv"]),
+    "features": ("features", ["features", "d.json"]),
+    "alloc_cap": ("alloc_cap", ["features", "d.json"]),
+    "quad_cap": ("quad_cap", ["features", "d.json"]),
+}
+
+
+@pytest.mark.parametrize("dest", sorted(SHARED_FLAGS))
+def test_pipeline_flag_defaults_match_config_and_stage(dest):
+    field, stage = SHARED_FLAGS[dest]
+    default = getattr(build_parser().parse_args(["pipeline"]), dest)
+    assert default == getattr(PipelineConfig(out_dir="."), field)
+    assert default == getattr(build_parser().parse_args(stage), dest)
 
 
 # ------------------------------------------------------------- pipeline
@@ -580,3 +664,14 @@ def test_cli_render_reproduces_pipeline_maps(tmp_path, capsys):
                 *flags, "--title", title, "-o", tmp_path / name,
             ) == 0
             assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def test_pipeline_comma_label_fails_in_dataset_stage(tmp_path):
+    p = tmp_path / "d.json"
+    p.write_text(json.dumps(_dataset_doc(label="a,b")))
+    out = tmp_path / "run"
+    with pytest.raises(PipelineError) as exc:
+        run_pipeline(PipelineConfig(out_dir=str(out), dataset_path=str(p)))
+    assert exc.value.stage == "dataset"
+    assert isinstance(exc.value.cause, ParseError)
+    assert list(out.glob("*")) == []
