@@ -9,6 +9,7 @@ space-separated row syntax as the single-instance text format.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -38,17 +39,30 @@ def _parse_floats(tokens: list[str], line_no: int, context: str = "") -> list[fl
     out = []
     for tok in tokens:
         try:
-            out.append(float(tok))
+            x = float(tok)
         except ValueError:
             raise ParseError(line_no, f"{context}not a number: {tok!r}") from None
+        if not math.isfinite(x):
+            raise ParseError(line_no, f"{context}not a finite number: {tok!r}")
+        out.append(x)
     return out
+
+
+def _read_text(path) -> str:
+    """The whole file as UTF-8 text; this is the only place a file is opened
+    for reading."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(1, f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 # ---------------------------------------------------------------- instance text
 
 
 def write_instance(path, matrix: UtilityMatrix) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{matrix.n} {matrix.m}\n")
         for row in _matrix_to_rows(matrix.values):
             fh.write(row + "\n")
@@ -57,8 +71,7 @@ def write_instance(path, matrix: UtilityMatrix) -> None:
 def read_instance_array(path) -> np.ndarray:
     """Raw numbers from an instance-format file; validation is the caller's
     call (wide ingestion tables reuse this format without the n <= m rule)."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines:
         raise ParseError(1, "empty file")
     head = lines[0].split()
@@ -122,17 +135,16 @@ def write_dataset(path, records: list[InstanceRecord], seed: int | None = None) 
             for rec in records
         ],
     }
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def read_dataset(path) -> tuple[list[InstanceRecord], dict]:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.lineno, exc.msg) from None
+    try:
+        doc = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.lineno, exc.msg) from None
     if not isinstance(doc, dict) or doc.get("format") != DATASET_FORMAT:
         raise ParseError(1, f"not a {DATASET_FORMAT} file")
     records = []
@@ -181,8 +193,7 @@ def ingest(
     and k instances are drawn from it: n agents and m goods sampled without
     replacement per instance (child seed per index), rows re-normalized.
     """
-    with open(path) as fh:
-        head = fh.read(1)
+    head = _read_text(path)[:1]
     stem = os.path.splitext(os.path.basename(path))[0]
     if head == "{":
         records, _ = read_dataset(path)
@@ -252,45 +263,47 @@ def _check_labels(labels: list[str]) -> None:
 
 def write_distance_csv(path, dm: DistanceMatrix) -> None:
     _check_labels(dm.labels)
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# metric={dm.metric}\n")
         fh.write(",".join(dm.labels) + "\n")
         for row in dm.values:
             fh.write(",".join(fmt17(v) for v in row) + "\n")
 
 
-def _read_csv(path) -> tuple[dict, list[str]]:
-    """Split a CSV into the key=value pairs of its '#' comment lines and its
-    non-blank other lines; at least a header line must be there."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+def _read_csv(path) -> tuple[dict, list[str], list[tuple[int, list[str]]]]:
+    """Split a CSV into the key=value pairs of its '#' comment lines, the
+    fields of its header and (file line, fields) for each data row. Blank
+    lines are skipped; every row has as many fields as the header."""
     meta: dict = {}
-    body = []
-    for ln in lines:
+    header = None
+    rows = []
+    for line_no, ln in enumerate(_read_text(path).splitlines(), start=1):
         if ln.startswith("#"):
             for part in ln[1:].split():
                 if "=" in part:
                     key, val = part.split("=", 1)
                     meta[key] = val
-        elif ln.strip():
-            body.append(ln)
-    if not body:
-        raise ParseError(1, "no data rows")
-    return meta, body
+        elif not ln.strip():
+            continue
+        elif header is None:
+            header = ln.split(",")
+        else:
+            fields = ln.split(",")
+            if len(fields) != len(header):
+                raise ParseError(line_no, f"expected {len(header)} fields, found {len(fields)}")
+            rows.append((line_no, fields))
+    if header is None:
+        raise ParseError(1, "no header line")
+    return meta, header, rows
 
 
 def read_distance_csv(path) -> tuple[list[str], np.ndarray, dict]:
-    meta, body = _read_csv(path)
-    labels = body[0].split(",")
-    k = len(labels)
-    if len(body) != k + 1:
-        raise ParseError(len(body), f"expected {k} data rows, found {len(body) - 1}")
-    values = np.array(
-        [_parse_floats(ln.split(","), i + 2) for i, ln in enumerate(body[1:])],
-        dtype=np.float64,
-    )
-    if values.shape != (k, k):
-        raise ParseError(2, f"expected a {k}x{k} matrix, got {values.shape}")
+    meta, labels, rows = _read_csv(path)
+    if len(rows) != len(labels):
+        raise ParseError(
+            rows[-1][0] if rows else 1, f"expected {len(labels)} data rows, found {len(rows)}"
+        )
+    values = np.array([_parse_floats(fields, i) for i, fields in rows], dtype=np.float64)
     return labels, values, meta
 
 
@@ -299,7 +312,7 @@ def _write_points(path, labels: list[str], points, what: str, header: str) -> No
     _check_labels(labels)
     if len(labels) != points.shape[0]:
         raise ValidationError(f"label count does not match {what} count")
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header)
         for lab, (x, y) in zip(labels, points):
             fh.write(f"{lab},{fmt17(x)},{fmt17(y)}\n")
@@ -318,18 +331,13 @@ def write_explicit_csv(path, labels: list[str], coords: np.ndarray) -> None:
 def read_points_csv(path) -> tuple[list[str], np.ndarray, dict, list[str]]:
     """Read an embedding or explicit-map CSV: (labels, k x 2 points, comment
     metadata, column header)."""
-    meta, body = _read_csv(path)
-    header = body[0].split(",")
+    meta, header, rows = _read_csv(path)
     if len(header) != 3 or header[0] != "label":
-        raise ParseError(1, f"expected 'label,<x>,<y>' header, got {body[0]!r}")
-    labels = []
-    pts = []
-    for i, ln in enumerate(body[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise ParseError(i, f"expected 3 fields, found {len(parts)}")
-        labels.append(parts[0])
-        pts.append(_parse_floats(parts[1:], i))
+        raise ParseError(1, f"expected 'label,<x>,<y>' header, got {','.join(header)!r}")
+    if not rows:
+        raise ParseError(1, "no data rows")
+    labels = [fields[0] for _, fields in rows]
+    pts = [_parse_floats(fields[1:], i) for i, fields in rows]
     return labels, np.array(pts, dtype=np.float64), meta, header
 
 
@@ -339,7 +347,7 @@ _BOOL_FEATURES = ("ef_exists", "mms_ok", "efpo_exists")
 def write_features_csv(path, table, reasons_path=None) -> None:
     """Feature table CSV plus the sidecar reasons file for absent cells."""
     _check_labels(table.labels)
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# sum_max_envies=min-over-allocations\n")
         fh.write("label," + ",".join(table.columns) + "\n")
         for lab, row in zip(table.labels, table.rows):
@@ -355,7 +363,7 @@ def write_features_csv(path, table, reasons_path=None) -> None:
             fh.write(lab + "," + ",".join(cells) + "\n")
     if reasons_path is None:
         reasons_path = _reasons_path(path)
-    with open(reasons_path, "w", newline="\n") as fh:
+    with open(reasons_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("label,feature,reason\n")
         for label, feature, reason in table.reasons:
             clean = reason.replace(",", ";").replace("\n", " ")
@@ -368,22 +376,16 @@ def _reasons_path(path) -> str:
 
 
 def read_features_csv(path) -> tuple[list[str], list[str], list[dict]]:
-    _, body = _read_csv(path)
-    header = body[0].split(",")
+    _, header, rows = _read_csv(path)
     if header[0] != "label":
         raise ParseError(1, "first column must be 'label'")
     columns = header[1:]
-    labels = []
-    rows = []
-    for i, ln in enumerate(body[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != len(header):
-            raise ParseError(i, f"expected {len(header)} fields, found {len(parts)}")
-        labels.append(parts[0])
-        rows.append(
-            {
-                name: None if cell == "" else _parse_floats([cell], i)[0]
-                for name, cell in zip(columns, parts[1:])
-            }
-        )
-    return labels, columns, rows
+    labels = [fields[0] for _, fields in rows]
+    values = [
+        {
+            name: None if cell == "" else _parse_floats([cell], i)[0]
+            for name, cell in zip(columns, fields[1:])
+        }
+        for i, fields in rows
+    ]
+    return labels, columns, values

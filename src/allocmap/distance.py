@@ -213,15 +213,27 @@ class DistanceMatrix:
 
     def __post_init__(self):
         k = len(self.labels)
-        v = self.values
-        if v.shape != (k, k):
-            raise ShapeMismatch(v.shape, (k, k))
-        if not np.allclose(v, v.T, atol=1e-12):
-            raise ValidationError("distance matrix is not symmetric")
-        if np.abs(np.diag(v)).max(initial=0.0) > 1e-12:
-            raise ValidationError("distance matrix diagonal is not zero")
-        if v.min(initial=0.0) < 0.0:
-            raise ValidationError("distance matrix has negative entries")
+        shape = check_distances(self.values).shape
+        if shape != (k, k):
+            raise ShapeMismatch(shape, (k, k))
+
+
+def check_distances(values) -> np.ndarray:
+    """The distance-matrix rule, returning the float64 array: square, finite,
+    symmetric by np.allclose with atol 1e-12, zero on the diagonal within
+    1e-12, and nonnegative."""
+    d = np.asarray(values, dtype=np.float64)
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise ValidationError(f"distance matrix must be square, got shape {d.shape}")
+    if not np.isfinite(d).all():
+        raise ValidationError("distance matrix has NaN or infinite entries")
+    if not np.allclose(d, d.T, atol=1e-12):
+        raise ValidationError("distance matrix is not symmetric")
+    if np.abs(np.diag(d)).max(initial=0.0) > 1e-12:
+        raise ValidationError("distance matrix diagonal is not zero")
+    if d.min(initial=0.0) < 0.0:
+        raise ValidationError("distance matrix has negative entries")
+    return d
 
 
 def _distance_row(i: int, matrices, metric: str, cap: int) -> list[float]:
@@ -252,6 +264,8 @@ def pairwise_distances(
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if not records:
         raise ValidationError("need at least one instance, got none")
     shapes = {rec.matrix.values.shape for rec in records}

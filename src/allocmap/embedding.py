@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ShapeMismatch, ValidationError
+from .distance import check_distances
 
 SMACOF_MAX_ITERS = 10000
 SMACOF_TOL = 1e-9
@@ -27,19 +28,6 @@ class Embedding:
     stress_trace: np.ndarray
     degenerate: bool = False
     seed_used: int | None = field(default=None)
-
-
-def _check_distance_input(dist) -> np.ndarray:
-    d = np.asarray(getattr(dist, "values", dist), dtype=np.float64)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise ValidationError(f"distance matrix must be square, got shape {d.shape}")
-    if d.shape[0] < 2:
-        raise ValidationError("need at least 2 points to embed")
-    if not np.allclose(d, d.T, atol=1e-12):
-        raise ValidationError("distance matrix is not symmetric")
-    if d.min() < 0:
-        raise ValidationError("distance matrix has negative entries")
-    return d
 
 
 def stress(dist, points) -> float:
@@ -133,8 +121,10 @@ def mds_embed(
         raise ValueError(f"tol must be > 0, got {tol}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    d = _check_distance_input(dist)
+    d = check_distances(getattr(dist, "values", dist))
     k = d.shape[0]
+    if k < 2:
+        raise ValidationError("need at least 2 points to embed")
     if not d.any():
         return Embedding(
             points=np.zeros((k, 2)),

@@ -197,6 +197,8 @@ def gen_dataset(specs: list[GeneratorSpec], n: int, m: int, seed: int) -> list[I
     counters: dict[str, int] = {}
     index = 0
     for spec in specs:
+        if spec.count < 1:
+            raise ValueError(f"count must be >= 1, got {spec.count}")
         if spec.model == "characteristic":
             kind = spec.params["kind"]
             for _ in range(spec.count):

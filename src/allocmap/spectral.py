@@ -19,6 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .core import UnsupportedShape, UtilityMatrix, check_shape, validate
 from .generators import gen_characteristic
@@ -195,28 +196,14 @@ def _east_block_certificate(arr: np.ndarray, tol: float) -> bool | None:
     splits into components, two of which are isomorphic and attain the
     largest component sigma1 (a duplicated top block forces sigma1 = sigma2)."""
     n, m = arr.shape
-    support = arr > tol
-    comp_of_agent = [-1] * n
-    comps: list[tuple[list[int], list[int]]] = []
-    for start in range(n):
-        if comp_of_agent[start] != -1:
-            continue
-        agents = [start]
-        comp_of_agent[start] = len(comps)
-        goods = set(np.nonzero(support[start])[0].tolist())
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                if comp_of_agent[i] == -1 and goods.intersection(np.nonzero(support[i])[0].tolist()):
-                    comp_of_agent[i] = len(comps)
-                    agents.append(i)
-                    goods.update(np.nonzero(support[i])[0].tolist())
-                    changed = True
-        comps.append((agents, sorted(goods)))
-    if len(comps) < 2:
-        return False
-    blocks = [arr[np.ix_(agents, goods)] for agents, goods in comps if goods]
+    graph = np.zeros((n + m, n + m))
+    graph[:n, n:] = arr > tol
+    _, comp = connected_components(graph, directed=False)
+    blocks = []
+    for c in np.unique(comp[:n]):
+        goods = np.flatnonzero(comp[n:] == c)
+        if goods.size:
+            blocks.append(arr[np.ix_(np.flatnonzero(comp[:n] == c), goods)])
     if len(blocks) < 2:
         return False
     if max(b.shape[0] for b in blocks) > 8:

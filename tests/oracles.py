@@ -1,0 +1,112 @@
+"""Enumeration ground truths shared by the test modules.
+
+They are coded from scratch in plain Python and share only the
+arithmetic-order conventions with the library: fsum over elementary terms
+for distances, and bundles accumulated good by good with agent aggregates
+in ascending index order for allocation features. That makes exact-equality
+checks against the library meaningful rather than circular.
+"""
+
+import itertools
+import math
+
+import numpy as np
+
+from allocmap.core import InstanceRecord, Source
+
+
+def record(label, u):
+    return InstanceRecord(label, Source("test", {}), None, u)
+
+
+def oracle_valuation(u1, u2):
+    """Minimum entrywise L1 over every agent and good relabeling."""
+    a1, a2 = u1.values, u2.values
+    n, m = a1.shape
+    best = math.inf
+    for ap in itertools.permutations(range(n)):
+        b = a2[list(ap)]
+        for gp in itertools.permutations(range(m)):
+            tot = math.fsum(np.abs(a1 - b[:, list(gp)]).ravel().tolist())
+            if tot < best:
+                best = tot
+    return best
+
+
+def oracle_demand(u1, u2):
+    """Minimum entrywise L1 between sorted demand profiles over good matchings."""
+    d1 = np.sort(u1.values, axis=0)[::-1].T
+    d2 = np.sort(u2.values, axis=0)[::-1].T
+    best = math.inf
+    for gp in itertools.permutations(range(d1.shape[0])):
+        tot = math.fsum(np.abs(d1 - d2[list(gp)]).ravel().tolist())
+        if tot < best:
+            best = tot
+    return best
+
+
+def oracle_features(u):
+    """Full allocation enumeration in plain Python; ascending-index sums."""
+    arr = [[float(v) for v in row] for row in u.values]
+    n = len(arr)
+    m = len(arr[0])
+    profiles = []
+    max_envies = []
+    egal = []
+    sme = []
+    worst_bundles = []
+    for owner in itertools.product(range(n), repeat=m):
+        b = [[0.0] * n for _ in range(n)]
+        for j in range(m):
+            o = owner[j]
+            for i in range(n):
+                b[i][o] += arr[i][j]
+        own = [b[i][i] for i in range(n)]
+        per_agent = []
+        for i in range(n):
+            e = -math.inf
+            for k in range(n):
+                if k != i:
+                    e = max(e, b[i][k] - b[i][i])
+            per_agent.append(e)
+        s = per_agent[0]
+        for i in range(1, n):
+            s += per_agent[i]
+        profiles.append(own)
+        max_envies.append(max(per_agent))
+        egal.append(min(own))
+        sme.append(s)
+        worst_bundles.append([min(b[i]) for i in range(n)])
+
+    out = {}
+    out["minimax_envy"] = min(max_envies)
+    out["ef_exists"] = out["minimax_envy"] <= 1e-9
+    nash = []
+    for own in profiles:
+        p = own[0]
+        for i in range(1, n):
+            p *= own[i]
+        nash.append(p)
+    out["max_nash"] = max(nash)
+    out["prop_fraction"] = n * max(egal)
+    out["sum_max_envies"] = min(sme)
+    out["max_util"] = max(sum(own) for own in profiles)
+
+    shares = [max(w[i] for w in worst_bundles) for i in range(n)]
+    out["mms_shares"] = shares
+    out["mms_ok"] = any(
+        all(own[i] >= shares[i] - 1e-9 for i in range(n)) for own in profiles
+    )
+
+    # Dominance by comparisons alone, so the array form is exact; only
+    # envy-free allocations are candidates.
+    table = np.array(profiles)
+
+    def dominated(a):
+        va = table[a]
+        return bool(np.any((table >= va).all(axis=1) & (table > va + 1e-9).any(axis=1)))
+
+    out["efpo_exists"] = any(
+        not dominated(a) for a, e in enumerate(max_envies) if e <= 1e-9
+    )
+    return out

@@ -4,11 +4,7 @@ One test per shipping criterion, each asserting its stated tolerance and
 runtime budget and printing a single ``criterion NN: PASS`` line with the
 measured margin, so a ``pytest -v -s`` run doubles as the release report.
 
-Enumeration ground truths are coded here from scratch in plain Python;
-they share only the arithmetic-order conventions with the library (fsum
-over elementary terms for distances, ascending-index accumulation for
-allocation aggregates), which is what makes the exact-equality checks
-meaningful rather than circular.
+The enumeration ground truths live in ``oracles.py``.
 """
 
 import itertools
@@ -48,6 +44,7 @@ from allocmap.spectral import (
     singular_values,
     top_singular_values,
 )
+from oracles import oracle_demand, oracle_features, oracle_valuation
 
 
 def _report(num: int, detail: str) -> None:
@@ -64,100 +61,6 @@ def random_instance(n, m, seed):
     return gen_resampling(
         n, m, p=0.4 + 0.2 * (seed % 3), phi=0.1 + 0.2 * (seed % 4), seed=seed
     )
-
-
-# ------------------------------------------------------ enumeration oracles
-
-
-def oracle_valuation(u1, u2):
-    """Minimum entrywise L1 over every agent and good relabeling."""
-    a1, a2 = u1.values, u2.values
-    n, m = a1.shape
-    best = math.inf
-    for ap in itertools.permutations(range(n)):
-        b = a2[list(ap)]
-        for gp in itertools.permutations(range(m)):
-            tot = math.fsum(np.abs(a1 - b[:, list(gp)]).ravel().tolist())
-            if tot < best:
-                best = tot
-    return best
-
-
-def oracle_demand(u1, u2):
-    """Minimum entrywise L1 between sorted demand profiles over good matchings."""
-    d1 = np.sort(u1.values, axis=0)[::-1].T
-    d2 = np.sort(u2.values, axis=0)[::-1].T
-    best = math.inf
-    for gp in itertools.permutations(range(d1.shape[0])):
-        tot = math.fsum(np.abs(d1 - d2[list(gp)]).ravel().tolist())
-        if tot < best:
-            best = tot
-    return best
-
-
-def oracle_features(u):
-    """Full allocation enumeration in plain Python; ascending-index sums."""
-    arr = [[float(v) for v in row] for row in u.values]
-    n = len(arr)
-    m = len(arr[0])
-    profiles = []
-    max_envies = []
-    egal = []
-    sme = []
-    worst_bundles = []
-    for owner in itertools.product(range(n), repeat=m):
-        b = [[0.0] * n for _ in range(n)]
-        for j in range(m):
-            o = owner[j]
-            for i in range(n):
-                b[i][o] += arr[i][j]
-        own = [b[i][i] for i in range(n)]
-        per_agent = []
-        for i in range(n):
-            e = -math.inf
-            for k in range(n):
-                if k != i:
-                    e = max(e, b[i][k] - b[i][i])
-            per_agent.append(e)
-        s = per_agent[0]
-        for i in range(1, n):
-            s += per_agent[i]
-        profiles.append(own)
-        max_envies.append(max(per_agent))
-        egal.append(min(own))
-        sme.append(s)
-        worst_bundles.append([min(b[i]) for i in range(n)])
-
-    out = {}
-    out["minimax_envy"] = min(max_envies)
-    nash = []
-    for own in profiles:
-        p = own[0]
-        for i in range(1, n):
-            p *= own[i]
-        nash.append(p)
-    out["max_nash"] = max(nash)
-    out["prop_fraction"] = n * max(egal)
-    out["sum_max_envies"] = min(sme)
-
-    shares = [max(w[i] for w in worst_bundles) for i in range(n)]
-    out["mms_ok"] = any(
-        all(own[i] >= shares[i] - 1e-9 for i in range(n)) for own in profiles
-    )
-
-    ef_idx = [a for a, e in enumerate(max_envies) if e <= 1e-9]
-
-    def dominated(a):
-        va = profiles[a]
-        for other in profiles:
-            if all(x >= y for x, y in zip(other, va)) and any(
-                x > y + 1e-9 for x, y in zip(other, va)
-            ):
-                return True
-        return False
-
-    out["efpo_exists"] = any(not dominated(a) for a in ef_idx)
-    return out
 
 
 # ----------------------------------------------------------- the criteria

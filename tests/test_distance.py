@@ -5,9 +5,7 @@ import numpy as np
 import pytest
 
 from allocmap.core import (
-    InstanceRecord,
     ShapeMismatch,
-    Source,
     UtilityMatrix,
     ValidationError,
     validate,
@@ -25,7 +23,14 @@ from allocmap.distance import (
     valuation_distance,
     valuation_distance_fixed_agents,
 )
-from allocmap.generators import gen_attributes, gen_characteristic, gen_iid, gen_resampling
+from allocmap.generators import (
+    gen_attributes,
+    gen_characteristic,
+    gen_iid,
+    gen_preset,
+    gen_resampling,
+)
+from oracles import oracle_demand, oracle_valuation, record
 
 
 def random_instance(n, m, seed):
@@ -35,41 +40,6 @@ def random_instance(n, m, seed):
     if k == 1:
         return gen_attributes(n, m, d=2, seed=seed)
     return gen_resampling(n, m, p=0.6, phi=0.3, seed=seed)
-
-
-def record(label, u):
-    return InstanceRecord(label, Source("test", {}), None, u)
-
-
-# --------------------------------------------------------------- oracles
-#
-# Deliberately dumb reimplementations used only as ground truth: factorial
-# enumeration, same canonical fsum evaluation as the library.
-
-
-def oracle_valuation(u1, u2):
-    a1, a2 = u1.values, u2.values
-    n, m = a1.shape
-    best = math.inf
-    for ap in itertools.permutations(range(n)):
-        b = a2[list(ap)]
-        for gp in itertools.permutations(range(m)):
-            tot = math.fsum(np.abs(a1 - b[:, list(gp)]).ravel().tolist())
-            if tot < best:
-                best = tot
-    return best
-
-
-def oracle_demand(u1, u2):
-    d1 = np.sort(u1.values, axis=0)[::-1].T
-    d2 = np.sort(u2.values, axis=0)[::-1].T
-    m = d1.shape[0]
-    best = math.inf
-    for gp in itertools.permutations(range(m)):
-        tot = math.fsum(np.abs(d1 - d2[list(gp)]).ravel().tolist())
-        if tot < best:
-            best = tot
-    return best
 
 
 def oracle_assignment(cost):
@@ -250,6 +220,17 @@ def test_valuation_matches_enumeration():
         u1 = random_instance(4, 4, trial * 2 + 1000)
         u2 = random_instance(4, 4, trial * 2 + 1001)
         assert valuation_distance(u1, u2) == oracle_valuation(u1, u2), trial
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the search stops at the first incumbent <= the demand bound, a "
+    "rounded fsum that here sits 1 ulp above the enumerated minimum",
+)
+def test_valuation_matches_enumeration_on_preset_pair():
+    recs = {r.label: r.matrix for r in gen_preset("3x6", 1007)}
+    u1, u2 = recs["attr_d5_000"], recs["iid_exp_034"]
+    assert valuation_distance(u1, u2) == oracle_valuation(u1, u2)
 
 
 def test_valuation_symmetry_exact():

@@ -1,5 +1,3 @@
-import math
-
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
@@ -7,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from allocmap import features
-from allocmap.core import InstanceRecord, Source, UtilityMatrix, validate
+from allocmap.core import UtilityMatrix, validate
 from allocmap.features import (
     ALL_FEATURES,
     ALLOCATION_FEATURES,
@@ -33,76 +31,7 @@ from allocmap.features import (
     sum_max_envies,
 )
 from allocmap.generators import gen_characteristic, gen_iid, gen_resampling
-
-
-def record(label, u):
-    return InstanceRecord(label, Source("test", {}), None, u)
-
-
-# --------------------------------------------------------------- oracle
-#
-# Plain-loop ground truth. Bundles are accumulated good by good
-# (Allocation.bundle_matrix) and agent aggregates in ascending index order,
-# the same arithmetic order as the vectorized search, so float results must
-# agree bit for bit.
-
-
-def oracle_features(u):
-    n, m = u.n, u.m
-    profiles = []
-    max_envies = []
-    egal = []
-    sme = []
-    worst_bundles = []
-    for alloc in enumerate_allocations(n, m):
-        b = alloc.bundle_matrix(u).tolist()
-        own = [b[i][i] for i in range(n)]
-        per_agent = []
-        for i in range(n):
-            e = -math.inf
-            for k in range(n):
-                if k != i:
-                    e = max(e, b[i][k] - b[i][i])
-            per_agent.append(e)
-        s = per_agent[0]
-        for i in range(1, n):
-            s += per_agent[i]
-        profiles.append(own)
-        max_envies.append(max(per_agent))
-        egal.append(min(own))
-        sme.append(s)
-        worst_bundles.append([min(b[i]) for i in range(n)])
-
-    out = {}
-    out["minimax_envy"] = min(max_envies)
-    out["ef_exists"] = out["minimax_envy"] <= 1e-9
-    nash = []
-    for own in profiles:
-        p = own[0]
-        for i in range(1, n):
-            p *= own[i]
-        nash.append(p)
-    out["max_nash"] = max(nash)
-    out["prop_fraction"] = n * max(egal)
-    out["sum_max_envies"] = min(sme)
-    out["max_util"] = max(sum(own) for own in profiles)
-
-    shares = [max(w[i] for w in worst_bundles) for i in range(n)]
-    out["mms_shares"] = shares
-    out["mms_ok"] = any(
-        all(own[i] >= shares[i] - 1e-9 for i in range(n)) for own in profiles
-    )
-
-    # Dominance by comparisons alone, so the array form is exact; only
-    # envy-free allocations are candidates.
-    table = np.array(profiles)
-    def dominated(a):
-        va = table[a]
-        return bool(np.any((table >= va).all(axis=1) & (table > va + 1e-9).any(axis=1)))
-    out["efpo_exists"] = any(
-        not dominated(a) for a, e in enumerate(max_envies) if e <= 1e-9
-    )
-    return out
+from oracles import oracle_features, record
 
 
 EXACT_ORACLE_FEATURES = (

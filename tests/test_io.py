@@ -279,7 +279,7 @@ def test_features_csv_cells_and_reasons(tmp_path):
 def test_features_csv_non_numeric_cell(tmp_path):
     p = tmp_path / "f.csv"
     p.write_text("# note=x\nlabel,max_demand\na,0.5\n\nb,zz\n")
-    with pytest.raises(ParseError, match=r"line 3: not a number: 'zz'"):
+    with pytest.raises(ParseError, match=r"line 5: not a number: 'zz'"):
         dataio.read_features_csv(p)
 
 
@@ -411,6 +411,52 @@ def test_cli_render_non_numeric_feature_cell(tmp_path):
     )
     assert code == 4
     assert not (tmp_path / "m.svg").exists()
+
+
+BAD_INPUT_FILES = {
+    "ragged_distance_csv": ("embed", b"# metric=demand\na,b\n0,1\n1\n", 4, "line 4: expected 2 fields, found 1"),
+    "inf_distance": ("embed", b"a,b\n0,inf\ninf,0\n", 4, "line 2: not a finite number: 'inf'"),
+    "nan_distance": ("embed", b"a,b\n0,nan\nnan,0\n", 4, "line 2: not a finite number: 'nan'"),
+    "nonzero_diagonal": ("embed", b"a,b\n1,1\n1,0\n", 2, "distance matrix diagonal is not zero"),
+    "latin1_dataset": ("distance", b'{"format": "caf\xe9"}', 4, "line 1: not UTF-8 text"),
+    "latin1_distance_csv": ("embed", b"caf\xe9,b\n0,1\n1,0\n", 4, "line 1: not UTF-8 text"),
+    "latin1_instance": ("ingest", b"2 2\n0.5 0.5\n\xe9 1\n", 4, "line 1: not UTF-8 text"),
+    "header_only_points": ("render", b"label,sigma1,sigma2\n", 4, "no data rows"),
+    "nan_points": ("render", b"label,x,y\na,0,nan\nb,1,1\n", 4, "line 2: not a finite number: 'nan'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT_FILES))
+def test_cli_bad_input_file(tmp_path, capsys, case):
+    command, content, code, message = BAD_INPUT_FILES[case]
+    p = tmp_path / "input"
+    p.write_bytes(content)
+    out = tmp_path / "out"
+    assert run_cli(command, p, "-o", out) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", [0, -2])
+def test_cli_generate_count_below_one_exits_2(tmp_path, capsys, count):
+    out = tmp_path / "d.json"
+    assert run_cli(
+        "generate", "--model", "iid", "--n", 2, "--m", 3, "--count", count, "-o", out
+    ) == 2
+    assert "count must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_cli_threads_below_one_exits_2(tmp_path, capsys, threads):
+    ds = tmp_path / "d.json"
+    dataio.write_dataset(ds, tiny_records(3))
+    out = tmp_path / "dist.csv"
+    assert run_cli("--threads", threads, "distance", ds, "-o", out) == 2
+    assert "threads must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _dataset_doc(**changes):
