@@ -270,10 +270,10 @@ def write_distance_csv(path, dm: DistanceMatrix) -> None:
             fh.write(",".join(fmt17(v) for v in row) + "\n")
 
 
-def _read_csv(path) -> tuple[dict, list[str], list[tuple[int, list[str]]]]:
-    """Split a CSV into the key=value pairs of its '#' comment lines, the
-    fields of its header and (file line, fields) for each data row. Blank
-    lines are skipped; every row has as many fields as the header."""
+def _read_csv(path) -> tuple[dict, tuple[int, list[str]], list[tuple[int, list[str]]]]:
+    """Split a CSV into the key=value pairs of its '#' comment lines,
+    (file line, fields) of its header and (file line, fields) for each data
+    row. Blank lines are skipped; every row has as many fields as the header."""
     meta: dict = {}
     header = None
     rows = []
@@ -286,7 +286,7 @@ def _read_csv(path) -> tuple[dict, list[str], list[tuple[int, list[str]]]]:
         elif not ln.strip():
             continue
         elif header is None:
-            header = ln.split(",")
+            header_line, header = line_no, ln.split(",")
         else:
             fields = ln.split(",")
             if len(fields) != len(header):
@@ -294,14 +294,14 @@ def _read_csv(path) -> tuple[dict, list[str], list[tuple[int, list[str]]]]:
             rows.append((line_no, fields))
     if header is None:
         raise ParseError(1, "no header line")
-    return meta, header, rows
+    return meta, (header_line, header), rows
 
 
 def read_distance_csv(path) -> tuple[list[str], np.ndarray, dict]:
-    meta, labels, rows = _read_csv(path)
+    meta, (header_line, labels), rows = _read_csv(path)
     if len(rows) != len(labels):
         raise ParseError(
-            rows[-1][0] if rows else 1, f"expected {len(labels)} data rows, found {len(rows)}"
+            rows[-1][0] if rows else header_line, f"expected {len(labels)} data rows, found {len(rows)}"
         )
     values = np.array([_parse_floats(fields, i) for i, fields in rows], dtype=np.float64)
     return labels, values, meta
@@ -331,11 +331,13 @@ def write_explicit_csv(path, labels: list[str], coords: np.ndarray) -> None:
 def read_points_csv(path) -> tuple[list[str], np.ndarray, dict, list[str]]:
     """Read an embedding or explicit-map CSV: (labels, k x 2 points, comment
     metadata, column header)."""
-    meta, header, rows = _read_csv(path)
+    meta, (header_line, header), rows = _read_csv(path)
     if len(header) != 3 or header[0] != "label":
-        raise ParseError(1, f"expected 'label,<x>,<y>' header, got {','.join(header)!r}")
+        raise ParseError(
+            header_line, f"expected 'label,<x>,<y>' header, got {','.join(header)!r}"
+        )
     if not rows:
-        raise ParseError(1, "no data rows")
+        raise ParseError(header_line, "no data rows")
     labels = [fields[0] for _, fields in rows]
     pts = [_parse_floats(fields[1:], i) for i, fields in rows]
     return labels, np.array(pts, dtype=np.float64), meta, header
@@ -376,9 +378,9 @@ def _reasons_path(path) -> str:
 
 
 def read_features_csv(path) -> tuple[list[str], list[str], list[dict]]:
-    _, header, rows = _read_csv(path)
+    _, (header_line, header), rows = _read_csv(path)
     if header[0] != "label":
-        raise ParseError(1, "first column must be 'label'")
+        raise ParseError(header_line, "first column must be 'label'")
     columns = header[1:]
     labels = [fields[0] for _, fields in rows]
     values = [

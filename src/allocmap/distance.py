@@ -92,16 +92,33 @@ def _values_pair(u1: UtilityMatrix, u2: UtilityMatrix) -> tuple[np.ndarray, np.n
 
 def demand_vectors(matrix: UtilityMatrix) -> np.ndarray:
     """(m, n) array: row j is column j of the instance sorted descending."""
-    return np.sort(matrix.values, axis=0)[::-1].T.copy()
+    return _demand_stack([matrix])[0]
+
+
+def _demand_stack(matrices) -> np.ndarray:
+    """(k, m, n) C-contiguous demand vectors of k same-shape instances,
+    sorted in one call."""
+    values = np.array([u.values for u in matrices])
+    return np.ascontiguousarray(np.sort(values, axis=1)[:, ::-1].transpose(0, 2, 1))
 
 
 def demand_distance(u1: UtilityMatrix, u2: UtilityMatrix) -> float:
     """Min-cost matching of demand vectors (anonymous per-good demand)."""
     _values_pair(u1, u2)
-    d1 = demand_vectors(u1)
-    d2 = demand_vectors(u2)
-    cost = np.abs(d1[:, None, :] - d2[None, :, :]).sum(axis=2)
-    return _goods_matched_l1(d1.T, d2.T, cost)
+    return _demand_row(_demand_stack((u1, u2)), 0)[0]
+
+
+def _demand_row(vectors: np.ndarray, i: int) -> list[float]:
+    """Demand distances from instance i to every later one, given the stacked
+    (k, m, n) demand vectors. One broadcast prices every pair's goods, summing
+    over the same contiguous length-n axis a single (m, m) cost would, so each
+    pair's assignment and canonical fsum see the same numbers either way."""
+    d1, rest = vectors[i], vectors[i + 1 :]
+    costs = np.abs(d1[None, :, None, :] - rest[:, None, :, :]).sum(axis=3)
+    cols = [linear_sum_assignment(c)[1] for c in costs]
+    matched = rest[np.arange(len(rest))[:, None], cols]
+    terms = np.abs(d1 - matched).reshape(len(rest), -1).tolist()
+    return [math.fsum(t) for t in terms]
 
 
 def valuation_distance_fixed_agents(u1: UtilityMatrix, u2: UtilityMatrix, agent_perm) -> float:
@@ -220,14 +237,14 @@ class DistanceMatrix:
 
 def check_distances(values) -> np.ndarray:
     """The distance-matrix rule, returning the float64 array: square, finite,
-    symmetric by np.allclose with atol 1e-12, zero on the diagonal within
-    1e-12, and nonnegative."""
+    symmetric within 1e-12, zero on the diagonal within 1e-12, and
+    nonnegative."""
     d = np.asarray(values, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValidationError(f"distance matrix must be square, got shape {d.shape}")
     if not np.isfinite(d).all():
         raise ValidationError("distance matrix has NaN or infinite entries")
-    if not np.allclose(d, d.T, atol=1e-12):
+    if not np.allclose(d, d.T, rtol=0.0, atol=1e-12):
         raise ValidationError("distance matrix is not symmetric")
     if np.abs(np.diag(d)).max(initial=0.0) > 1e-12:
         raise ValidationError("distance matrix diagonal is not zero")
@@ -236,18 +253,25 @@ def check_distances(values) -> np.ndarray:
     return d
 
 
-def _distance_row(i: int, matrices, metric: str, cap: int) -> list[float]:
-    """Distances from instance i to every later instance."""
+def _distance_row(i: int, matrices, vectors: np.ndarray, metric: str) -> list[float]:
+    """Distances from instance i to every later instance; ``vectors`` is
+    ``_demand_stack(matrices)``. The demand row is also the valuation
+    search's root bounds. Shapes and the cap are checked by the caller."""
+    row = _demand_row(vectors, i)
     if metric == "demand":
-        return [demand_distance(matrices[i], u2) for u2 in matrices[i + 1 :]]
-    return [valuation_distance(matrices[i], u2, cap=cap) for u2 in matrices[i + 1 :]]
+        return row
+    a1 = matrices[i].values
+    return [
+        _valuation_search(a1, matrices[j].values, lb)[0]
+        for j, lb in enumerate(row, start=i + 1)
+    ]
 
 
 _POOL_STATE: dict = {}
 
 
-def _pool_init(matrices, metric, cap):
-    _POOL_STATE.update(matrices=matrices, metric=metric, cap=cap)
+def _pool_init(matrices, metric):
+    _POOL_STATE.update(matrices=matrices, vectors=_demand_stack(matrices), metric=metric)
 
 
 def _pool_row(i: int) -> list[float]:
@@ -279,11 +303,12 @@ def pairwise_distances(
     matrices = [rec.matrix for rec in records]
     if threads > 1 and k > 2:
         with ProcessPoolExecutor(
-            max_workers=threads, initializer=_pool_init, initargs=(matrices, metric, cap)
+            max_workers=threads, initializer=_pool_init, initargs=(matrices, metric)
         ) as pool:
             rows = list(pool.map(_pool_row, range(k - 1)))
     else:
-        rows = [_distance_row(i, matrices, metric, cap) for i in range(k - 1)]
+        vectors = _demand_stack(matrices)
+        rows = [_distance_row(i, matrices, vectors, metric) for i in range(k - 1)]
     values = np.zeros((k, k))
     for i, row in enumerate(rows):
         values[i, i + 1 :] = row

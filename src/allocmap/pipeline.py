@@ -11,6 +11,7 @@ import os
 from dataclasses import dataclass
 
 from . import dataio
+from .core import ValidationError
 from .distance import EXACT_SEARCH_CAP, pairwise_distances
 from .embedding import SMACOF_MAX_ITERS, SMACOF_TOL, mds_embed
 from .features import ALLOC_CAP, EFPO_QUAD_CAP, feature_table
@@ -63,6 +64,9 @@ def run_pipeline(config: PipelineConfig) -> dict[str, list[str]]:
             records = gen_preset(config.preset, config.seed)
         else:
             records = dataio.ingest(config.dataset_path)
+        # an empty dataset is left to pairwise_distances, which names it
+        if len(records) == 1:
+            raise ValidationError("need at least 2 instances to map, got 1")
         dataio.write_dataset(out("dataset.json", stage), records, seed=config.seed)
 
         stage = "distances"

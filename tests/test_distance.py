@@ -1,13 +1,17 @@
 import itertools
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from allocmap.core import (
     ShapeMismatch,
     UtilityMatrix,
     ValidationError,
+    normalize_rows,
     validate,
 )
 from allocmap.distance import (
@@ -295,6 +299,41 @@ def test_pairwise_thread_count_irrelevant():
     serial_v = pairwise_distances(recs, "valuation", threads=1)
     pooled_v = pairwise_distances(recs, "valuation", threads=3)
     assert np.array_equal(serial_v.values, pooled_v.values)
+
+
+def test_pairwise_valuation_matches_per_pair_search():
+    # the matrix takes its root bounds from the batched demand row, the
+    # single-pair API from the one-partner call: both must give the same search
+    recs = gen_preset("3x6", 7)[::28]
+    want = np.zeros((len(recs), len(recs)))
+    for i, j in itertools.combinations(range(len(recs)), 2):
+        want[i, j] = want[j, i] = valuation_distance(recs[i].matrix, recs[j].matrix)
+    for threads in (1, 2):
+        got = pairwise_distances(recs, "valuation", threads=threads).values
+        assert got.tobytes() == want.tobytes(), threads
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 5), (3, 6), (5, 5)])
+def test_pairwise_demand_matches_oracle_bitwise(n, m):
+    # small integer weights give tied entries; a drawn column index per
+    # instance (or -1 for none) is zeroed to give all-zero demand vectors
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        hnp.arrays(np.int64, (4, n, m), elements=st.integers(0, 3)),
+        st.lists(st.integers(-1, m - 1), min_size=4, max_size=4),
+    )
+    def check(weights, zero_cols):
+        for w, j in zip(weights, zero_cols):
+            if j >= 0:
+                w[:, j] = 0
+        assume(weights.sum(axis=2).all())
+        recs = [record(f"r{i}", normalize_rows(w)) for i, w in enumerate(weights)]
+        got = pairwise_distances(recs, "demand").values
+        for i, j in itertools.product(range(len(recs)), repeat=2):
+            want = oracle_demand(recs[i].matrix, recs[j].matrix)
+            assert got[i, j].tobytes() == np.float64(want).tobytes(), (i, j)
+
+    check()
 
 
 def test_pairwise_validation():

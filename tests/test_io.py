@@ -276,6 +276,23 @@ def test_features_csv_cells_and_reasons(tmp_path):
     assert len(body) > 1
 
 
+def test_csv_header_errors_name_the_header_line(tmp_path):
+    p = tmp_path / "h.csv"
+    p.write_text("# stress=0.5 iterations=3\nlabel,x\na,0\n")
+    with pytest.raises(ParseError, match=r"^line 2: expected 'label,<x>,<y>' header"):
+        dataio.read_points_csv(p)
+    p.write_text("# note=x\n\nname,max_demand\na,0.5\n")
+    with pytest.raises(ParseError, match=r"^line 3: first column must be 'label'"):
+        dataio.read_features_csv(p)
+    # a file that ends at its header names the header's line too
+    p.write_text("# stress=0.5 iterations=3\nlabel,x,y\n")
+    with pytest.raises(ParseError, match=r"^line 2: no data rows"):
+        dataio.read_points_csv(p)
+    p.write_text("# metric=demand\na,b\n")
+    with pytest.raises(ParseError, match=r"^line 2: expected 2 data rows, found 0"):
+        dataio.read_distance_csv(p)
+
+
 def test_features_csv_non_numeric_cell(tmp_path):
     p = tmp_path / "f.csv"
     p.write_text("# note=x\nlabel,max_demand\na,0.5\n\nb,zz\n")
@@ -418,6 +435,7 @@ BAD_INPUT_FILES = {
     "inf_distance": ("embed", b"a,b\n0,inf\ninf,0\n", 4, "line 2: not a finite number: 'inf'"),
     "nan_distance": ("embed", b"a,b\n0,nan\nnan,0\n", 4, "line 2: not a finite number: 'nan'"),
     "nonzero_diagonal": ("embed", b"a,b\n1,1\n1,0\n", 2, "distance matrix diagonal is not zero"),
+    "asymmetric_distance": ("embed", b"a,b\n0,1\n1.000001,0\n", 2, "distance matrix is not symmetric"),
     "latin1_dataset": ("distance", b'{"format": "caf\xe9"}', 4, "line 1: not UTF-8 text"),
     "latin1_distance_csv": ("embed", b"caf\xe9,b\n0,1\n1,0\n", 4, "line 1: not UTF-8 text"),
     "latin1_instance": ("ingest", b"2 2\n0.5 0.5\n\xe9 1\n", 4, "line 1: not UTF-8 text"),
@@ -577,6 +595,20 @@ def test_cli_empty_dataset_exits_2(tmp_path):
     with pytest.raises(PipelineError) as exc:
         run_pipeline(PipelineConfig(out_dir=str(out), dataset_path=str(p)))
     assert exc.value.stage == "distances"
+
+
+def test_pipeline_one_instance_fails_in_dataset_stage(tmp_path, capsys):
+    ds = tmp_path / "one.json"
+    assert run_cli(
+        "generate", "--model", "iid", "--n", 2, "--m", 3, "--count", 1, "-o", ds
+    ) == 0
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert run_cli("--out-dir", out, "pipeline", "--dataset", ds) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: pipeline stage 'dataset' failed: need at least 2 instances")
+    assert "Traceback" not in err
+    assert list(out.glob("*")) == []
 
 
 def test_write_dataset_rejects_labels_with_commas(tmp_path):
