@@ -22,33 +22,24 @@ from .core import (
 )
 from .distance import (
     EXACT_SEARCH_CAP,
-    BadPermutation,
     DistanceMatrix,
     ExactSearchCapExceeded,
-    NonFinite,
-    NonSquare,
     demand_distance,
-    demand_vectors,
-    hungarian_min_cost,
     pairwise_distances,
     valuation_distance,
-    valuation_distance_fixed_agents,
 )
 from .embedding import Embedding, mds_embed, stress
 from .features import (
     ALL_FEATURES,
     ALLOC_CAP,
-    Allocation,
     CapExceeded,
     FeatureTable,
     UnknownFeature,
     allocation_features,
     ef_exists,
     efpo_exists,
-    enumerate_allocations,
     feature_table,
     gini,
-    matrix_features,
     max_nash,
     max_util,
     minimax_envy,

@@ -117,10 +117,7 @@ def _field(obj: dict, key: str, kind: type, where: str):
 
 
 def write_dataset(path, records: list[InstanceRecord], seed: int | None = None) -> None:
-    labels = [r.label for r in records]
-    if len(set(labels)) != len(labels):
-        raise ValidationError("duplicate labels in dataset")
-    _check_labels(labels)
+    _check_labels([r.label for r in records])
     doc = {
         "format": DATASET_FORMAT,
         "version": 1,
@@ -148,19 +145,11 @@ def read_dataset(path) -> tuple[list[InstanceRecord], dict]:
     if not isinstance(doc, dict) or doc.get("format") != DATASET_FORMAT:
         raise ParseError(1, f"not a {DATASET_FORMAT} file")
     records = []
-    seen = set()
     for index, item in enumerate(_field(doc, "instances", list, "dataset")):
         where = f"instance {index}"
         if not isinstance(item, dict):
             raise ParseError(1, f"{where} must be a JSON object")
         label = _field(item, "label", str, where)
-        if label in seen:
-            raise ParseError(1, f"duplicate label {label!r}")
-        try:
-            _check_labels([label])
-        except ValidationError as exc:
-            raise ParseError(1, f"{where}: {exc}") from None
-        seen.add(label)
         source = _field(item, "source", dict, where)
         if "seed" not in item:
             raise ParseError(1, f"{where}: 'seed' is missing")
@@ -174,6 +163,8 @@ def read_dataset(path) -> tuple[list[InstanceRecord], dict]:
                 matrix=validate(_rows_to_matrix(_field(item, "matrix", list, where), where)),
             )
         )
+    # like every structural fault of the document, reported at line 1
+    _check_labels([rec.label for rec in records], [1] * len(records))
     meta = {"seed": doc.get("seed"), "version": doc.get("version")}
     return records, meta
 
@@ -219,6 +210,8 @@ def _subsample(
     table: np.ndarray, stem: str, shape: tuple[int, int, int], seed: int
 ) -> list[InstanceRecord]:
     n, m, k = shape
+    if k < 1:
+        raise ValueError(f"count must be >= 1, got {k}")
     rows, cols = table.shape
     if n > rows or m > cols:
         raise ValidationError(
@@ -255,10 +248,22 @@ def _subsample(
 # ---------------------------------------------------------------- CSV surfaces
 
 
-def _check_labels(labels: list[str]) -> None:
-    for lab in labels:
+def _check_labels(labels: list[str], lines: list[int] | None = None) -> None:
+    """The label rule of every file: no label holds a comma or a newline, and
+    no label appears twice. A fault is a ValidationError or, given the file
+    line of each label, a ParseError naming the line."""
+    seen = set()
+    for k, lab in enumerate(labels):
         if "," in lab or "\n" in lab:
-            raise ValidationError(f"label {lab!r} cannot contain commas or newlines")
+            fault = f"label {lab!r} cannot contain commas or newlines"
+        elif lab in seen:
+            fault = f"label {lab!r} appears twice"
+        else:
+            seen.add(lab)
+            continue
+        if lines is None:
+            raise ValidationError(fault)
+        raise ParseError(lines[k], fault)
 
 
 def write_distance_csv(path, dm: DistanceMatrix) -> None:
@@ -299,6 +304,7 @@ def _read_csv(path) -> tuple[dict, tuple[int, list[str]], list[tuple[int, list[s
 
 def read_distance_csv(path) -> tuple[list[str], np.ndarray, dict]:
     meta, (header_line, labels), rows = _read_csv(path)
+    _check_labels(labels, [header_line] * len(labels))
     if len(rows) != len(labels):
         raise ParseError(
             rows[-1][0] if rows else header_line, f"expected {len(labels)} data rows, found {len(rows)}"
@@ -339,6 +345,7 @@ def read_points_csv(path) -> tuple[list[str], np.ndarray, dict, list[str]]:
     if not rows:
         raise ParseError(header_line, "no data rows")
     labels = [fields[0] for _, fields in rows]
+    _check_labels(labels, [i for i, _ in rows])
     pts = [_parse_floats(fields[1:], i) for i, fields in rows]
     return labels, np.array(pts, dtype=np.float64), meta, header
 
@@ -383,6 +390,7 @@ def read_features_csv(path) -> tuple[list[str], list[str], list[dict]]:
         raise ParseError(header_line, "first column must be 'label'")
     columns = header[1:]
     labels = [fields[0] for _, fields in rows]
+    _check_labels(labels, [i for i, _ in rows])
     values = [
         {
             name: None if cell == "" else _parse_floats([cell], i)[0]

@@ -33,27 +33,6 @@ METRICS = ("demand", "valuation")
 # order-free and monotone in the true cost.
 
 
-def _entrywise_l1(x: np.ndarray, y: np.ndarray) -> float:
-    return math.fsum(np.abs(x - y).ravel().tolist())
-
-
-class NonSquare(ValidationError):
-    def __init__(self, shape: tuple):
-        self.shape = shape
-        super().__init__(f"cost matrix must be square, got shape {shape}")
-
-
-class NonFinite(ValidationError):
-    def __init__(self):
-        super().__init__("cost matrix contains NaN or infinite entries")
-
-
-class BadPermutation(ValidationError):
-    def __init__(self, perm):
-        self.perm = perm
-        super().__init__(f"not a permutation of 0..n-1: {perm!r}")
-
-
 class ExactSearchCapExceeded(CapError):
     def __init__(self, n: int, cap: int):
         self.n, self.cap = n, cap
@@ -62,37 +41,9 @@ class ExactSearchCapExceeded(CapError):
         )
 
 
-def hungarian_min_cost(cost) -> tuple[np.ndarray, float]:
-    """Minimum-cost perfect matching on a square cost matrix.
-
-    Returns (perm, total) where column perm[i] is matched to row i.
-    """
-    arr = np.asarray(cost, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise NonSquare(arr.shape)
-    if not np.isfinite(arr).all():
-        raise NonFinite()
-    rows, cols = linear_sum_assignment(arr)
-    perm = np.empty(arr.shape[0], dtype=np.intp)
-    perm[rows] = cols
-    return perm, float(arr[rows, cols].sum())
-
-
 def _assignment_total(cost: np.ndarray) -> float:
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum())
-
-
-def _values_pair(u1: UtilityMatrix, u2: UtilityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    a1, a2 = u1.values, u2.values
-    if a1.shape != a2.shape:
-        raise ShapeMismatch(a1.shape, a2.shape)
-    return a1, a2
-
-
-def demand_vectors(matrix: UtilityMatrix) -> np.ndarray:
-    """(m, n) array: row j is column j of the instance sorted descending."""
-    return _demand_stack([matrix])[0]
 
 
 def _demand_stack(matrices) -> np.ndarray:
@@ -100,12 +51,6 @@ def _demand_stack(matrices) -> np.ndarray:
     sorted in one call."""
     values = np.array([u.values for u in matrices])
     return np.ascontiguousarray(np.sort(values, axis=1)[:, ::-1].transpose(0, 2, 1))
-
-
-def demand_distance(u1: UtilityMatrix, u2: UtilityMatrix) -> float:
-    """Min-cost matching of demand vectors (anonymous per-good demand)."""
-    _values_pair(u1, u2)
-    return _demand_row(_demand_stack((u1, u2)), 0)[0]
 
 
 def _demand_row(vectors: np.ndarray, i: int) -> list[float]:
@@ -121,25 +66,13 @@ def _demand_row(vectors: np.ndarray, i: int) -> list[float]:
     return [math.fsum(t) for t in terms]
 
 
-def valuation_distance_fixed_agents(u1: UtilityMatrix, u2: UtilityMatrix, agent_perm) -> float:
-    """Entrywise l1 distance under a fixed agent matching, goods matched
-    optimally (one polynomial assignment; agent i of u1 vs agent_perm[i] of u2)."""
-    a1, a2 = _values_pair(u1, u2)
-    n = a1.shape[0]
-    perm = np.asarray(agent_perm, dtype=np.intp)
-    if perm.shape != (n,) or sorted(perm.tolist()) != list(range(n)):
-        raise BadPermutation(agent_perm)
-    b2 = a2[perm]
-    return _goods_matched_l1(a1, b2, np.abs(a1[:, :, None] - b2[:, None, :]).sum(axis=0))
-
-
 def _goods_matched_l1(a1: np.ndarray, b2: np.ndarray, cost: np.ndarray) -> float:
     """Canonical l1 between a1 and b2 with the goods (columns) of b2 matched
     to those of a1 by a min-cost assignment; cost[j, j'] prices good j of a1
     against good j' of b2. For a square cost, linear_sum_assignment returns
     rows 0..m-1 in order, so its cols are the goods permutation."""
     _, cols = linear_sum_assignment(cost)
-    return _entrywise_l1(a1, b2[:, cols])
+    return math.fsum(np.abs(a1 - b2[:, cols]).ravel().tolist())
 
 
 # Slack for branch pruning. Relaxation totals are plain float sums and can
@@ -149,7 +82,7 @@ def _goods_matched_l1(a1: np.ndarray, b2: np.ndarray, cost: np.ndarray) -> float
 _PRUNE_SLACK = 1e-12
 
 
-def _valuation_search(a1: np.ndarray, a2: np.ndarray, root_lb: float) -> tuple[float, np.ndarray]:
+def _valuation_search(a1: np.ndarray, a2: np.ndarray, root_lb: float) -> float:
     """Branch-and-bound over agent matchings.
 
     Nodes carry the goods-cost matrix of the committed agent pairs; its
@@ -162,13 +95,13 @@ def _valuation_search(a1: np.ndarray, a2: np.ndarray, root_lb: float) -> tuple[f
     tensor = np.abs(a1[:, None, :, None] - a2[None, :, None, :])
     order = np.argsort(-a1.var(axis=1), kind="stable")
 
-    best_perm = np.arange(n)
-    best = _goods_matched_l1(a1, a2, tensor[best_perm, best_perm].sum(axis=0))
+    ident = np.arange(n)
+    best = _goods_matched_l1(a1, a2, tensor[ident, ident].sum(axis=0))
     used = np.zeros(n, dtype=bool)
     assign = np.full(n, -1, dtype=np.intp)
 
     def rec(cost: np.ndarray, depth: int) -> None:
-        nonlocal best, best_perm
+        nonlocal best
         if best <= root_lb:
             return
         i = int(order[depth])
@@ -181,9 +114,7 @@ def _valuation_search(a1: np.ndarray, a2: np.ndarray, root_lb: float) -> tuple[f
             if last:
                 assign[i] = i2
                 val = _goods_matched_l1(a1, a2[assign], child_cost)
-                if val < best:
-                    best = val
-                    best_perm = assign.copy()
+                best = min(best, val)
                 continue
             val = _assignment_total(child_cost)
             if val >= best + _PRUNE_SLACK:
@@ -203,7 +134,25 @@ def _valuation_search(a1: np.ndarray, a2: np.ndarray, root_lb: float) -> tuple[f
         assign[i] = -1
 
     rec(np.zeros((m, m)), 0)
-    return best, best_perm
+    return best
+
+
+def _check_matrices(matrices, metric: str, cap: int) -> None:
+    """Every instance must share one shape, and the exact search refuses
+    n > cap."""
+    shapes = {u.values.shape for u in matrices}
+    if len(shapes) > 1:
+        raise ShapeMismatch(*sorted(shapes)[:2])
+    n = matrices[0].n
+    if metric == "valuation" and n > cap:
+        raise ExactSearchCapExceeded(n, cap)
+
+
+def demand_distance(u1: UtilityMatrix, u2: UtilityMatrix) -> float:
+    """Min-cost matching of demand vectors (anonymous per-good demand)."""
+    pair = (u1, u2)
+    _check_matrices(pair, "demand", EXACT_SEARCH_CAP)
+    return _distance_row(0, pair, _demand_stack(pair), "demand")[0]
 
 
 def valuation_distance(
@@ -211,13 +160,9 @@ def valuation_distance(
 ) -> float:
     """Exact min over all agent and good relabelings of the entrywise l1
     difference. Exponential in n; refuses n > cap."""
-    a1, a2 = _values_pair(u1, u2)
-    n, m = a1.shape
-    if n > cap:
-        raise ExactSearchCapExceeded(n, cap)
-    root_lb = demand_distance(u1, u2)
-    best, _ = _valuation_search(a1, a2, root_lb)
-    return best
+    pair = (u1, u2)
+    _check_matrices(pair, "valuation", cap)
+    return _distance_row(0, pair, _demand_stack(pair), "valuation")[0]
 
 
 @dataclass
@@ -256,13 +201,14 @@ def check_distances(values) -> np.ndarray:
 def _distance_row(i: int, matrices, vectors: np.ndarray, metric: str) -> list[float]:
     """Distances from instance i to every later instance; ``vectors`` is
     ``_demand_stack(matrices)``. The demand row is also the valuation
-    search's root bounds. Shapes and the cap are checked by the caller."""
+    search's root bounds. Callers check shapes and the cap with
+    ``_check_matrices``."""
     row = _demand_row(vectors, i)
     if metric == "demand":
         return row
     a1 = matrices[i].values
     return [
-        _valuation_search(a1, matrices[j].values, lb)[0]
+        _valuation_search(a1, matrices[j].values, lb)
         for j, lb in enumerate(row, start=i + 1)
     ]
 
@@ -292,15 +238,9 @@ def pairwise_distances(
         raise ValueError(f"threads must be >= 1, got {threads}")
     if not records:
         raise ValidationError("need at least one instance, got none")
-    shapes = {rec.matrix.values.shape for rec in records}
-    if len(shapes) > 1:
-        a, b = sorted(shapes)[:2]
-        raise ShapeMismatch(a, b)
-    n = records[0].matrix.n
-    if metric == "valuation" and n > cap:
-        raise ExactSearchCapExceeded(n, cap)
-    k = len(records)
     matrices = [rec.matrix for rec in records]
+    _check_matrices(matrices, metric, cap)
+    k = len(records)
     if threads > 1 and k > 2:
         with ProcessPoolExecutor(
             max_workers=threads, initializer=_pool_init, initargs=(matrices, metric)

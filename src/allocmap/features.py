@@ -63,35 +63,6 @@ class UnknownFeature(ValidationError):
         super().__init__(f"unknown feature {name!r}")
 
 
-@dataclass(frozen=True)
-class Allocation:
-    """A complete assignment of goods: owner[j] receives good j."""
-
-    owner: tuple[int, ...]
-
-    def bundle_utilities(self, matrix: UtilityMatrix) -> np.ndarray:
-        arr = matrix.values
-        out = np.zeros(arr.shape[0])
-        for j, o in enumerate(self.owner):
-            out[o] += arr[o, j]
-        return out
-
-    def bundle_matrix(self, matrix: UtilityMatrix) -> np.ndarray:
-        """B[i, k] = value agent i assigns to agent k's bundle."""
-        arr = matrix.values
-        b = np.zeros((arr.shape[0], arr.shape[0]))
-        for j, o in enumerate(self.owner):
-            b[:, o] += arr[:, j]
-        return b
-
-
-def enumerate_allocations(n: int, m: int, cap: int = ALLOC_CAP) -> Iterator[Allocation]:
-    if n**m > cap:
-        raise CapExceeded(n, m, cap)
-    for owner in itertools.product(range(n), repeat=m):
-        yield Allocation(owner)
-
-
 def _bundle_chunks(arr: np.ndarray) -> Iterator[np.ndarray]:
     """(n, n, C) stacks of bundle matrices over every owner vector, in
     counter order: B[i, k, c] is the value agent i puts on agent k's bundle
@@ -100,7 +71,7 @@ def _bundle_chunks(arr: np.ndarray) -> Iterator[np.ndarray]:
     A chunk fixes the owners of the leading goods and expands the trailing
     ones a good at a time: each allocation is repeated n times and good j is
     added to owner k's column of the k-th copy. Entries thus accumulate from
-    zero in ascending good order, as in Allocation.bundle_matrix.
+    zero in ascending good order.
     """
     n, m = arr.shape
     trailing = m
@@ -339,10 +310,6 @@ _MATRIX_FUNCTIONS = {
     "pickiness": pickiness,
     "frac_single_minded": frac_single_minded,
 }
-
-
-def matrix_features(matrix: UtilityMatrix) -> dict[str, float]:
-    return {name: fn(matrix) for name, fn in _MATRIX_FUNCTIONS.items()}
 
 
 @dataclass

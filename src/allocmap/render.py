@@ -115,8 +115,13 @@ def map_kwargs(
     order, every label present) give the stars for characteristic instances
     and, with ``by_source``, a category per generator. ``features`` is a
     (labels, columns, rows) table: ``color`` picks the column of the color
-    ramp and an ``ef_exists`` column marks crosses.
+    ramp and an ``ef_exists`` column marks crosses. A ``color`` without
+    ``features``, or ``by_source`` without ``records``, is an error.
     """
+    if color is not None and features is None:
+        raise ValidationError(f"coloring by {color!r} needs a features table")
+    if by_source and records is None:
+        raise ValidationError("coloring by source needs the dataset")
     points = np.asarray(points, dtype=np.float64)
     kwargs = {"labels": labels, "title": title, "color_label": color}
     if explicit:

@@ -33,6 +33,16 @@ def oracle_valuation(u1, u2):
     return best
 
 
+def oracle_fixed_agents(u1, u2, agent_perm):
+    """Minimum entrywise L1 over every good relabeling, with agent i of u1
+    matched to agent agent_perm[i] of u2."""
+    a1, b = u1.values, u2.values[list(agent_perm)]
+    return min(
+        math.fsum(np.abs(a1 - b[:, list(gp)]).ravel().tolist())
+        for gp in itertools.permutations(range(a1.shape[1]))
+    )
+
+
 def oracle_demand(u1, u2):
     """Minimum entrywise L1 between sorted demand profiles over good matchings."""
     d1 = np.sort(u1.values, axis=0)[::-1].T

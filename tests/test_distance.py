@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -15,17 +14,11 @@ from allocmap.core import (
     validate,
 )
 from allocmap.distance import (
-    BadPermutation,
     DistanceMatrix,
     ExactSearchCapExceeded,
-    NonFinite,
-    NonSquare,
     demand_distance,
-    demand_vectors,
-    hungarian_min_cost,
     pairwise_distances,
     valuation_distance,
-    valuation_distance_fixed_agents,
 )
 from allocmap.generators import (
     gen_attributes,
@@ -34,7 +27,7 @@ from allocmap.generators import (
     gen_preset,
     gen_resampling,
 )
-from oracles import oracle_demand, oracle_valuation, record
+from oracles import oracle_demand, oracle_fixed_agents, oracle_valuation, record
 
 
 def random_instance(n, m, seed):
@@ -44,14 +37,6 @@ def random_instance(n, m, seed):
     if k == 1:
         return gen_attributes(n, m, d=2, seed=seed)
     return gen_resampling(n, m, p=0.6, phi=0.3, seed=seed)
-
-
-def oracle_assignment(cost):
-    k = cost.shape[0]
-    return min(
-        math.fsum(float(cost[i, p[i]]) for i in range(k))
-        for p in itertools.permutations(range(k))
-    )
 
 
 # The worked example pair: two 4x4 instances differing only in the tails of
@@ -71,52 +56,7 @@ PAIR_B = validate(np.array([
 ], dtype=float) / 20.0)
 
 
-# ------------------------------------------------------------- hungarian
-
-
-def test_hungarian_identity_favoring():
-    perm, total = hungarian_min_cost([[0.0, 5.0], [5.0, 0.0]])
-    assert perm.tolist() == [0, 1]
-    assert total == 0.0
-
-
-def test_hungarian_small_exact():
-    perm, total = hungarian_min_cost([[1.0, 2.0], [3.0, 1.0]])
-    assert perm.tolist() == [0, 1]
-    assert total == 2.0
-
-
-def test_hungarian_matches_enumeration():
-    rng = np.random.default_rng(21)
-    for _ in range(30):
-        cost = rng.random((6, 6))
-        perm, total = hungarian_min_cost(cost)
-        assert sorted(perm.tolist()) == list(range(6))
-        witnessed = float(cost[np.arange(6), perm].sum())
-        assert abs(total - witnessed) < 1e-12
-        assert abs(total - oracle_assignment(cost)) < 1e-12
-
-
-def test_hungarian_validation():
-    with pytest.raises(NonSquare):
-        hungarian_min_cost(np.ones((2, 3)))
-    with pytest.raises(NonFinite):
-        hungarian_min_cost(np.array([[np.nan, 1.0], [1.0, 0.0]]))
-    with pytest.raises(NonFinite):
-        hungarian_min_cost(np.array([[np.inf, 1.0], [1.0, 0.0]]))
-
-
 # --------------------------------------------------------------- demand
-
-
-def test_demand_vectors_shape_and_order():
-    u = gen_iid(3, 5, "uniform01", seed=1)
-    d = demand_vectors(u)
-    assert d.shape == (5, 3)
-    assert (np.diff(d, axis=1) <= 0).all()
-    for j in range(5):
-        assert np.array_equal(np.sort(d[j])[::-1], d[j])
-        assert sorted(d[j].tolist()) == sorted(u.values[:, j].tolist())
 
 
 def test_demand_distance_self_is_zero():
@@ -153,46 +93,27 @@ def test_demand_triangle_inequality():
 
 
 def test_demand_distance_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
-        demand_distance(gen_iid(3, 4, "uniform01", seed=1), gen_iid(3, 5, "uniform01", seed=1))
+    small, wide = gen_iid(3, 4, "uniform01", seed=1), gen_iid(3, 5, "uniform01", seed=1)
+    # both single-pair functions name the two shapes in sorted order
+    for distance in (demand_distance, valuation_distance):
+        for u1, u2 in ((small, wide), (wide, small)):
+            with pytest.raises(ShapeMismatch) as exc:
+                distance(u1, u2)
+            assert (exc.value.shape_a, exc.value.shape_b) == ((3, 4), (3, 5))
 
 
 # --------------------------------------------------------- fixed agents
 
 
-def test_fixed_agents_identity_zero():
-    u = gen_iid(4, 5, "uniform01", seed=3)
-    assert valuation_distance_fixed_agents(u, u, [0, 1, 2, 3]) == 0.0
-
-
-def test_fixed_agents_goods_swap_absorbed():
-    u1 = validate(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    u2 = validate(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert valuation_distance_fixed_agents(u1, u2, [0, 1]) == 0.0
-
-
-def test_fixed_agents_row_symmetric_pair():
-    u1 = gen_characteristic("CON", 5, 5)
-    u2 = gen_characteristic("IND", 5, 5)
-    for perm in ([0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [1, 2, 0, 4, 3]):
-        assert abs(valuation_distance_fixed_agents(u1, u2, perm) - 8.0) < 1e-9
-
-
 def test_fixed_agents_upper_bounds_full_search():
+    # any agent matching, with the goods then matched optimally, bounds the
+    # exact distance from above
     for trial in range(20):
         u1 = random_instance(4, 5, trial + 700)
         u2 = random_instance(4, 5, trial + 800)
         full = valuation_distance(u1, u2)
         for perm in itertools.permutations(range(4)):
-            assert valuation_distance_fixed_agents(u1, u2, perm) >= full - 1e-12
-
-
-def test_fixed_agents_rejects_bad_permutation():
-    u = gen_iid(3, 4, "uniform01", seed=4)
-    with pytest.raises(BadPermutation):
-        valuation_distance_fixed_agents(u, u, [0, 0, 1])
-    with pytest.raises(BadPermutation):
-        valuation_distance_fixed_agents(u, u, [0, 1])
+            assert oracle_fixed_agents(u1, u2, perm) >= full - 1e-12
 
 
 # ------------------------------------------------------------ valuation
@@ -316,13 +237,21 @@ def test_pairwise_valuation_matches_per_pair_search():
 @pytest.mark.parametrize("n,m", [(2, 2), (2, 5), (3, 6), (5, 5)])
 def test_pairwise_demand_matches_oracle_bitwise(n, m):
     # small integer weights give tied entries; a drawn column index per
-    # instance (or -1 for none) is zeroed to give all-zero demand vectors
+    # instance (or -1 for none) is zeroed to give all-zero demand vectors.
+    # The single-pair function is row 0 of a two-instance matrix and must
+    # give the same bytes, and a relabeled copy of each instance is at
+    # distance exactly 0 under both metrics.
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
         hnp.arrays(np.int64, (4, n, m), elements=st.integers(0, 3)),
         st.lists(st.integers(-1, m - 1), min_size=4, max_size=4),
+        st.lists(
+            st.tuples(st.permutations(range(n)), st.permutations(range(m))),
+            min_size=4,
+            max_size=4,
+        ),
     )
-    def check(weights, zero_cols):
+    def check(weights, zero_cols, relabelings):
         for w, j in zip(weights, zero_cols):
             if j >= 0:
                 w[:, j] = 0
@@ -330,8 +259,14 @@ def test_pairwise_demand_matches_oracle_bitwise(n, m):
         recs = [record(f"r{i}", normalize_rows(w)) for i, w in enumerate(weights)]
         got = pairwise_distances(recs, "demand").values
         for i, j in itertools.product(range(len(recs)), repeat=2):
-            want = oracle_demand(recs[i].matrix, recs[j].matrix)
-            assert got[i, j].tobytes() == np.float64(want).tobytes(), (i, j)
+            u1, u2 = recs[i].matrix, recs[j].matrix
+            want = np.float64(oracle_demand(u1, u2)).tobytes()
+            assert got[i, j].tobytes() == want, (i, j)
+            assert np.float64(demand_distance(u1, u2)).tobytes() == want, (i, j)
+        for rec, (agents, goods) in zip(recs, relabelings):
+            copy = rec.matrix.permuted(agents, goods)
+            assert demand_distance(rec.matrix, copy) == 0.0, rec.label
+            assert valuation_distance(rec.matrix, copy) == 0.0, rec.label
 
     check()
 

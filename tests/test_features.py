@@ -10,16 +10,13 @@ from allocmap.features import (
     ALL_FEATURES,
     ALLOCATION_FEATURES,
     MATRIX_FEATURES,
-    Allocation,
     CapExceeded,
     UnknownFeature,
     ef_exists,
     efpo_exists,
-    enumerate_allocations,
     feature_table,
     frac_single_minded,
     gini,
-    matrix_features,
     max_demand,
     max_nash,
     max_util,
@@ -144,34 +141,9 @@ def test_mms_holds_on_resampling_sample():
 # ---------------------------------------------------------- allocations
 
 
-def test_enumerate_allocation_counts():
-    assert sum(1 for _ in enumerate_allocations(2, 2)) == 4
-    assert sum(1 for _ in enumerate_allocations(3, 6)) == 729
-    assert sum(1 for _ in enumerate_allocations(5, 5)) == 3125
-
-
-def test_enumeration_is_base_n_counter_order():
-    owners = [a.owner for a in enumerate_allocations(3, 2)]
-    assert owners[:4] == [(0, 0), (0, 1), (0, 2), (1, 0)]
-    assert owners[-1] == (2, 2)
-    assert len(set(owners)) == 9
-
-
-def test_allocation_bundle_views():
-    u = gen_characteristic("SEP", 3, 3)
-    diag = Allocation((0, 1, 2))
-    assert diag.bundle_utilities(u).tolist() == [1.0, 1.0, 1.0]
-    con = gen_characteristic("CON", 3, 3)
-    hog = Allocation((0, 0, 0))
-    assert hog.bundle_utilities(con).tolist() == [1.0, 0.0, 0.0]
-    b = hog.bundle_matrix(con)
-    assert b[:, 0].tolist() == [1.0, 1.0, 1.0]
-    assert not b[:, 1:].any()
-
-
 def test_enumeration_cap():
     with pytest.raises(CapExceeded) as exc:
-        list(enumerate_allocations(10, 20))
+        minimax_envy(gen_iid(10, 20, "uniform01", seed=1))
     assert exc.value.n == 10 and exc.value.m == 20
     with pytest.raises(CapExceeded):
         minimax_envy(gen_iid(3, 4, "uniform01", seed=1), cap=80)
@@ -282,8 +254,13 @@ def test_gini_validation():
 # ------------------------------------------------------- matrix features
 
 
+def matrix_row(u):
+    """Every matrix feature of one instance, through feature_table."""
+    return feature_table([record("u", u)], MATRIX_FEATURES).rows[0]
+
+
 def test_matrix_features_contention():
-    feats = matrix_features(gen_characteristic("CON", 3, 3))
+    feats = matrix_row(gen_characteristic("CON", 3, 3))
     assert feats["max_demand"] == 3.0
     assert feats["preference_diversity"] == 0.0
     assert feats["frac_single_minded"] == 1.0
@@ -292,7 +269,7 @@ def test_matrix_features_contention():
 
 
 def test_matrix_features_indifference():
-    feats = matrix_features(gen_characteristic("IND", 3, 6))
+    feats = matrix_row(gen_characteristic("IND", 3, 6))
     assert feats["max_demand"] == 0.5
     assert feats["preference_diversity"] == 0.0
     assert feats["demand_gini"] == 0.0

@@ -177,7 +177,11 @@ def test_ingest_subsample(tmp_path):
     assert not all(
         np.array_equal(a.matrix.values, b.matrix.values) for a, b in zip(recs, other)
     )
-    assert dataio.ingest(p, subsample=(3, 4, 0), seed=1) == []
+    with pytest.raises(ValueError, match="count must be >= 1, got 0"):
+        dataio.ingest(p, subsample=(3, 4, 0), seed=1)
+    out = tmp_path / "sub.json"
+    assert run_cli("ingest", p, "--subsample", 3, 4, -1, "-o", out) == 2
+    assert not out.exists()
     with pytest.raises(ValidationError):
         dataio.ingest(p, subsample=(7, 4, 1), seed=1)
 
@@ -441,19 +445,45 @@ BAD_INPUT_FILES = {
     "latin1_instance": ("ingest", b"2 2\n0.5 0.5\n\xe9 1\n", 4, "line 1: not UTF-8 text"),
     "header_only_points": ("render", b"label,sigma1,sigma2\n", 4, "no data rows"),
     "nan_points": ("render", b"label,x,y\na,0,nan\nb,1,1\n", 4, "line 2: not a finite number: 'nan'"),
+    "repeated_distance_label": ("embed", b"a,a\n0,1\n1,0\n", 4, "line 1: label 'a' appears twice"),
+    "repeated_points_label": ("render", b"label,x,y\na,0,0\na,1,1\n", 4, "line 3: label 'a' appears twice"),
+    "repeated_features_label": (
+        "render points.csv --features-csv", b"label,max_demand\na,0.5\na,0.25\n", 4,
+        "line 3: label 'a' appears twice",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUT_FILES))
-def test_cli_bad_input_file(tmp_path, capsys, case):
+def test_cli_bad_input_file(tmp_path, capsys, monkeypatch, case):
+    # the command's words come before the bad file; points.csv is a good one
     command, content, code, message = BAD_INPUT_FILES[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "points.csv").write_text("label,x,y\na,0,0\nb,1,1\n")
     p = tmp_path / "input"
     p.write_bytes(content)
     out = tmp_path / "out"
-    assert run_cli(command, p, "-o", out) == code
+    assert run_cli(*command.split(), p, "-o", out) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--color", "max_demand"], "coloring by 'max_demand' needs a features table"),
+        (["--by-source"], "coloring by source needs the dataset"),
+    ],
+    ids=["color", "by_source"],
+)
+def test_cli_render_annotation_without_its_input_exits_2(tmp_path, capsys, flags, message):
+    pts = tmp_path / "p.csv"
+    pts.write_text("label,x,y\na,0,0\nb,1,1\n")
+    out = tmp_path / "m.svg"
+    assert run_cli("render", pts, *flags, "-o", out) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -505,6 +535,7 @@ MALFORMED_DATASETS = {
     "ragged_rows": _dataset_doc(matrix=["0.5 0.5 0", "1"]),
     "non_numeric_cell": _dataset_doc(matrix=["0.5 0.5 0", "0 x 0.5"]),
     "label_with_comma": _dataset_doc(label="a,b"),
+    "repeated_label": {"format": "allocmap-dataset", "instances": _dataset_doc()["instances"] * 2},
 }
 
 
