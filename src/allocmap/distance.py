@@ -41,15 +41,9 @@ class ExactSearchCapExceeded(CapError):
         )
 
 
-def _assignment_total(cost: np.ndarray) -> float:
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum())
-
-
-def _demand_stack(matrices) -> np.ndarray:
-    """(k, m, n) C-contiguous demand vectors of k same-shape instances,
-    sorted in one call."""
-    values = np.array([u.values for u in matrices])
+def _demand_stack(values: np.ndarray) -> np.ndarray:
+    """(k, m, n) C-contiguous demand vectors of the stacked (k, n, m) values
+    of k instances, sorted in one call."""
     return np.ascontiguousarray(np.sort(values, axis=1)[:, ::-1].transpose(0, 2, 1))
 
 
@@ -66,75 +60,173 @@ def _demand_row(vectors: np.ndarray, i: int) -> list[float]:
     return [math.fsum(t) for t in terms]
 
 
-def _goods_matched_l1(a1: np.ndarray, b2: np.ndarray, cost: np.ndarray) -> float:
-    """Canonical l1 between a1 and b2 with the goods (columns) of b2 matched
-    to those of a1 by a min-cost assignment; cost[j, j'] prices good j of a1
-    against good j' of b2. For a square cost, linear_sum_assignment returns
-    rows 0..m-1 in order, so its cols are the goods permutation."""
-    _, cols = linear_sum_assignment(cost)
-    return math.fsum(np.abs(a1 - b2[:, cols]).ravel().tolist())
-
-
 # Slack for branch pruning. Relaxation totals are plain float sums and can
 # land an ulp or two off the canonical leaf values; pruning strictly at the
 # incumbent could then discard a leaf that canonically ties or beats it.
 # Values here are at most 2n, so a couple of ulps is well under 1e-12.
 _PRUNE_SLACK = 1e-12
 
+# Below a node (the root of every pair of a block, then each node where the
+# priced levels end), its whole subtree is priced in one call when it has at
+# most this many nodes, else only its children. Whole trees fit up to n = 5
+# (325 nodes). An 8x8 tree has 109,600: its top three levels go one node at a
+# time and each node below them prices its whole 325-node subtree, so a
+# near-duplicate pair whose walk stops after a few nodes prices few more.
+_NODE_BUDGET = 400
 
-def _valuation_search(a1: np.ndarray, a2: np.ndarray, root_lb: float) -> float:
-    """Branch-and-bound over agent matchings.
+# Pairs of a row are priced in blocks of at most this many float64 entries of
+# goods costs (the agent-to-agent tensor plus the widest level priced ahead).
+_BLOCK_ENTRIES = 1 << 16
 
-    Nodes carry the goods-cost matrix of the committed agent pairs; its
-    assignment relaxation is a lower bound because appending agents only adds
-    nonnegative cost. Agents are processed in decreasing entry variance
-    (spiky rows first, a pruning heuristic only; the minimum is order
-    independent). Leaves are scored with the canonical evaluation.
+
+def _ahead(n: int, depth: int) -> list[int]:
+    """Level sizes priced ahead below a node that has ``depth`` agents
+    matched: its whole subtree if that fits the budget, else its children."""
+    sizes = [math.perm(n - depth, t) for t in range(1, n - depth + 1)]
+    return sizes if sum(sizes) <= _NODE_BUDGET else sizes[:1]
+
+
+def _matched_l1(tensor, pairs, rows, paths, costs) -> list[float]:
+    """Canonical l1 of N agent matchings, each with its goods matched by a
+    min-cost assignment of ``costs[t]``. Matching t pairs instance i with
+    block partner ``pairs[t]`` and matches agent ``rows[s]`` of i to agent
+    ``paths[t, s]`` of the partner."""
+    cols = np.array([linear_sum_assignment(cost)[1] for cost in costs])
+    goods = np.arange(costs.shape[-1])
+    terms = tensor[pairs[:, None, None], rows[:, None], paths[:, :, None], goods, cols[:, None]]
+    return [math.fsum(t) for t in terms.reshape(len(costs), -1).tolist()]
+
+
+def _price(tensor, order, pairs, paths, costs, bounds) -> list[list[list[float]]]:
+    """Node values of the search trees below N nodes of one depth d, priced
+    level by level for all N at once.
+
+    Node t belongs to block pair ``pairs[t]``, matches agent ``order[s]`` of
+    instance i to agent ``paths[t, s]`` of its partner for s < d, and has the
+    goods cost ``costs[t]``. A child matches agent ``order[d]`` to a free
+    agent; children come in increasing agent order, and a child's cost is its
+    parent's plus one agent pair's goods costs, so every cost is summed along
+    its path in matching order. A node's value is its assignment relaxation
+    total (a lower bound on every leaf below it, since matching more agents
+    only adds nonnegative cost), or the canonical fsum of its goods-matched
+    entries when every agent is matched. Only children of nodes valued below
+    ``bounds[t]`` are priced.
+
+    Returns, per level below depth d and per node t, the values of that
+    level's nodes by rank (children of rank r at ranks r*c .. r*c+c-1);
+    unpriced ranks hold NaN.
     """
-    n, m = a1.shape
-    tensor = np.abs(a1[:, None, :, None] - a2[None, :, None, :])
-    order = np.argsort(-a1.var(axis=1), kind="stable")
+    count, depth = paths.shape
+    n, m = order.size, costs.shape[-1]
+    owner, ranks = np.arange(count), np.zeros(count, dtype=np.intp)
+    goods = np.arange(m)
+    levels = []
+    for size in _ahead(n, depth):
+        c = n - depth
+        free = np.ones((len(paths), n), dtype=bool)
+        free[np.arange(len(paths))[:, None], paths] = False
+        agents = free.nonzero()[1].reshape(-1, c)
+        costs = (costs[:, None] + tensor[pairs[:, None], order[depth], agents]).reshape(-1, m, m)
+        owner, pairs = np.repeat(owner, c), np.repeat(pairs, c)
+        ranks = (ranks[:, None] * c + np.arange(c)).ravel()
+        paths = np.concatenate([np.repeat(paths, c, axis=0), agents.reshape(-1, 1)], axis=1)
+        depth += 1
+        if depth < n:
+            cols = np.array([linear_sum_assignment(cost)[1] for cost in costs])
+            totals = costs[np.arange(len(costs))[:, None], goods, cols].sum(axis=-1)
+            values = totals.tolist()
+        else:
+            values = _matched_l1(tensor, pairs, order, paths, costs)
+        level = np.full((count, size), np.nan)
+        level[owner, ranks] = values
+        levels.append(level.tolist())
+        if depth == n:
+            break
+        keep = totals < bounds[owner]
+        if not keep.any():
+            break
+        owner, ranks, pairs, paths, costs = (x[keep] for x in (owner, ranks, pairs, paths, costs))
+    return levels
 
-    ident = np.arange(n)
-    best = _goods_matched_l1(a1, a2, tensor[ident, ident].sum(axis=0))
-    used = np.zeros(n, dtype=bool)
-    assign = np.full(n, -1, dtype=np.intp)
 
-    def rec(cost: np.ndarray, depth: int) -> None:
+def _walk(tensor, order, k, best: float, bound: float, levels) -> float:
+    """Branch and bound over the agent matchings of block pair k.
+
+    Agents of instance i are matched in decreasing entry variance (``order``,
+    a pruning heuristic only; the minimum is order independent). Children are
+    visited in increasing relaxation and skipped once they cannot beat the
+    incumbent, and the search stops at the first incumbent within the demand
+    ``bound``. ``levels`` are the values ``_price`` gave below the root; where
+    they end, the walk prices below the one node it reached.
+    """
+    n, m = order.size, tensor.shape[-1]
+
+    def rec(depth, levels, start, t, rank):
         nonlocal best
-        if best <= root_lb:
+        if best <= bound:
             return
-        i = int(order[depth])
-        last = depth == n - 1
-        children = []
-        for i2 in range(n):
-            if used[i2]:
-                continue
-            child_cost = cost + tensor[i, i2]
-            if last:
-                assign[i] = i2
-                val = _goods_matched_l1(a1, a2[assign], child_cost)
-                best = min(best, val)
-                continue
-            val = _assignment_total(child_cost)
-            if val >= best + _PRUNE_SLACK:
-                continue
-            children.append((val, i2, child_cost))
-        if last:
-            assign[i] = -1
+        if t == len(levels):
+            # the node at this rank below ``start``: its agent path and cost
+            positions = []
+            for s in range(depth - 1, depth - t - 1, -1):
+                rank, p = divmod(rank, n - s)
+                positions.append(p)
+            free = [a for a in range(n) if a not in start]
+            start += tuple(free.pop(p) for p in reversed(positions))
+            cost = np.zeros((m, m))
+            for s, a in enumerate(start):
+                cost = cost + tensor[k, order[s], a]
+            priced = _price(
+                tensor, order, np.array([k]), np.array([start], dtype=np.intp),
+                cost[None], np.array([best + _PRUNE_SLACK]),
+            )
+            levels, t, rank = [level[0] for level in priced], 0, 0
+        c = n - depth
+        values = levels[t][rank * c : rank * c + c]
+        if depth == n - 1:
+            best = min(best, values[0])
             return
-        children.sort(key=lambda c: c[0])
-        for val, i2, child_cost in children:
-            if val >= best + _PRUNE_SLACK:
-                continue
-            used[i2] = True
-            assign[i] = i2
-            rec(child_cost, depth + 1)
-            used[i2] = False
-        assign[i] = -1
+        for r in sorted(range(c), key=values.__getitem__):
+            if values[r] < best + _PRUNE_SLACK:
+                rec(depth + 1, levels, start, t + 1, rank * c + r)
 
-    rec(np.zeros((m, m)), 0)
+    rec(0, levels, (), 0, 0)
     return best
+
+
+def _valuation_row(values: np.ndarray, i: int, demand: list[float]) -> list[float]:
+    """Valuation distances from instance i to every later instance of the
+    stacked (k, n, m) ``values``, with the demand row as root bounds.
+
+    Pairs go in blocks. One broadcast builds each block's agent-to-agent
+    goods-cost tensor; the identity matchings (costs summed in agent order)
+    give every pair's first incumbent; ``_price`` values the top levels of
+    every pair still above its bound; then ``_walk`` searches each pair.
+    """
+    a1 = values[i]
+    n, m = a1.shape
+    order = np.argsort(-a1.var(axis=1), kind="stable")
+    step = max(1, _BLOCK_ENTRIES // ((n * n + max(_ahead(n, 0))) * m * m))
+    ident = np.arange(n)
+    out = []
+    for lo in range(i + 1, len(values), step):
+        rest = values[lo : lo + step]
+        lbs = demand[lo - i - 1 : lo - i - 1 + len(rest)]
+        tensor = np.abs(a1[None, :, None, :, None] - rest[:, None, :, None, :])
+        best = _matched_l1(
+            tensor, np.arange(len(rest)), ident, np.tile(ident, (len(rest), 1)),
+            tensor[:, ident, ident].sum(axis=1),
+        )
+        live = [k for k in range(len(rest)) if best[k] > lbs[k]]
+        if live:
+            priced = _price(
+                tensor, order, np.array(live), np.empty((len(live), 0), dtype=np.intp),
+                np.zeros((len(live), m, m)), np.array([best[k] for k in live]) + _PRUNE_SLACK,
+            )
+            for t, k in enumerate(live):
+                best[k] = _walk(tensor, order, k, best[k], lbs[k], [level[t] for level in priced])
+        out += best
+    return out
 
 
 def _check_matrices(matrices, metric: str, cap: int) -> None:
@@ -150,9 +242,9 @@ def _check_matrices(matrices, metric: str, cap: int) -> None:
 
 def demand_distance(u1: UtilityMatrix, u2: UtilityMatrix) -> float:
     """Min-cost matching of demand vectors (anonymous per-good demand)."""
-    pair = (u1, u2)
-    _check_matrices(pair, "demand", EXACT_SEARCH_CAP)
-    return _distance_row(0, pair, _demand_stack(pair), "demand")[0]
+    _check_matrices((u1, u2), "demand", EXACT_SEARCH_CAP)
+    values = np.array([u1.values, u2.values])
+    return _distance_row(0, values, _demand_stack(values), "demand")[0]
 
 
 def valuation_distance(
@@ -160,9 +252,9 @@ def valuation_distance(
 ) -> float:
     """Exact min over all agent and good relabelings of the entrywise l1
     difference. Exponential in n; refuses n > cap."""
-    pair = (u1, u2)
-    _check_matrices(pair, "valuation", cap)
-    return _distance_row(0, pair, _demand_stack(pair), "valuation")[0]
+    _check_matrices((u1, u2), "valuation", cap)
+    values = np.array([u1.values, u2.values])
+    return _distance_row(0, values, _demand_stack(values), "valuation")[0]
 
 
 @dataclass
@@ -198,26 +290,22 @@ def check_distances(values) -> np.ndarray:
     return d
 
 
-def _distance_row(i: int, matrices, vectors: np.ndarray, metric: str) -> list[float]:
-    """Distances from instance i to every later instance; ``vectors`` is
-    ``_demand_stack(matrices)``. The demand row is also the valuation
-    search's root bounds. Callers check shapes and the cap with
-    ``_check_matrices``."""
+def _distance_row(i: int, values: np.ndarray, vectors: np.ndarray, metric: str) -> list[float]:
+    """Distances from instance i to every later instance of the stacked
+    (k, n, m) ``values``; ``vectors`` is ``_demand_stack(values)``. The
+    demand row is also the valuation search's root bounds. Callers check
+    shapes and the cap with ``_check_matrices``."""
     row = _demand_row(vectors, i)
     if metric == "demand":
         return row
-    a1 = matrices[i].values
-    return [
-        _valuation_search(a1, matrices[j].values, lb)
-        for j, lb in enumerate(row, start=i + 1)
-    ]
+    return _valuation_row(values, i, row)
 
 
 _POOL_STATE: dict = {}
 
 
-def _pool_init(matrices, metric):
-    _POOL_STATE.update(matrices=matrices, vectors=_demand_stack(matrices), metric=metric)
+def _pool_init(values, metric):
+    _POOL_STATE.update(values=values, vectors=_demand_stack(values), metric=metric)
 
 
 def _pool_row(i: int) -> list[float]:
@@ -240,17 +328,19 @@ def pairwise_distances(
         raise ValidationError("need at least one instance, got none")
     matrices = [rec.matrix for rec in records]
     _check_matrices(matrices, metric, cap)
+    values = np.array([u.values for u in matrices])
     k = len(records)
     if threads > 1 and k > 2:
+        # the pool has k - 1 rows to hand out, and it starts every worker at once
         with ProcessPoolExecutor(
-            max_workers=threads, initializer=_pool_init, initargs=(matrices, metric)
+            max_workers=min(threads, k - 1), initializer=_pool_init, initargs=(values, metric)
         ) as pool:
             rows = list(pool.map(_pool_row, range(k - 1)))
     else:
-        vectors = _demand_stack(matrices)
-        rows = [_distance_row(i, matrices, vectors, metric) for i in range(k - 1)]
-    values = np.zeros((k, k))
+        vectors = _demand_stack(values)
+        rows = [_distance_row(i, values, vectors, metric) for i in range(k - 1)]
+    dist = np.zeros((k, k))
     for i, row in enumerate(rows):
-        values[i, i + 1 :] = row
-        values[i + 1 :, i] = row
-    return DistanceMatrix(labels=[rec.label for rec in records], values=values, metric=metric)
+        dist[i, i + 1 :] = row
+        dist[i + 1 :, i] = row
+    return DistanceMatrix(labels=[rec.label for rec in records], values=dist, metric=metric)

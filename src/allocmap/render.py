@@ -97,6 +97,12 @@ def _boundary_path(n: int, m: int) -> list[tuple[float, float]]:
     return pts
 
 
+def _check_labels_present(labels, table, what: str) -> None:
+    missing = [lab for lab in labels if lab not in table]
+    if missing:
+        raise ValidationError(f"labels missing from {what}: {missing[:3]}")
+
+
 def map_kwargs(
     labels,
     points,
@@ -114,9 +120,10 @@ def map_kwargs(
     up, inside the boundary of the first record's shape. ``records`` (any
     order, every label present) give the stars for characteristic instances
     and, with ``by_source``, a category per generator. ``features`` is a
-    (labels, columns, rows) table: ``color`` picks the column of the color
-    ramp and an ``ef_exists`` column marks crosses. A ``color`` without
-    ``features``, or ``by_source`` without ``records``, is an error.
+    (labels, columns, rows) table, every label present: ``color`` picks the
+    column of the color ramp and an ``ef_exists`` column marks crosses. A
+    ``color`` without ``features``, or ``by_source`` without ``records``, is
+    an error.
     """
     if color is not None and features is None:
         raise ValidationError(f"coloring by {color!r} needs a features table")
@@ -130,9 +137,7 @@ def map_kwargs(
         kwargs.update(xs=points[:, 0], ys=points[:, 1], x_label="x", y_label="y")
     if records is not None:
         by_label = {rec.label: rec for rec in records}
-        missing = [lab for lab in labels if lab not in by_label]
-        if missing:
-            raise ValidationError(f"labels missing from dataset: {missing[:3]}")
+        _check_labels_present(labels, by_label, "dataset")
         if by_source:
             kwargs["categories"] = [by_label[lab].source.model for lab in labels]
         kwargs["star_flags"] = [by_label[lab].source.model == "characteristic" for lab in labels]
@@ -142,7 +147,8 @@ def map_kwargs(
     if features is not None:
         flabels, columns, rows = features
         by_label_row = dict(zip(flabels, rows))
-        cells = [by_label_row.get(lab, {}) for lab in labels]
+        _check_labels_present(labels, by_label_row, "features table")
+        cells = [by_label_row[lab] for lab in labels]
         if color is not None:
             if color not in columns:
                 raise UnknownFeature(color)

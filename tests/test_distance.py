@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from allocmap import distance
 from allocmap.core import (
     ShapeMismatch,
     UtilityMatrix,
@@ -27,7 +29,13 @@ from allocmap.generators import (
     gen_preset,
     gen_resampling,
 )
-from oracles import oracle_demand, oracle_fixed_agents, oracle_valuation, record
+from oracles import (
+    oracle_demand,
+    oracle_fixed_agents,
+    oracle_search,
+    oracle_valuation,
+    record,
+)
 
 
 def random_instance(n, m, seed):
@@ -267,6 +275,124 @@ def test_pairwise_demand_matches_oracle_bitwise(n, m):
             copy = rec.matrix.permuted(agents, goods)
             assert demand_distance(rec.matrix, copy) == 0.0, rec.label
             assert valuation_distance(rec.matrix, copy) == 0.0, rec.label
+
+    check()
+
+
+def _weights(shape):
+    # every entry drawn on its own: up to 3 for tied entries, or up to 10**6
+    # for instances whose search the demand bound rarely stops early
+    return st.sampled_from([3, 10**6]).flatmap(
+        lambda top: hnp.arrays(np.int64, shape, elements=st.integers(0, top), fill=st.nothing())
+    )
+
+
+@pytest.mark.parametrize("budget", [None, 0, 5], ids=["default", "one_level", "five_nodes"])
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 5), (3, 6), (4, 5), (5, 5)])
+def test_pairwise_valuation_matches_search_oracle_bitwise(monkeypatch, n, m, budget):
+    # given the same root bound, the batched search must take every decision
+    # of the per-pair search, so each entry equals its bytes, for one process
+    # and for two. A drawn column per instance (or -1 for none) is zeroed.
+    # Small node budgets price fewer levels ahead and send the walk down the
+    # path that prices one node's subtree; the pool inherits the patch by
+    # forking.
+    if budget is not None:
+        monkeypatch.setattr(distance, "_NODE_BUDGET", budget)
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(_weights((5, n, m)), st.lists(st.integers(-1, m - 1), min_size=5, max_size=5))
+    def check(weights, zero_cols):
+        for w, j in zip(weights, zero_cols):
+            if j >= 0:
+                w[:, j] = 0
+        assume(weights.sum(axis=2).all())
+        recs = [record(f"r{i}", normalize_rows(w)) for i, w in enumerate(weights)]
+        want = np.zeros((len(recs), len(recs)))
+        for i, j in itertools.combinations(range(len(recs)), 2):
+            u1, u2 = recs[i].matrix, recs[j].matrix
+            want[i, j] = want[j, i] = oracle_search(u1, u2, demand_distance(u1, u2))
+        for threads in (1, 2):
+            got = pairwise_distances(recs, "valuation", threads=threads).values
+            assert got.tobytes() == want.tobytes(), threads
+
+    check()
+
+
+def test_valuation_preset_pair_keeps_the_search_stop():
+    # the pair where stopping at the demand bound ends 1 ulp above the
+    # enumerated minimum (see the strict xfail above)
+    recs = {r.label: r.matrix for r in gen_preset("3x6", 1007)}
+    u1, u2 = recs["attr_d5_000"], recs["iid_exp_034"]
+    want = oracle_search(u1, u2, demand_distance(u1, u2))
+    assert want == 1.194090485797808
+    assert np.float64(valuation_distance(u1, u2)).tobytes() == np.float64(want).tobytes()
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process."""
+
+    workers: list[int] = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.workers.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("threads, workers", [(64, 9), (2, 2)])
+def test_pairwise_pool_has_at_most_one_worker_per_row(monkeypatch, threads, workers):
+    monkeypatch.setattr(_RecordingPool, "workers", [])
+    monkeypatch.setattr(distance, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(distance, "_POOL_STATE", {})
+    recs = [record(f"r{i}", random_instance(3, 4, i + 1800)) for i in range(10)]
+    got = pairwise_distances(recs, "demand", threads=threads)
+    assert _RecordingPool.workers == [workers]
+    monkeypatch.undo()
+    assert got.values.tobytes() == pairwise_distances(recs, "demand").values.tobytes()
+
+
+def _instances(n, m, count):
+    return (
+        _weights((count, n, m))
+        .filter(lambda ws: ws.sum(axis=2).all())
+        .map(lambda ws: [normalize_rows(w) for w in ws])
+    )
+
+
+def _ulps(*values):
+    return 4 * math.ulp(max(values))
+
+
+@pytest.mark.parametrize("n,m", [(3, 4), (3, 6)])
+def test_valuation_triangle_inequality(n, m):
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(_instances(n, m, 3))
+    def check(trio):
+        a, b, c = trio
+        dab, dbc, dac = (valuation_distance(*p) for p in ((a, b), (b, c), (a, c)))
+        assert dac <= dab + dbc + _ulps(dac, dab + dbc)
+
+    check()
+
+
+@pytest.mark.parametrize("n,m", [(3, 4), (3, 6)])
+def test_demand_at_most_valuation_within_ulps(n, m):
+    # the search may stop 1 ulp above the minimum, and the demand value is
+    # itself a rounded minimum, so the order holds only to a few ulps
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(_instances(n, m, 2))
+    def check(pair):
+        dd, dv = demand_distance(*pair), valuation_distance(*pair)
+        assert dd <= dv + _ulps(dd, dv)
 
     check()
 

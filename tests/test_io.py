@@ -487,6 +487,19 @@ def test_cli_render_annotation_without_its_input_exits_2(tmp_path, capsys, flags
     assert not out.exists()
 
 
+def test_cli_render_features_missing_a_label_exits_2(tmp_path, capsys):
+    # a point without a features row is an error, not a grey capped cell
+    pts = tmp_path / "p.csv"
+    pts.write_text("label,x,y\na,0,0\nb,1,1\n")
+    feats = tmp_path / "f.csv"
+    feats.write_text("label,max_demand\na,0.5\n")
+    out = tmp_path / "m.svg"
+    code = run_cli("render", pts, "--features-csv", feats, "--color", "max_demand", "-o", out)
+    assert code == 2
+    assert "labels missing from features table: ['b']" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("count", [0, -2])
 def test_cli_generate_count_below_one_exits_2(tmp_path, capsys, count):
     out = tmp_path / "d.json"
