@@ -25,7 +25,7 @@ from .generators import (
     gen_preset,
 )
 from .pipeline import PipelineConfig, PipelineError, run_pipeline
-from .render import map_kwargs, render_svg
+from .render import render_svg
 from .spectral import explicit_coords
 
 
@@ -87,7 +87,8 @@ def _cmd_features(args) -> None:
 
 def _cmd_render(args) -> None:
     labels, pts, _, header = dataio.read_points_csv(args.points)
-    kwargs = map_kwargs(
+    render_svg(
+        _outpath(args, "map.svg"),
         labels,
         pts,
         explicit=args.explicit or header[1:] == ["sigma1", "sigma2"],
@@ -97,7 +98,6 @@ def _cmd_render(args) -> None:
         color=args.color,
         title=args.title,
     )
-    render_svg(_outpath(args, "map.svg"), **kwargs)
 
 
 def _cmd_pipeline(args) -> None:
@@ -133,7 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".", help="directory for default output paths")
     sub = p.add_subparsers(dest="command", required=True)
 
-    # Flags that pipeline shares with a stage command, declared once each.
+    # Flags shared by several commands, declared once each.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("-o", "--output")
     preset = argparse.ArgumentParser(add_help=False)
     preset.add_argument("--preset", choices=PRESET_SHAPES)
     distances = argparse.ArgumentParser(add_help=False)
@@ -148,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     features.add_argument("--alloc-cap", type=int, default=ALLOC_CAP, help="max n^m for exhaustive features")
     features.add_argument("--quad-cap", type=int, default=EFPO_QUAD_CAP, help="max n^m for the EF+PO check")
 
-    g = sub.add_parser("generate", parents=[preset], help="write a dataset from a preset or one generator")
+    g = sub.add_parser("generate", parents=[preset, output], help="write a dataset from a preset or one generator")
     g.add_argument("--model", choices=(*MODELS, "characteristic"))
     g.add_argument("--n", type=int)
     g.add_argument("--m", type=int)
@@ -158,10 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--p", type=float, default=0.5)
     g.add_argument("--phi", type=float, default=0.5)
     g.add_argument("--kind", choices=CHARACTERISTIC_KINDS, default="IND")
-    g.add_argument("-o", "--output")
     g.set_defaults(func=_cmd_generate)
 
-    i = sub.add_parser("ingest", help="read an instance file or dataset, write a dataset")
+    i = sub.add_parser("ingest", parents=[output], help="read an instance file or dataset, write a dataset")
     i.add_argument("path")
     i.add_argument("--normalize", action="store_true", help="divide rows by their sums")
     i.add_argument(
@@ -171,31 +172,26 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("N", "M", "K"),
         help="draw K instances of N agents x M goods from a wide table",
     )
-    i.add_argument("-o", "--output")
     i.set_defaults(func=_cmd_ingest)
 
-    d = sub.add_parser("distance", parents=[distances], help="all-pairs distance matrix for a dataset")
+    d = sub.add_parser("distance", parents=[distances, output], help="all-pairs distance matrix for a dataset")
     d.add_argument("dataset")
-    d.add_argument("-o", "--output")
     d.set_defaults(func=_cmd_distance)
 
-    e = sub.add_parser("embed", parents=[smacof], help="SMACOF 2-D embedding of a distance CSV")
+    e = sub.add_parser("embed", parents=[smacof, output], help="SMACOF 2-D embedding of a distance CSV")
     e.add_argument("distances")
-    e.add_argument("-o", "--output")
     e.set_defaults(func=_cmd_embed)
 
-    x = sub.add_parser("explicit", help="singular-value coordinates for a dataset")
+    x = sub.add_parser("explicit", parents=[output], help="singular-value coordinates for a dataset")
     x.add_argument("dataset")
-    x.add_argument("-o", "--output")
     x.set_defaults(func=_cmd_explicit)
 
-    f = sub.add_parser("features", parents=[features], help="fairness features for a dataset")
+    f = sub.add_parser("features", parents=[features, output], help="fairness features for a dataset")
     f.add_argument("dataset")
     f.add_argument("--reasons", help="sidecar CSV for absent cells")
-    f.add_argument("-o", "--output")
     f.set_defaults(func=_cmd_features)
 
-    r = sub.add_parser("render", help="SVG scatter of an embedding or explicit map")
+    r = sub.add_parser("render", parents=[output], help="SVG scatter of an embedding or explicit map")
     r.add_argument("points", help="embedding.csv or explicit.csv")
     r.add_argument("--explicit", action="store_true", help="force explicit-map axes")
     r.add_argument("--dataset", help="dataset JSON for sources and boundary curves")
@@ -203,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--color", help="feature column used for the color ramp")
     r.add_argument("--by-source", action="store_true", help="discrete colors per generator")
     r.add_argument("--title")
-    r.add_argument("-o", "--output")
     r.set_defaults(func=_cmd_render)
 
     pl = sub.add_parser(

@@ -14,6 +14,13 @@ import numpy as np
 ROW_SUM_TOL = 1e-9
 
 
+def _child_seed(seed: int, index: int) -> int:
+    """The 64-bit child seed of ``index`` under a root ``seed``: a dataset's
+    record seeds and the SMACOF restart seeds both follow this one rule."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
 class ValidationError(ValueError):
     """Base for every input-contract violation."""
 

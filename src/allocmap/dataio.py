@@ -17,6 +17,7 @@ import numpy as np
 from .core import InstanceRecord, Source, UtilityMatrix, ValidationError, normalize_rows, validate
 from .distance import DistanceMatrix
 from .embedding import Embedding
+from .features import FeatureTable
 
 DATASET_FORMAT = "allocmap-dataset"
 
@@ -58,20 +59,29 @@ def _read_text(path) -> str:
         raise ParseError(1, f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
+def _write_text(path, lines) -> None:
+    """Write each line and a "\n" after it, as UTF-8; this is the only place
+    a file is opened for writing."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for line in lines:
+            fh.write(line + "\n")
+
+
 # ---------------------------------------------------------------- instance text
 
 
 def write_instance(path, matrix: UtilityMatrix) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{matrix.n} {matrix.m}\n")
-        for row in _matrix_to_rows(matrix.values):
-            fh.write(row + "\n")
+    _write_text(path, [f"{matrix.n} {matrix.m}", *_matrix_to_rows(matrix.values)])
 
 
 def read_instance_array(path) -> np.ndarray:
     """Raw numbers from an instance-format file; validation is the caller's
     call (wide ingestion tables reuse this format without the n <= m rule)."""
-    lines = _read_text(path).splitlines()
+    return _parse_instance_array(_read_text(path))
+
+
+def _parse_instance_array(text: str) -> np.ndarray:
+    lines = text.splitlines()
     if not lines:
         raise ParseError(1, "empty file")
     head = lines[0].split()
@@ -132,14 +142,16 @@ def write_dataset(path, records: list[InstanceRecord], seed: int | None = None) 
             for rec in records
         ],
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(path, [json.dumps(doc, indent=2, sort_keys=True)])
 
 
 def read_dataset(path) -> tuple[list[InstanceRecord], dict]:
+    return _parse_dataset(_read_text(path))
+
+
+def _parse_dataset(text: str) -> tuple[list[InstanceRecord], dict]:
     try:
-        doc = json.loads(_read_text(path))
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, exc.msg) from None
     if not isinstance(doc, dict) or doc.get("format") != DATASET_FORMAT:
@@ -184,15 +196,15 @@ def ingest(
     and k instances are drawn from it: n agents and m goods sampled without
     replacement per instance (child seed per index), rows re-normalized.
     """
-    head = _read_text(path)[:1]
+    text = _read_text(path)
     stem = os.path.splitext(os.path.basename(path))[0]
-    if head == "{":
-        records, _ = read_dataset(path)
+    if text[:1] == "{":
+        records, _ = _parse_dataset(text)
         if normalize:
             for rec in records:
                 rec.matrix = normalize_rows(rec.matrix.values)
         return records
-    table = read_instance_array(path)
+    table = _parse_instance_array(text)
     if subsample is not None:
         return _subsample(table, stem, subsample, seed if seed is not None else 0)
     builder = normalize_rows if normalize else validate
@@ -268,11 +280,8 @@ def _check_labels(labels: list[str], lines: list[int] | None = None) -> None:
 
 def write_distance_csv(path, dm: DistanceMatrix) -> None:
     _check_labels(dm.labels)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# metric={dm.metric}\n")
-        fh.write(",".join(dm.labels) + "\n")
-        for row in dm.values:
-            fh.write(",".join(fmt17(v) for v in row) + "\n")
+    rows = [",".join(fmt17(v) for v in row) for row in dm.values]
+    _write_text(path, [f"# metric={dm.metric}", ",".join(dm.labels), *rows])
 
 
 def _read_csv(path) -> tuple[dict, tuple[int, list[str]], list[tuple[int, list[str]]]]:
@@ -313,25 +322,23 @@ def read_distance_csv(path) -> tuple[list[str], np.ndarray, dict]:
     return labels, values, meta
 
 
-def _write_points(path, labels: list[str], points, what: str, header: str) -> None:
-    """A 'label,<x>,<y>' CSV of k x 2 points; ``header`` is written first."""
+def _write_points(path, labels: list[str], points, what: str, header: list[str]) -> None:
+    """A 'label,<x>,<y>' CSV of k x 2 points; the ``header`` lines come first."""
     _check_labels(labels)
     if len(labels) != points.shape[0]:
         raise ValidationError(f"label count does not match {what} count")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header)
-        for lab, (x, y) in zip(labels, points):
-            fh.write(f"{lab},{fmt17(x)},{fmt17(y)}\n")
+    rows = [f"{lab},{fmt17(x)},{fmt17(y)}" for lab, (x, y) in zip(labels, points)]
+    _write_text(path, header + rows)
 
 
 def write_embedding_csv(path, labels: list[str], emb: Embedding) -> None:
     flag = " degenerate=1" if emb.degenerate else ""
-    header = f"# stress={fmt17(emb.stress)} iterations={emb.iterations}{flag}\nlabel,x,y\n"
+    header = [f"# stress={fmt17(emb.stress)} iterations={emb.iterations}{flag}", "label,x,y"]
     _write_points(path, labels, emb.points, "point", header)
 
 
 def write_explicit_csv(path, labels: list[str], coords: np.ndarray) -> None:
-    _write_points(path, labels, coords, "coordinate", "label,sigma1,sigma2\n")
+    _write_points(path, labels, coords, "coordinate", ["label,sigma1,sigma2"])
 
 
 def read_points_csv(path) -> tuple[list[str], np.ndarray, dict, list[str]]:
@@ -350,33 +357,19 @@ def read_points_csv(path) -> tuple[list[str], np.ndarray, dict, list[str]]:
     return labels, np.array(pts, dtype=np.float64), meta, header
 
 
-_BOOL_FEATURES = ("ef_exists", "mms_ok", "efpo_exists")
-
-
-def write_features_csv(path, table, reasons_path=None) -> None:
+def write_features_csv(path, table: FeatureTable, reasons_path=None) -> None:
     """Feature table CSV plus the sidecar reasons file for absent cells."""
     _check_labels(table.labels)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# sum_max_envies=min-over-allocations\n")
-        fh.write("label," + ",".join(table.columns) + "\n")
-        for lab, row in zip(table.labels, table.rows):
-            cells = []
-            for name in table.columns:
-                val = row[name]
-                if val is None:
-                    cells.append("")
-                elif name in _BOOL_FEATURES:
-                    cells.append("1" if val else "0")
-                else:
-                    cells.append(fmt17(val))
-            fh.write(lab + "," + ",".join(cells) + "\n")
-    if reasons_path is None:
-        reasons_path = _reasons_path(path)
-    with open(reasons_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("label,feature,reason\n")
-        for label, feature, reason in table.reasons:
-            clean = reason.replace(",", ";").replace("\n", " ")
-            fh.write(f"{label},{feature},{clean}\n")
+    lines = ["# sum_max_envies=min-over-allocations", "label," + ",".join(table.columns)]
+    for lab, row in zip(table.labels, table.rows):
+        cells = ["" if row[name] is None else fmt17(row[name]) for name in table.columns]
+        lines.append(",".join([lab, *cells]))
+    _write_text(path, lines)
+    reasons = ["label,feature,reason"]
+    for label, feature, reason in table.reasons:
+        clean = reason.replace(",", ";").replace("\n", " ")
+        reasons.append(f"{label},{feature},{clean}")
+    _write_text(_reasons_path(path) if reasons_path is None else reasons_path, reasons)
 
 
 def _reasons_path(path) -> str:
@@ -384,7 +377,9 @@ def _reasons_path(path) -> str:
     return f"{root}_reasons{ext or '.csv'}"
 
 
-def read_features_csv(path) -> tuple[list[str], list[str], list[dict]]:
+def read_features_csv(path) -> FeatureTable:
+    """A features CSV as a FeatureTable; the sidecar reasons file is not read,
+    so ``reasons`` is empty."""
     _, (header_line, header), rows = _read_csv(path)
     if header[0] != "label":
         raise ParseError(header_line, "first column must be 'label'")
@@ -398,4 +393,4 @@ def read_features_csv(path) -> tuple[list[str], list[str], list[dict]]:
         }
         for i, fields in rows
     ]
-    return labels, columns, values
+    return FeatureTable(columns=columns, labels=labels, rows=values, reasons=[])

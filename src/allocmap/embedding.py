@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ShapeMismatch, ValidationError
+from .core import ShapeMismatch, ValidationError, _child_seed
 from .distance import check_distances
 
 SMACOF_MAX_ITERS = 10000
@@ -137,9 +137,7 @@ def mds_embed(
         return _run_once(d, seed, max_iters, tol)
     best: Embedding | None = None
     for r in range(restarts):
-        child = int(
-            np.random.SeedSequence(entropy=seed, spawn_key=(r,)).generate_state(1, np.uint64)[0]
-        )
+        child = _child_seed(seed, r)
         emb = _run_once(d, child, max_iters, tol)
         emb.seed_used = child
         if best is None or emb.stress < best.stress:

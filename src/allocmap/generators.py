@@ -18,6 +18,7 @@ from .core import (
     Source,
     UnsupportedShape,
     UtilityMatrix,
+    _child_seed,
     check_shape,
     normalize_rows,
     validate,
@@ -184,11 +185,6 @@ MODELS = {
         gen_resampling, ("p", "phi"), lambda p: f"resamp_p{p['p']:g}_phi{p['phi']:g}"
     ),
 }
-
-
-def _child_seed(dataset_seed: int, index: int) -> int:
-    ss = np.random.SeedSequence(entropy=dataset_seed, spawn_key=(index,))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def gen_dataset(specs: list[GeneratorSpec], n: int, m: int, seed: int) -> list[InstanceRecord]:

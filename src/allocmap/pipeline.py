@@ -16,7 +16,7 @@ from .distance import EXACT_SEARCH_CAP, pairwise_distances
 from .embedding import SMACOF_MAX_ITERS, SMACOF_TOL, mds_embed
 from .features import ALLOC_CAP, EFPO_QUAD_CAP, feature_table
 from .generators import gen_preset
-from .render import map_kwargs, render_svg
+from .render import render_svg
 from .spectral import explicit_coords
 
 
@@ -99,24 +99,23 @@ def run_pipeline(config: PipelineConfig) -> dict[str, list[str]]:
 
         stage = "render"
         feat = config.color_feature
-        features = (table.labels, table.columns, table.rows)
         for kind, points, title in (
             ("embedding", emb.points, f"{config.metric} distance map"),
             ("explicit", coords, "singular-value map"),
         ):
             for by_source in (True, False):
-                kwargs = map_kwargs(
+                name = f"map_{kind}_{'source' if by_source else feat}.svg"
+                render_svg(
+                    out(name, stage),
                     dm.labels,
                     points,
                     explicit=kind == "explicit",
                     records=records,
                     by_source=by_source,
-                    features=features,
+                    features=table,
                     color=None if by_source else feat,
                     title=title,
                 )
-                name = f"map_{kind}_{'source' if by_source else feat}.svg"
-                render_svg(out(name, stage), **kwargs)
     except BaseException as exc:
         for path in written:
             try:

@@ -13,8 +13,9 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 
+from . import dataio
 from .core import ValidationError
-from .features import UnknownFeature
+from .features import FeatureTable, UnknownFeature
 
 _VIRIDIS = [
     (0.000, (68, 1, 84)),
@@ -103,84 +104,63 @@ def _check_labels_present(labels, table, what: str) -> None:
         raise ValidationError(f"labels missing from {what}: {missing[:3]}")
 
 
-def map_kwargs(
+def render_svg(
+    path,
     labels,
     points,
     *,
     explicit: bool = False,
     records=None,
     by_source: bool = False,
-    features=None,
+    features: FeatureTable | None = None,
     color: str | None = None,
     title: str | None = None,
-) -> dict:
-    """Keyword arguments of render_svg for one map of labeled k x 2 points.
+) -> None:
+    """Draw one map of labeled k x 2 points as an SVG file.
 
     An explicit map plots (sigma1, sigma2) points as sigma2 across and sigma1
     up, inside the boundary of the first record's shape. ``records`` (any
     order, every label present) give the stars for characteristic instances
     and, with ``by_source``, a category per generator. ``features`` is a
-    (labels, columns, rows) table, every label present: ``color`` picks the
-    column of the color ramp and an ``ef_exists`` column marks crosses. A
-    ``color`` without ``features``, or ``by_source`` without ``records``, is
-    an error.
+    table with every label present: ``color`` picks the column of the color
+    ramp and an ``ef_exists`` column marks crosses. A ``color`` without
+    ``features``, or ``by_source`` without ``records``, is an error.
     """
     if color is not None and features is None:
         raise ValidationError(f"coloring by {color!r} needs a features table")
     if by_source and records is None:
         raise ValidationError("coloring by source needs the dataset")
     points = np.asarray(points, dtype=np.float64)
-    kwargs = {"labels": labels, "title": title, "color_label": color}
     if explicit:
-        kwargs.update(xs=points[:, 1], ys=points[:, 0], x_label="sigma2", y_label="sigma1")
+        xs, ys, x_label, y_label = points[:, 1], points[:, 0], "sigma2", "sigma1"
     else:
-        kwargs.update(xs=points[:, 0], ys=points[:, 1], x_label="x", y_label="y")
+        xs, ys, x_label, y_label = points[:, 0], points[:, 1], "x", "y"
+    k = xs.size
+    categories = star_flags = cross_flags = color_values = None
+    bpts = []
     if records is not None:
         by_label = {rec.label: rec for rec in records}
         _check_labels_present(labels, by_label, "dataset")
         if by_source:
-            kwargs["categories"] = [by_label[lab].source.model for lab in labels]
-        kwargs["star_flags"] = [by_label[lab].source.model == "characteristic" for lab in labels]
+            categories = [by_label[lab].source.model for lab in labels]
+        star_flags = [by_label[lab].source.model == "characteristic" for lab in labels]
         if explicit:
             first = by_label[labels[0]].matrix
-            kwargs["boundary_shape"] = (first.n, first.m)
+            bpts = _boundary_path(first.n, first.m)
     if features is not None:
-        flabels, columns, rows = features
-        by_label_row = dict(zip(flabels, rows))
+        by_label_row = dict(zip(features.labels, features.rows))
         _check_labels_present(labels, by_label_row, "features table")
         cells = [by_label_row[lab] for lab in labels]
         if color is not None:
-            if color not in columns:
+            if color not in features.columns:
                 raise UnknownFeature(color)
-            kwargs["color_values"] = [
-                None if row.get(color) is None else float(row[color]) for row in cells
+            color_values = [
+                None if row[color] is None or np.isnan(row[color]) else float(row[color])
+                for row in cells
             ]
-        if "ef_exists" in columns:
-            kwargs["cross_flags"] = [bool(row.get("ef_exists") or 0.0) for row in cells]
-    return kwargs
+        if "ef_exists" in features.columns:
+            cross_flags = [bool(row["ef_exists"]) for row in cells]
 
-
-def render_svg(
-    path,
-    xs,
-    ys,
-    labels,
-    *,
-    x_label: str,
-    y_label: str,
-    title: str | None = None,
-    color_values=None,
-    color_label: str | None = None,
-    categories: list[str] | None = None,
-    cross_flags=None,
-    star_flags=None,
-    boundary_shape: tuple[int, int] | None = None,
-) -> None:
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    k = xs.size
-
-    bpts = _boundary_path(*boundary_shape) if boundary_shape else []
     all_x = np.concatenate([xs, [p[0] for p in bpts]]) if bpts else xs
     all_y = np.concatenate([ys, [p[1] for p in bpts]]) if bpts else ys
     xmin, xmax = float(all_x.min()), float(all_x.max())
@@ -214,14 +194,13 @@ def render_svg(
         cat_color = {c: _DISCRETE[i % len(_DISCRETE)] for i, c in enumerate(order)}
         fills = [cat_color[c] for c in categories]
     elif color_values is not None:
-        vals = [None if v is None or (isinstance(v, float) and np.isnan(v)) else float(v) for v in color_values]
-        present = [v for v in vals if v is not None]
+        present = [v for v in color_values if v is not None]
         lo = min(present) if present else 0.0
         hi = max(present) if present else 1.0
         span = hi - lo
         fills = [
             _ABSENT if v is None else ramp_color(0.5 if span == 0 else (v - lo) / span)
-            for v in vals
+            for v in color_values
         ]
     else:
         fills = ["#4477aa"] * k
@@ -309,8 +288,8 @@ def render_svg(
         ET.SubElement(root, "rect", {"x": f"{lx}", "y": f"{ly}", "width": "14", "height": "120", "fill": "url(#ramp)", "stroke": "#333333", "stroke-width": "0.5"})
         _text(root, lx + 20, ly + 8, f"{hi:.3g}")
         _text(root, lx + 20, ly + 122, f"{lo:.3g}")
-        if color_label:
-            _text(root, lx, ly + 140, color_label, size=12)
+        if color:
+            _text(root, lx, ly + 140, color, size=12)
     if cross_flags is not None:
         yy = _TOP + 190
         d = f"M {lx} {yy - 4} L {lx + 8} {yy + 4} M {lx} {yy + 4} L {lx + 8} {yy - 4}"
@@ -321,8 +300,5 @@ def render_svg(
         ET.SubElement(root, "path", {"d": _star_d(lx + 4, yy, 6.0, 2.4), "fill": "#cccccc", "stroke": "#111111", "stroke-width": "0.8"})
         _text(root, lx + 14, yy + 4, "characteristic instance")
 
-    tree = ET.ElementTree(root)
-    ET.indent(tree)
-    tree.write(path, encoding="unicode", xml_declaration=True)
-    with open(path, "a", newline="\n") as fh:
-        fh.write("\n")
+    ET.indent(root)
+    dataio._write_text(path, [ET.tostring(root, encoding="unicode", xml_declaration=True)])

@@ -166,6 +166,23 @@ def test_valuation_matches_enumeration_on_preset_pair():
     assert valuation_distance(u1, u2) == oracle_valuation(u1, u2)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the assignment solver picks a matching of least float cost, and "
+    "the canonical fsum of a tied matching can be 1 ulp lower; which one it "
+    "picks depends on the argument order",
+)
+def test_demand_distance_matches_enumeration_on_tied_pair():
+    a = normalize_rows(
+        [[130, 0, 130, 130, 130, 2855], [250022, 0, 130, 130, 130, 130], [130, 0, 13104, 130, 130, 203]]
+    )
+    b = normalize_rows(
+        [[0, 130, 130, 130, 130, 130], [0, 738, 130, 130, 130, 130], [0, 130, 5176, 130, 130, 130]]
+    )
+    assert demand_distance(a, b) == oracle_demand(a, b)
+    assert demand_distance(a, b) == demand_distance(b, a)
+
+
 def test_valuation_symmetry_exact():
     for trial in range(15):
         u1 = random_instance(4, 5, trial + 1100)

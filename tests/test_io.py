@@ -1,6 +1,8 @@
+import ast
 import json
 import os
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from allocmap.core import InstanceRecord, Source, ValidationError, validate
 from allocmap.dataio import ParseError, fmt17
 from allocmap.distance import DistanceMatrix, pairwise_distances
 from allocmap.embedding import Embedding, mds_embed
-from allocmap.features import ALLOCATION_FEATURES, feature_table
+from allocmap.features import ALLOCATION_FEATURES, FeatureTable, feature_table
 from allocmap.generators import GeneratorSpec, gen_characteristic, gen_dataset, gen_iid
 from allocmap.pipeline import PipelineConfig, PipelineError, run_pipeline
 from allocmap.render import render_svg
@@ -262,9 +264,11 @@ def test_features_csv_cells_and_reasons(tmp_path):
     table = feature_table(recs)
     p = tmp_path / "f.csv"
     dataio.write_features_csv(p, table)
-    labels, columns, rows = dataio.read_features_csv(p)
+    back = dataio.read_features_csv(p)
+    labels, columns, rows = back.labels, back.columns, back.rows
     assert labels == ["small", "big"]
     assert columns == table.columns
+    assert back.reasons == []
     assert rows[0]["ef_exists"] in (0.0, 1.0)
     assert rows[1]["minimax_envy"] is None
     assert rows[1]["max_demand"] == table.rows[1]["max_demand"]
@@ -308,18 +312,31 @@ def test_features_csv_non_numeric_cell(tmp_path):
 
 
 def test_render_svg_marker_classes(tmp_path):
-    xs = [0.1, 0.5, 0.9, 0.3]
-    ys = [1.0, 1.2, 0.8, 1.1]
     labels = ["a", "b", "c", "d"]
+    # explicit points are (sigma1, sigma2), drawn sigma2 across
+    points = [[1.0, 0.1], [1.2, 0.5], [0.8, 0.9], [1.1, 0.3]]
+    records = [
+        record(lab, gen_iid(3, 6, "uniform01", seed=i), model=model)
+        for i, (lab, model) in enumerate(
+            zip(labels, ["iid", "iid", "characteristic", "characteristic"])
+        )
+    ]
+    features = FeatureTable(
+        columns=["max_demand", "ef_exists"],
+        labels=labels,
+        rows=[
+            {"max_demand": v, "ef_exists": ef}
+            for v, ef in zip([0.0, 0.5, None, 1.0], [True, False, False, True])
+        ],
+        reasons=[],
+    )
     p = tmp_path / "m.svg"
     render_svg(
-        p, xs, ys, labels,
-        x_label="sigma2", y_label="sigma1",
-        color_values=[0.0, 0.5, None, 1.0],
-        color_label="max_demand",
-        cross_flags=[True, False, False, True],
-        star_flags=[False, False, True, True],
-        boundary_shape=(3, 6),
+        p, labels, points,
+        explicit=True,
+        records=records,
+        features=features,
+        color="max_demand",
         title="demo",
     )
     tree = ET.parse(p)
@@ -344,11 +361,12 @@ def test_render_svg_marker_classes(tmp_path):
 
 def test_render_svg_category_colors(tmp_path):
     p = tmp_path / "c.svg"
-    render_svg(
-        p, [0, 1, 2], [0, 1, 2], ["a", "b", "c"],
-        x_label="x", y_label="y",
-        categories=["iid", "resampling", "iid"],
-    )
+    labels = ["a", "b", "c"]
+    records = [
+        record(lab, gen_iid(3, 4, "uniform01", seed=i), model=model)
+        for i, (lab, model) in enumerate(zip(labels, ["iid", "resampling", "iid"]))
+    ]
+    render_svg(p, labels, [[0, 0], [1, 1], [2, 2]], records=records, by_source=True)
     markers = svg_markers(p)
     fills = [m.get("fill") for m in markers]
     assert fills[0] == fills[2] != fills[1]
@@ -579,7 +597,7 @@ def test_cli_features_alloc_cap(tmp_path, capsys):
     ds = make_input_dataset(tmp_path)
     out = tmp_path / "f.csv"
     assert run_cli("features", ds, "--alloc-cap", 80, "-o", out) == 0
-    _, _, rows = dataio.read_features_csv(out)
+    rows = dataio.read_features_csv(out).rows
     capped = [f for f in ALLOCATION_FEATURES if f not in ("max_util", "efpo_exists")]
     assert all(row[f] is None for row in rows for f in capped)
     assert all(row["efpo_exists"] is not None for row in rows)
@@ -743,7 +761,8 @@ def test_cli_pipeline_failure_cleans_up(tmp_path):
 def test_cli_pipeline_alloc_caps(tmp_path):
     out = tmp_path / "capped"
     assert run_cli("--out-dir", out, "pipeline", "--preset", "3x6", "--quad-cap", 100) == 0
-    labels, _, rows = dataio.read_features_csv(out / "features.csv")
+    back = dataio.read_features_csv(out / "features.csv")
+    labels, rows = back.labels, back.rows
     assert len(labels) == 165
     for row in rows:
         assert row["efpo_exists"] is None
@@ -756,7 +775,7 @@ def test_cli_pipeline_alloc_caps(tmp_path):
     out2 = tmp_path / "alloc"
     ds = make_input_dataset(tmp_path)
     assert run_cli("--out-dir", out2, "pipeline", "--dataset", ds, "--alloc-cap", 80) == 0
-    _, _, rows = dataio.read_features_csv(out2 / "features.csv")
+    rows = dataio.read_features_csv(out2 / "features.csv").rows
     capped = [f for f in ALLOCATION_FEATURES if f not in ("max_util", "efpo_exists")]
     assert all(row[f] is None for row in rows for f in capped)
     assert all(row["efpo_exists"] is not None and row["max_util"] is not None for row in rows)
@@ -797,3 +816,57 @@ def test_pipeline_comma_label_fails_in_dataset_stage(tmp_path):
     assert exc.value.stage == "dataset"
     assert isinstance(exc.value.cause, ParseError)
     assert list(out.glob("*")) == []
+
+
+def test_pipeline_writes_every_file_through_one_writer(tmp_path, monkeypatch):
+    ds = make_input_dataset(tmp_path)
+    written = []
+    write = dataio._write_text
+
+    def recording(path, lines):
+        written.append(str(path))
+        write(path, lines)
+
+    monkeypatch.setattr(dataio, "_write_text", recording)
+    out = tmp_path / "run"
+    run_pipeline(PipelineConfig(out_dir=str(out), dataset_path=str(ds), seed=3))
+    assert len(written) == len(set(written)) == len(PIPELINE_FILES)
+    assert sorted(written) == sorted(str(p) for p in out.iterdir())
+
+
+# ------------------------------------------------------------- source scan
+
+
+def _file_calls():
+    """(module, enclosing function, call) for every call in the package that
+    opens a file or writes to one."""
+    names = {
+        "open", "write", "write_text", "write_bytes", "ElementTree", "dump", "save", "savetxt", "tofile"
+    }
+    found = []
+    for path in sorted(Path(dataio.__file__).parent.glob("*.py")):
+        stack = []
+
+        class Visitor(ast.NodeVisitor):
+            def visit_FunctionDef(self, node):
+                stack.append(node.name)
+                self.generic_visit(node)
+                stack.pop()
+
+            def visit_Call(self, node):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in names:
+                    found.append((path.stem, ".".join(stack), ast.unparse(node)))
+                self.generic_visit(node)
+
+        Visitor().visit(ast.parse(path.read_text(encoding="utf-8")))
+    return found
+
+
+def test_files_are_opened_only_by_the_dataio_reader_and_writer():
+    assert _file_calls() == [
+        ("dataio", "_read_text", "open(path, encoding='utf-8')"),
+        ("dataio", "_write_text", "open(path, 'w', encoding='utf-8', newline='\\n')"),
+        ("dataio", "_write_text", "fh.write(line + '\\n')"),
+    ]
