@@ -39,6 +39,8 @@ def _outpath(args, name: str) -> str:
 
 def _cmd_generate(args) -> None:
     if args.preset:
+        if args.model or args.n is not None or args.m is not None:
+            raise ValidationError("generate takes --preset or --model with --n and --m, not both")
         records = gen_preset(args.preset, args.seed)
     else:
         if not args.model or args.n is None or args.m is None:

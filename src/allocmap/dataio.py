@@ -1,4 +1,4 @@
-"""File formats: instance text, dataset JSON, and the CSV surfaces.
+"""File formats: instance text (read only), dataset JSON, and the CSV surfaces.
 
 Floats are serialized with 17 significant digits everywhere, which
 round-trips 64-bit values exactly; reading back a written file reproduces
@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from .core import InstanceRecord, Source, UtilityMatrix, ValidationError, normalize_rows, validate
+from .core import InstanceRecord, Source, ValidationError, normalize_rows, validate
 from .distance import DistanceMatrix
 from .embedding import Embedding
 from .features import FeatureTable
@@ -68,16 +68,6 @@ def _write_text(path, lines) -> None:
 
 
 # ---------------------------------------------------------------- instance text
-
-
-def write_instance(path, matrix: UtilityMatrix) -> None:
-    _write_text(path, [f"{matrix.n} {matrix.m}", *_matrix_to_rows(matrix.values)])
-
-
-def read_instance_array(path) -> np.ndarray:
-    """Raw numbers from an instance-format file; validation is the caller's
-    call (wide ingestion tables reuse this format without the n <= m rule)."""
-    return _parse_instance_array(_read_text(path))
 
 
 def _parse_instance_array(text: str) -> np.ndarray:
@@ -199,6 +189,8 @@ def ingest(
     text = _read_text(path)
     stem = os.path.splitext(os.path.basename(path))[0]
     if text[:1] == "{":
+        if subsample is not None:
+            raise ValidationError("subsample draws from an instance text table, not a dataset")
         records, _ = _parse_dataset(text)
         if normalize:
             for rec in records:

@@ -203,62 +203,9 @@ def allocation_features(
     return out
 
 
-def _single(matrix: UtilityMatrix, name: str, cap: int = ALLOC_CAP, quad_cap: int = EFPO_QUAD_CAP):
-    value = allocation_features(matrix, (name,), cap, quad_cap)[name]
-    if isinstance(value, CapExceeded):
-        raise value
-    return value
-
-
-def minimax_envy(matrix: UtilityMatrix, cap: int = ALLOC_CAP) -> float:
-    """Smallest achievable maximum pairwise envy over all allocations."""
-    return _single(matrix, "minimax_envy", cap)
-
-
-def ef_exists(matrix: UtilityMatrix, cap: int = ALLOC_CAP) -> bool:
-    return _single(matrix, "ef_exists", cap)
-
-
-def max_nash(matrix: UtilityMatrix, cap: int = ALLOC_CAP) -> float:
-    """Largest product of own-bundle utilities over all allocations."""
-    return _single(matrix, "max_nash", cap)
-
-
 def max_util(matrix: UtilityMatrix) -> float:
     """Utilitarian optimum: each good to whoever values it most (closed form)."""
     return float(matrix.values.max(axis=0).sum())
-
-
-def prop_fraction(matrix: UtilityMatrix, cap: int = ALLOC_CAP) -> float:
-    """n times the best egalitarian welfare: >= 1 means a proportional
-    allocation exists."""
-    return _single(matrix, "prop_fraction", cap)
-
-
-def sum_max_envies(matrix: UtilityMatrix, cap: int = ALLOC_CAP) -> float:
-    """Minimum over allocations of the sum of each agent's maximal envy."""
-    return _single(matrix, "sum_max_envies", cap)
-
-
-def mms_shares(matrix: UtilityMatrix, cap: int = ALLOC_CAP) -> np.ndarray:
-    """Each agent's maximin share: best worst bundle over n-partitions it
-    could cut itself."""
-    return _single(matrix, "mms_shares", cap)
-
-
-def mms_ok(matrix: UtilityMatrix, cap: int = ALLOC_CAP) -> bool:
-    """True iff some allocation gives every agent its maximin share."""
-    return _single(matrix, "mms_ok", cap)
-
-
-def efpo_exists(matrix: UtilityMatrix, quad_cap: int = EFPO_QUAD_CAP) -> bool:
-    """True iff some allocation is envy-free and not Pareto-dominated.
-
-    Stores all n^m utility profiles and checks EF candidates against
-    higher-welfare allocations only, so the quadratic phase gets its own
-    (smaller) cap.
-    """
-    return _single(matrix, "efpo_exists", quad_cap=quad_cap)
 
 
 def gini(x) -> float:
@@ -312,6 +259,15 @@ _MATRIX_FUNCTIONS = {
 }
 
 
+def _columns(features: list[str] | None) -> list[str]:
+    """The columns of a table of ``features``, all of them by default."""
+    columns = list(features) if features is not None else list(ALL_FEATURES)
+    for name in columns:
+        if name not in ALL_FEATURES:
+            raise UnknownFeature(name)
+    return columns
+
+
 @dataclass
 class FeatureTable:
     """Feature columns per labeled instance; absent cells carry a reason."""
@@ -330,10 +286,7 @@ def feature_table(
 ) -> FeatureTable:
     """Compute requested features for every record; a feature that trips its
     cap is recorded as absent with the reason, never raised."""
-    columns = list(features) if features is not None else list(ALL_FEATURES)
-    for name in columns:
-        if name not in ALL_FEATURES:
-            raise UnknownFeature(name)
+    columns = _columns(features)
     alloc_names = [name for name in columns if name in ALLOCATION_FEATURES]
     rows = []
     reasons = []

@@ -2,7 +2,8 @@
 
 Every artifact is a pure function of the config (seeds included), so a rerun
 with the same config reproduces every output byte. A failing stage removes
-whatever this run already wrote and surfaces the stage name.
+whatever this run already wrote and surfaces the stage name; an interrupt
+removes it too and passes through unwrapped.
 """
 
 from __future__ import annotations
@@ -14,14 +15,14 @@ from . import dataio
 from .core import ValidationError
 from .distance import EXACT_SEARCH_CAP, pairwise_distances
 from .embedding import SMACOF_MAX_ITERS, SMACOF_TOL, mds_embed
-from .features import ALLOC_CAP, EFPO_QUAD_CAP, feature_table
+from .features import ALLOC_CAP, EFPO_QUAD_CAP, _columns, feature_table
 from .generators import gen_preset
 from .render import render_svg
 from .spectral import explicit_coords
 
 
 class PipelineError(RuntimeError):
-    def __init__(self, stage: str, cause: BaseException):
+    def __init__(self, stage: str, cause: Exception):
         self.stage = stage
         self.cause = cause
         super().__init__(f"pipeline stage {stage!r} failed: {cause}")
@@ -48,6 +49,12 @@ class PipelineConfig:
 def run_pipeline(config: PipelineConfig) -> dict[str, list[str]]:
     if (config.preset is None) == (config.dataset_path is None):
         raise ValueError("exactly one of preset or dataset_path must be set")
+    columns = _columns(config.features)
+    if config.color_feature not in columns:
+        raise ValidationError(
+            f"color feature {config.color_feature!r} is not among the features "
+            f"{','.join(columns)}"
+        )
     os.makedirs(config.out_dir, exist_ok=True)
     written: list[str] = []
     outputs: dict[str, list[str]] = {}
@@ -122,5 +129,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, list[str]]:
                 os.unlink(path)
             except OSError:
                 pass
+        if not isinstance(exc, Exception):
+            raise
         raise PipelineError(stage, exc) from exc
     return outputs

@@ -17,17 +17,7 @@ import pytest
 from allocmap.dataio import write_embedding_csv
 from allocmap.distance import demand_distance, pairwise_distances, valuation_distance
 from allocmap.embedding import mds_embed
-from allocmap.features import (
-    ef_exists,
-    efpo_exists,
-    feature_table,
-    max_nash,
-    max_util,
-    minimax_envy,
-    mms_ok,
-    prop_fraction,
-    sum_max_envies,
-)
+from allocmap.features import ALLOCATION_FEATURES, allocation_features, feature_table, max_util
 from allocmap.generators import (
     gen_attributes,
     gen_characteristic,
@@ -249,32 +239,37 @@ def test_criterion_09_allocation_features_match_enumeration():
         else:
             u = gen_resampling(3, 4, p=0.5, phi=0.4, seed=base + t)
         want = oracle_features(u)
-        assert minimax_envy(u) == want["minimax_envy"], t
-        assert max_nash(u) == want["max_nash"], t
-        assert prop_fraction(u) == want["prop_fraction"], t
-        assert sum_max_envies(u) == want["sum_max_envies"], t
-        assert mms_ok(u) is want["mms_ok"], t
-        assert efpo_exists(u) is want["efpo_exists"], t
+        got = allocation_features(u, ALLOCATION_FEATURES)
+        assert got["minimax_envy"] == want["minimax_envy"], t
+        assert got["max_nash"] == want["max_nash"], t
+        assert got["prop_fraction"] == want["prop_fraction"], t
+        assert got["sum_max_envies"] == want["sum_max_envies"], t
+        assert got["mms_ok"] is want["mms_ok"], t
+        assert got["efpo_exists"] is want["efpo_exists"], t
 
-    sep = gen_characteristic("SEP", 3, 3)
-    assert minimax_envy(sep) == -1.0
-    assert max_nash(sep) == 1.0
-    assert max_util(sep) == 3.0
-    assert prop_fraction(sep) == 3.0
-    assert sum_max_envies(sep) == -3.0
-    assert mms_ok(sep) is True and efpo_exists(sep) is True
-    con = gen_characteristic("CON", 3, 3)
-    assert minimax_envy(con) == 1.0
-    assert max_nash(con) == 0.0
-    assert max_util(con) == 1.0
-    assert sum_max_envies(con) == 1.0
-    assert mms_ok(con) is True
-    con2 = gen_characteristic("CON", 2, 2)
-    assert prop_fraction(con2) == 0.0 and efpo_exists(con2) is False
-    ind = gen_characteristic("IND", 3, 6)
-    assert minimax_envy(ind) == 0.0
-    assert prop_fraction(ind) == 1.0
-    assert sum_max_envies(ind) == 0.0
+    sep_u = gen_characteristic("SEP", 3, 3)
+    sep = allocation_features(sep_u, ALLOCATION_FEATURES)
+    assert sep["minimax_envy"] == -1.0
+    assert sep["max_nash"] == 1.0
+    assert max_util(sep_u) == 3.0
+    assert sep["prop_fraction"] == 3.0
+    assert sep["sum_max_envies"] == -3.0
+    assert sep["mms_ok"] is True and sep["efpo_exists"] is True
+    con_u = gen_characteristic("CON", 3, 3)
+    con = allocation_features(con_u, ALLOCATION_FEATURES)
+    assert con["minimax_envy"] == 1.0
+    assert con["max_nash"] == 0.0
+    assert max_util(con_u) == 1.0
+    assert con["sum_max_envies"] == 1.0
+    assert con["mms_ok"] is True
+    con2 = allocation_features(gen_characteristic("CON", 2, 2), ["prop_fraction", "efpo_exists"])
+    assert con2["prop_fraction"] == 0.0 and con2["efpo_exists"] is False
+    ind = allocation_features(
+        gen_characteristic("IND", 3, 6), ["minimax_envy", "prop_fraction", "sum_max_envies"]
+    )
+    assert ind["minimax_envy"] == 0.0
+    assert ind["prop_fraction"] == 1.0
+    assert ind["sum_max_envies"] == 0.0
     _report(9, "50 random 3x4 instances: six allocation features equal full "
                "enumeration exactly; SEP/CON/IND closed forms exact")
 
@@ -295,7 +290,8 @@ def test_criterion_10_explicit_axes_track_features():
         arr = rec.matrix.values
         if float(np.abs(arr - arr[0]).max()) == 0.0:
             flat += 1
-            assert ef_exists(rec.matrix) is (minimax_envy(rec.matrix) <= 1e-9)
+            f = allocation_features(rec.matrix, ["ef_exists", "minimax_envy"])
+            assert f["ef_exists"] is (f["minimax_envy"] <= 1e-9)
     assert flat >= 1
     _report(10, f"corr(sigma1, max_demand) = {r1:.5f}, corr(sigma2, "
                 f"preference_diversity) = {r2:.5f}, both >= 0.9; {flat} "

@@ -12,20 +12,13 @@ from allocmap.features import (
     MATRIX_FEATURES,
     CapExceeded,
     UnknownFeature,
-    ef_exists,
-    efpo_exists,
+    allocation_features,
     feature_table,
     frac_single_minded,
     gini,
     max_demand,
-    max_nash,
     max_util,
-    minimax_envy,
-    mms_ok,
-    mms_shares,
     preference_diversity,
-    prop_fraction,
-    sum_max_envies,
 )
 from allocmap.generators import gen_characteristic, gen_iid, gen_resampling
 from oracles import oracle_features, record
@@ -37,23 +30,17 @@ EXACT_ORACLE_FEATURES = (
 
 
 def test_enumeration_features_match_plain_loop_oracle():
-    funcs = {
-        "minimax_envy": minimax_envy,
-        "max_nash": max_nash,
-        "prop_fraction": prop_fraction,
-        "sum_max_envies": sum_max_envies,
-        "mms_ok": mms_ok,
-        "efpo_exists": efpo_exists,
-    }
     for trial in range(50):
         if trial % 2:
             u = gen_iid(3, 4, "uniform01", seed=trial)
         else:
             u = gen_resampling(3, 4, p=0.5, phi=0.4, seed=trial)
         want = oracle_features(u)
+        fused = allocation_features(u, EXACT_ORACLE_FEATURES)
         for name in EXACT_ORACLE_FEATURES:
-            got = funcs[name](u)
+            got = allocation_features(u, [name])[name]
             assert got == want[name], (trial, name, got, want[name])
+            assert fused[name] == want[name], (trial, name, fused[name], want[name])
         assert abs(max_util(u) - want["max_util"]) < 1e-12, trial
 
 
@@ -85,7 +72,8 @@ def test_feature_table_matches_oracle_bitwise(n, m, examples):
                 assert abs(got - want[name]) < 1e-12
             else:
                 assert np.float64(got).tobytes() == np.float64(want[name]).tobytes(), name
-        assert mms_shares(u).tobytes() == np.array(want["mms_shares"]).tobytes()
+        shares = allocation_features(u, ["mms_shares"])["mms_shares"]
+        assert shares.tobytes() == np.array(want["mms_shares"]).tobytes()
 
     check()
 
@@ -95,60 +83,62 @@ def test_feature_table_matches_oracle_bitwise(n, m, examples):
 
 def test_separable_closed_forms():
     u = gen_characteristic("SEP", 3, 3)
-    assert minimax_envy(u) == -1.0
-    assert ef_exists(u) is True
-    assert max_nash(u) == 1.0
+    f = allocation_features(u, ALLOCATION_FEATURES)
+    assert f["minimax_envy"] == -1.0
+    assert f["ef_exists"] is True
+    assert f["max_nash"] == 1.0
     assert max_util(u) == 3.0
-    assert prop_fraction(u) == 3.0
-    assert sum_max_envies(u) == -3.0
-    assert mms_ok(u) is True
-    assert efpo_exists(u) is True
+    assert f["prop_fraction"] == 3.0
+    assert f["sum_max_envies"] == -3.0
+    assert f["mms_ok"] is True
+    assert f["efpo_exists"] is True
 
 
 def test_contention_closed_forms():
     u = gen_characteristic("CON", 3, 3)
-    assert minimax_envy(u) == 1.0
-    assert ef_exists(u) is False
-    assert max_nash(u) == 0.0
+    f = allocation_features(u, ALLOCATION_FEATURES)
+    assert f["minimax_envy"] == 1.0
+    assert f["ef_exists"] is False
+    assert f["max_nash"] == 0.0
     assert max_util(u) == 1.0
     # the winner's own max envy is -1, so the optimal sum is 1+1-1
-    assert sum_max_envies(u) == 1.0
-    assert mms_ok(u) is True
-    assert mms_ok(gen_characteristic("CON", 2, 5)) is True
-    con2 = gen_characteristic("CON", 2, 2)
-    assert prop_fraction(con2) == 0.0
-    assert efpo_exists(con2) is False
+    assert f["sum_max_envies"] == 1.0
+    assert f["mms_ok"] is True
+    assert allocation_features(gen_characteristic("CON", 2, 5), ["mms_ok"])["mms_ok"] is True
+    con2 = allocation_features(gen_characteristic("CON", 2, 2), ["prop_fraction", "efpo_exists"])
+    assert con2["prop_fraction"] == 0.0
+    assert con2["efpo_exists"] is False
 
 
 def test_indifference_closed_forms():
     u = gen_characteristic("IND", 3, 6)
-    assert minimax_envy(u) == 0.0
-    assert ef_exists(u) is True
+    f = allocation_features(u, ALLOCATION_FEATURES)
+    assert f["minimax_envy"] == 0.0
+    assert f["ef_exists"] is True
     # three bundles of two goods each: product (1/3)^3, up to accumulation ulps
-    assert abs(max_nash(u) - 1 / 27) < 1e-15
+    assert abs(f["max_nash"] - 1 / 27) < 1e-15
     assert abs(max_util(u) - 1.0) < 1e-15
-    assert prop_fraction(u) == 1.0
-    assert sum_max_envies(u) == 0.0
-    assert efpo_exists(u) is True
+    assert f["prop_fraction"] == 1.0
+    assert f["sum_max_envies"] == 0.0
+    assert f["efpo_exists"] is True
 
 
 def test_mms_holds_on_resampling_sample():
     for seed in range(100):
         u = gen_resampling(3, 6, p=0.5, phi=0.4, seed=seed)
-        assert mms_ok(u), seed
+        assert allocation_features(u, ["mms_ok"])["mms_ok"], seed
 
 
 # ---------------------------------------------------------- allocations
 
 
 def test_enumeration_cap():
-    with pytest.raises(CapExceeded) as exc:
-        minimax_envy(gen_iid(10, 20, "uniform01", seed=1))
-    assert exc.value.n == 10 and exc.value.m == 20
-    with pytest.raises(CapExceeded):
-        minimax_envy(gen_iid(3, 4, "uniform01", seed=1), cap=80)
-    with pytest.raises(CapExceeded):
-        efpo_exists(gen_iid(3, 4, "uniform01", seed=1), quad_cap=80)
+    big = allocation_features(gen_iid(10, 20, "uniform01", seed=1), ["minimax_envy"])
+    assert isinstance(big["minimax_envy"], CapExceeded)
+    assert big["minimax_envy"].n == 10 and big["minimax_envy"].m == 20
+    u = gen_iid(3, 4, "uniform01", seed=1)
+    assert isinstance(allocation_features(u, ["minimax_envy"], cap=80)["minimax_envy"], CapExceeded)
+    assert isinstance(allocation_features(u, ["efpo_exists"], quad_cap=80)["efpo_exists"], CapExceeded)
 
 
 def capped_cells(table):
@@ -189,7 +179,7 @@ def test_efpo_follows_quad_cap_above_cap():
     assert capped_cells(tab) == [
         ("a", f) for f in ALLOCATION_FEATURES if f not in ("max_util", "efpo_exists")
     ]
-    assert tab.rows[0]["efpo_exists"] is efpo_exists(u)
+    assert tab.rows[0]["efpo_exists"] is allocation_features(u, ["efpo_exists"])["efpo_exists"]
 
 
 @pytest.mark.parametrize("columns", [["max_util"], list(MATRIX_FEATURES)])
@@ -210,13 +200,15 @@ def test_closed_form_columns_enumerate_nothing(monkeypatch, columns):
 def test_feature_invariants_on_randoms():
     for seed in range(25):
         u = gen_iid(3, 4, "uniform01", seed=seed + 200)
-        me = minimax_envy(u)
-        assert ef_exists(u) is (me <= 1e-9)
-        assert max_nash(u) >= 0.0
-        assert prop_fraction(u) >= 0.0
-        if efpo_exists(u):
-            assert ef_exists(u)
-        shares = mms_shares(u)
+        f = allocation_features(
+            u, ["minimax_envy", "ef_exists", "max_nash", "prop_fraction", "efpo_exists", "mms_shares"]
+        )
+        assert f["ef_exists"] is (f["minimax_envy"] <= 1e-9)
+        assert f["max_nash"] >= 0.0
+        assert f["prop_fraction"] >= 0.0
+        if f["efpo_exists"]:
+            assert f["ef_exists"]
+        shares = f["mms_shares"]
         assert (shares >= -1e-12).all()
         assert (shares <= 1.0 + 1e-12).all()
 
@@ -226,11 +218,13 @@ def test_features_invariant_under_relabeling():
     for seed in range(10):
         u = gen_iid(3, 4, "uniform01", seed=seed + 300)
         v = u.permuted(rng.permutation(3), rng.permutation(4))
-        assert abs(minimax_envy(u) - minimax_envy(v)) < 1e-12
-        assert abs(max_nash(u) - max_nash(v)) < 1e-12
+        names = ["minimax_envy", "max_nash", "prop_fraction", "mms_ok"]
+        fu, fv = allocation_features(u, names), allocation_features(v, names)
+        assert abs(fu["minimax_envy"] - fv["minimax_envy"]) < 1e-12
+        assert abs(fu["max_nash"] - fv["max_nash"]) < 1e-12
         assert abs(max_util(u) - max_util(v)) < 1e-12
-        assert abs(prop_fraction(u) - prop_fraction(v)) < 1e-12
-        assert mms_ok(u) == mms_ok(v)
+        assert abs(fu["prop_fraction"] - fv["prop_fraction"]) < 1e-12
+        assert fu["mms_ok"] == fv["mms_ok"]
 
 
 # ---------------------------------------------------------------- gini

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from allocmap import cli, dataio
+from allocmap import cli, dataio, pipeline
 from allocmap.cli import build_parser, main
 from allocmap.core import InstanceRecord, Source, ValidationError, validate
 from allocmap.dataio import ParseError, fmt17
@@ -47,31 +47,30 @@ def test_fmt17_round_trips_doubles():
 def test_instance_file_round_trip(tmp_path):
     u = gen_iid(4, 7, "exponential", seed=9)
     p = tmp_path / "inst.txt"
-    dataio.write_instance(p, u)
-    back = dataio.read_instance_array(p)
+    p.write_text("4 7\n" + "".join(" ".join(fmt17(v) for v in row) + "\n" for row in u.values))
+    back = dataio.ingest(p)[0].matrix.values
     assert np.array_equal(back, u.values)
-    first = p.read_text().splitlines()[0]
-    assert first == "4 7"
+    assert back.shape == (4, 7)
 
 
 def test_instance_file_parse_errors(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("")
     with pytest.raises(ParseError):
-        dataio.read_instance_array(p)
+        dataio.ingest(p)
     p.write_text("3\n")
     with pytest.raises(ParseError):
-        dataio.read_instance_array(p)
+        dataio.ingest(p)
     p.write_text("2 2\n0.5 0.5\n")
     with pytest.raises(ParseError):
-        dataio.read_instance_array(p)
+        dataio.ingest(p)
     p.write_text("2 2\n0.5 0.5\n0.5 oops\n")
     with pytest.raises(ParseError) as exc:
-        dataio.read_instance_array(p)
+        dataio.ingest(p)
     assert exc.value.line == 3
     p.write_text("2 2\n0.5 0.5 0.5\n0.5 0.5\n")
     with pytest.raises(ParseError):
-        dataio.read_instance_array(p)
+        dataio.ingest(p)
 
 
 # ---------------------------------------------------------- dataset JSON
@@ -142,7 +141,8 @@ def test_ingest_dataset_and_instance(tmp_path):
     assert [r.label for r in got] == ["r0", "r1", "r2"]
 
     inst = tmp_path / "solo.txt"
-    dataio.write_instance(inst, recs[0].matrix)
+    rows = recs[0].matrix.values
+    inst.write_text("3 4\n" + "".join(" ".join(fmt17(v) for v in row) + "\n" for row in rows))
     got = dataio.ingest(inst)
     assert len(got) == 1
     assert got[0].label == "solo"
@@ -186,6 +186,15 @@ def test_ingest_subsample(tmp_path):
     assert not out.exists()
     with pytest.raises(ValidationError):
         dataio.ingest(p, subsample=(7, 4, 1), seed=1)
+
+
+def test_cli_ingest_subsample_of_dataset_exits_2(tmp_path, capsys):
+    ds = tmp_path / "d.json"
+    dataio.write_dataset(ds, tiny_records(3))
+    out = tmp_path / "sub.json"
+    assert run_cli("ingest", ds, "--subsample", 2, 2, 5, "-o", out) == 2
+    assert "subsample" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------ CSVs
@@ -616,6 +625,14 @@ def test_cli_generate_preset(tmp_path):
     assert sorted(kinds) == ["BIC", "CON", "IND", "SEP", "WSEP"]
 
 
+@pytest.mark.parametrize("flags", [["--model", "iid"], ["--n", 3], ["--m", 6]])
+def test_cli_generate_preset_with_model_exits_2(tmp_path, capsys, flags):
+    ds = tmp_path / "p.json"
+    assert run_cli("generate", "--preset", "3x6", *flags, "-o", ds) == 2
+    assert "--preset or --model" in capsys.readouterr().err
+    assert not ds.exists()
+
+
 @pytest.mark.parametrize(
     "model, params, count",
     [
@@ -679,7 +696,7 @@ def test_write_dataset_rejects_labels_with_commas(tmp_path):
     assert not (tmp_path / "w.json").exists()
     # an instance file's stem becomes its label
     inst = tmp_path / "a,b.txt"
-    dataio.write_instance(inst, gen_iid(2, 3, "uniform01", seed=1))
+    inst.write_text("2 3\n0.5 0.25 0.25\n0.25 0.25 0.5\n")
     assert run_cli("ingest", inst, "-o", tmp_path / "i.json") == 2
     assert not (tmp_path / "i.json").exists()
 
@@ -756,6 +773,36 @@ def test_cli_pipeline_failure_cleans_up(tmp_path):
     assert code == 3
     leftovers = list(out.glob("*")) if out.exists() else []
     assert leftovers == []
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--features", "minimax_envy"], "'max_demand'"),
+        (["--features", "max_demand,envy"], "'envy'"),
+        (["--color", "envy"], "'envy'"),
+    ],
+)
+def test_cli_pipeline_checks_features_before_any_work(tmp_path, capsys, monkeypatch, flags, named):
+    def no_distances(*args, **kwargs):
+        raise AssertionError("distances were computed")
+
+    monkeypatch.setattr(pipeline, "pairwise_distances", no_distances)
+    out = tmp_path / "run"
+    assert run_cli("--out-dir", out, "pipeline", "--preset", "3x6", *flags) == 2
+    assert named in capsys.readouterr().err
+    assert list(out.glob("*")) == []
+
+
+def test_pipeline_interrupt_is_not_a_stage_failure(tmp_path, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pipeline, "mds_embed", interrupted)
+    out = tmp_path / "run"
+    with pytest.raises(KeyboardInterrupt):
+        run_pipeline(PipelineConfig(out_dir=str(out), dataset_path=str(make_input_dataset(tmp_path))))
+    assert list(out.glob("*")) == []
 
 
 def test_cli_pipeline_alloc_caps(tmp_path):
