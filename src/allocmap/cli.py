@@ -18,6 +18,7 @@ from .features import ALL_FEATURES, ALLOC_CAP, EFPO_QUAD_CAP, feature_table
 from .generators import (
     CHARACTERISTIC_KINDS,
     IID_DISTS,
+    MODEL_PARAMS,
     MODELS,
     PRESET_SHAPES,
     GeneratorSpec,
@@ -41,14 +42,28 @@ def _cmd_generate(args) -> None:
     if args.preset:
         if args.model or args.n is not None or args.m is not None:
             raise ValidationError("generate takes --preset or --model with --n and --m, not both")
-        records = gen_preset(args.preset, args.seed)
+        takes = {}
     else:
         if not args.model or args.n is None or args.m is None:
             raise ValidationError("generate needs --preset or --model with --n and --m")
-        names = MODELS[args.model].params if args.model in MODELS else ("kind",)
-        params = {name: getattr(args, name) for name in names}
-        specs = [GeneratorSpec(args.model, args.count, params)]
-        records = gen_dataset(specs, args.n, args.m, args.seed)
+        takes = {"count": 1, **MODEL_PARAMS[args.model]}
+    # --count and the model knobs default to None, so a given flag that the
+    # preset or the model does not take is refused instead of dropped.
+    knobs = {"count"}.union(*MODEL_PARAMS.values())
+    extra = sorted(name for name in knobs - takes.keys() if getattr(args, name) is not None)
+    if extra:
+        chosen = f"--preset {args.preset}" if args.preset else f"--model {args.model}"
+        flags = ", ".join(f"--{name}" for name in extra)
+        raise ValidationError(f"generate {chosen} does not take {flags}")
+    params = {
+        name: default if getattr(args, name) is None else getattr(args, name)
+        for name, default in takes.items()
+    }
+    if args.preset:
+        records = gen_preset(args.preset, args.seed)
+    else:
+        count = params.pop("count")
+        records = gen_dataset([GeneratorSpec(args.model, count, params)], args.n, args.m, args.seed)
     dataio.write_dataset(_outpath(args, "dataset.json"), records, seed=args.seed)
 
 
@@ -156,12 +171,12 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--model", choices=(*MODELS, "characteristic"))
     g.add_argument("--n", type=int)
     g.add_argument("--m", type=int)
-    g.add_argument("--count", type=int, default=1)
-    g.add_argument("--dist", choices=IID_DISTS, default="uniform01")
-    g.add_argument("--d", type=int, default=2)
-    g.add_argument("--p", type=float, default=0.5)
-    g.add_argument("--phi", type=float, default=0.5)
-    g.add_argument("--kind", choices=CHARACTERISTIC_KINDS, default="IND")
+    g.add_argument("--count", type=int)
+    g.add_argument("--dist", choices=IID_DISTS)
+    g.add_argument("--d", type=int)
+    g.add_argument("--p", type=float)
+    g.add_argument("--phi", type=float)
+    g.add_argument("--kind", choices=CHARACTERISTIC_KINDS)
     g.set_defaults(func=_cmd_generate)
 
     i = sub.add_parser("ingest", parents=[output], help="read an instance file or dataset, write a dataset")

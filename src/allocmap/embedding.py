@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ShapeMismatch, ValidationError, _child_seed
+from .core import ValidationError, _child_seed
 from .distance import check_distances
 
 SMACOF_MAX_ITERS = 10000
@@ -30,25 +30,20 @@ class Embedding:
     seed_used: int | None = field(default=None)
 
 
-def stress(dist, points) -> float:
-    """Raw stress of a configuration against target distances."""
-    d = np.asarray(dist, dtype=np.float64)
-    x = np.asarray(points, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != d.shape[0]:
-        raise ShapeMismatch(d.shape, x.shape)
-    diff = x[:, None, :] - x[None, :, :]
-    e = np.sqrt((diff * diff).sum(axis=2))
-    iu = np.triu_indices(d.shape[0], k=1)
-    res = d[iu] - e[iu]
-    return float((res * res).sum())
+def _plane_distances(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Write |x_i - x_j| for k points in the plane into the k x k buffer out,
+    with the k x k buffer scratch overwritten on the way.
 
-
-def _plane_distances(x: np.ndarray) -> np.ndarray:
-    """|x_i - x_j| for points in the plane: the floats stress() computes, in
-    a fraction of the time of its reduction over a length-2 axis."""
-    dx = x[:, 0, None] - x[None, :, 0]
-    dy = x[:, 1, None] - x[None, :, 1]
-    return np.sqrt(dx * dx + dy * dy)
+    The columns of x are copied first: broadcasting a strided column is
+    several times slower than a contiguous one.
+    """
+    cols = x.T.copy()
+    np.subtract(cols[0, :, None], cols[0, None, :], out=out)
+    np.multiply(out, out, out=out)
+    np.subtract(cols[1, :, None], cols[1, None, :], out=scratch)
+    np.multiply(scratch, scratch, out=scratch)
+    np.add(out, scratch, out=out)
+    np.sqrt(out, out=out)
 
 
 def _canonicalize(x: np.ndarray) -> np.ndarray:
@@ -69,25 +64,45 @@ def _run_once(d: np.ndarray, seed, max_iters: int, tol: float) -> Embedding:
     x = rng.uniform(-1.0, 1.0, (k, 2))
     upper = np.ravel_multi_index(np.triu_indices(k, k=1), (k, k))
     target = d.take(upper)
+    # The k x k arrays of the loop live in these buffers, allocated once; only
+    # the rare fix-up for coincident points below allocates. (-d) / e is
+    # -(d / e) bit for bit, so b takes the negated ratio in one pass.
+    neg_d = -d
+    b = np.empty((k, k))
+    e = np.empty((k, k))
+    scratch = np.empty((k, k))
+    positive = np.empty((k, k), dtype=bool)
+    res = np.empty(target.size)
+    rowsum = np.empty(k)
+    off_diagonal = k * (k - 1)
 
     def raw_stress(e: np.ndarray) -> float:
-        res = target - e.take(upper)
-        return float((res * res).sum())
+        # mode="clip" skips the bounds-checked copy that take(out=) makes by
+        # default; every index is in range.
+        e.take(upper, out=res, mode="clip")
+        np.subtract(target, res, out=res)
+        np.multiply(res, res, out=res)
+        return float(res.sum())
 
     # The distances of each iterate serve both its stress and the next
     # Guttman transform.
-    e = _plane_distances(x)
+    _plane_distances(x, e, scratch)
     prev = raw_stress(e)
     trace = [prev]
     iterations = 0
     for _ in range(max_iters):
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(e > 0, d / np.where(e > 0, e, 1.0), 0.0)
-        b = -ratio
+            np.divide(neg_d, e, out=b)
+        # Pairs at plane distance 0 get -0.0: the diagonal always, another
+        # pair only when two points of the iterate coincide.
+        np.greater(e, 0.0, out=positive)
+        if np.count_nonzero(positive) < off_diagonal:
+            b[~positive] = -0.0
         np.fill_diagonal(b, 0.0)
-        np.fill_diagonal(b, -b.sum(axis=1))
+        np.sum(b, axis=1, out=rowsum)
+        np.fill_diagonal(b, -rowsum)
         x = (b @ x) / k
-        e = _plane_distances(x)
+        _plane_distances(x, e, scratch)
         cur = raw_stress(e)
         trace.append(cur)
         iterations += 1

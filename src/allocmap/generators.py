@@ -168,22 +168,26 @@ class GeneratorSpec:
 
 
 class Model(NamedTuple):
-    """A sampled model: sampler(n, m, *params, seed) and the label prefix of
-    its records as a function of the params."""
+    """A sampled model: sampler(n, m, *params, seed), with the params in
+    MODEL_PARAMS order, and the label prefix of its records as a function of
+    the params."""
 
     sampler: Callable[..., UtilityMatrix]
-    params: tuple[str, ...]
     label: Callable[[dict], str]
 
 
 MODELS = {
-    "iid": Model(
-        gen_iid, ("dist",), lambda p: "iid_" + ("uniform" if p["dist"] == "uniform01" else "exp")
-    ),
-    "attributes": Model(gen_attributes, ("d",), lambda p: f"attr_d{p['d']}"),
-    "resampling": Model(
-        gen_resampling, ("p", "phi"), lambda p: f"resamp_p{p['p']:g}_phi{p['phi']:g}"
-    ),
+    "iid": Model(gen_iid, lambda p: "iid_" + ("uniform" if p["dist"] == "uniform01" else "exp")),
+    "attributes": Model(gen_attributes, lambda p: f"attr_d{p['d']}"),
+    "resampling": Model(gen_resampling, lambda p: f"resamp_p{p['p']:g}_phi{p['phi']:g}"),
+}
+
+# The params each model takes, with the defaults of `allocmap generate`.
+MODEL_PARAMS = {
+    "iid": {"dist": "uniform01"},
+    "attributes": {"d": 2},
+    "resampling": {"p": 0.5, "phi": 0.5},
+    "characteristic": {"kind": "IND"},
 }
 
 
@@ -212,7 +216,7 @@ def gen_dataset(specs: list[GeneratorSpec], n: int, m: int, seed: int) -> list[I
             raise ValueError(f"unknown generator model {spec.model!r}")
         model = MODELS[spec.model]
         prefix = model.label(spec.params)
-        args = [spec.params[name] for name in model.params]
+        args = [spec.params[name] for name in MODEL_PARAMS[spec.model]]
         start = counters.get(prefix, 0)
         for k in range(start, start + spec.count):
             child = _child_seed(seed, index)

@@ -49,7 +49,7 @@ _PLOT_H = _H - _TOP - _BOTTOM
 _FONT = "Helvetica, Arial, sans-serif"
 
 
-def ramp_color(t: float) -> str:
+def _ramp_color(t: float) -> str:
     t = min(max(float(t), 0.0), 1.0)
     for (t0, c0), (t1, c1) in zip(_VIRIDIS, _VIRIDIS[1:]):
         if t <= t1:
@@ -199,7 +199,7 @@ def render_svg(
         hi = max(present) if present else 1.0
         span = hi - lo
         fills = [
-            _ABSENT if v is None else ramp_color(0.5 if span == 0 else (v - lo) / span)
+            _ABSENT if v is None else _ramp_color(0.5 if span == 0 else (v - lo) / span)
             for v in color_values
         ]
     else:
@@ -284,7 +284,7 @@ def render_svg(
         defs = ET.SubElement(root, "defs")
         grad = ET.SubElement(defs, "linearGradient", {"id": "ramp", "x1": "0", "y1": "1", "x2": "0", "y2": "0"})
         for t, _ in _VIRIDIS:
-            ET.SubElement(grad, "stop", {"offset": f"{t:g}", "stop-color": ramp_color(t)})
+            ET.SubElement(grad, "stop", {"offset": f"{t:g}", "stop-color": _ramp_color(t)})
         ET.SubElement(root, "rect", {"x": f"{lx}", "y": f"{ly}", "width": "14", "height": "120", "fill": "url(#ramp)", "stroke": "#333333", "stroke-width": "0.5"})
         _text(root, lx + 20, ly + 8, f"{hi:.3g}")
         _text(root, lx + 20, ly + 122, f"{lo:.3g}")

@@ -1,12 +1,14 @@
-"""Enumeration ground truths shared by the test modules.
+"""Ground truths shared by the test modules.
 
-They are coded from scratch in plain Python and share only the
+The enumerations are coded from scratch in plain Python and share only the
 arithmetic-order conventions with the library: fsum over elementary terms
 for distances, and bundles accumulated good by good with agent aggregates
 in ascending index order for allocation features. That makes exact-equality
-checks against the library meaningful rather than circular. The one
-exception is ``oracle_search``, the library's former per-pair search, which
-pins the bytes of the batched search.
+checks against the library meaningful rather than circular. Two oracles
+are former library code kept as byte oracles: ``oracle_search``, the
+per-pair valuation search, which pins the bytes of the batched search, and
+``oracle_smacof``, the textbook allocating SMACOF loop, which pins the bytes
+of the buffered one.
 """
 
 import itertools
@@ -15,7 +17,7 @@ import math
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from allocmap.core import InstanceRecord, Source
+from allocmap.core import InstanceRecord, ShapeMismatch, Source
 
 
 def record(label, u):
@@ -192,3 +194,38 @@ def oracle_features(u):
         not dominated(a) for a, e in enumerate(max_envies) if e <= 1e-9
     )
     return out
+
+
+def stress(dist, points) -> float:
+    """Raw stress sum_{i<j} (d_ij - |x_i - x_j|)^2 of a configuration against
+    target distances."""
+    d = np.asarray(dist, dtype=np.float64)
+    x = np.asarray(points, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] != d.shape[0]:
+        raise ShapeMismatch(d.shape, x.shape)
+    diff = x[:, None, :] - x[None, :, :]
+    e = np.sqrt((diff * diff).sum(axis=2))
+    iu = np.triu_indices(d.shape[0], k=1)
+    res = d[iu] - e[iu]
+    return float((res * res).sum())
+
+
+def oracle_smacof(d, seed, iterations):
+    """``iterations`` Guttman transforms from the library's seeded uniform
+    start, every array freshly allocated and stress() recomputing every
+    distance. Returns the stress trace and the final, uncanonicalized
+    points."""
+    k = d.shape[0]
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, (k, 2))
+    trace = [stress(d, x)]
+    for _ in range(iterations):
+        diff = x[:, None, :] - x[None, :, :]
+        e = np.sqrt((diff * diff).sum(axis=2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(e > 0, d / np.where(e > 0, e, 1.0), 0.0)
+        b = -ratio
+        np.fill_diagonal(b, 0.0)
+        np.fill_diagonal(b, -b.sum(axis=1))
+        x = (b @ x) / k
+        trace.append(stress(d, x))
+    return np.array(trace), x

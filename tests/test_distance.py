@@ -414,6 +414,23 @@ def test_demand_at_most_valuation_within_ulps(n, m):
     check()
 
 
+@pytest.mark.parametrize("n,m", [(2, 5), (3, 6), (5, 5)])
+def test_pairwise_demand_symmetric_and_relabeling_invariant(n, m):
+    # the matrix equals its transpose, and relabeling the agents and goods of
+    # instance 0 leaves its distances to the two others unchanged, by bytes
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(_instances(n, m, 3), st.permutations(range(n)), st.permutations(range(m)))
+    def check(trio, agents, goods):
+        recs = [record(f"r{i}", u) for i, u in enumerate(trio)]
+        got = pairwise_distances(recs, "demand").values
+        assert got.tobytes() == got.T.tobytes()
+        recs[0] = record("r0", trio[0].permuted(agents, goods))
+        relabeled = pairwise_distances(recs, "demand").values
+        assert relabeled.tobytes() == got.tobytes()
+
+    check()
+
+
 def test_pairwise_validation():
     recs = [
         record("a", gen_iid(3, 4, "uniform01", seed=9)),

@@ -1,10 +1,13 @@
+import functools
+
 import numpy as np
 import pytest
 
 from allocmap.core import InstanceRecord, ShapeMismatch, Source, ValidationError
 from allocmap.distance import pairwise_distances
-from allocmap.embedding import Embedding, mds_embed, stress
-from allocmap.generators import gen_characteristic, gen_resampling
+from allocmap.embedding import Embedding, _canonicalize, mds_embed
+from allocmap.generators import gen_preset, gen_resampling
+from oracles import oracle_smacof, stress
 
 
 def trio_matrix():
@@ -58,29 +61,48 @@ def test_trace_is_nonincreasing_and_consistent():
     assert (np.diff(trace) <= 1e-12).all()
 
 
-def reference_trace(d, seed, iterations):
-    """Guttman transforms with stress() recomputing every distance."""
-    k = d.shape[0]
-    x = np.random.default_rng(seed).uniform(-1.0, 1.0, (k, 2))
-    trace = [stress(d, x)]
-    for _ in range(iterations):
-        diff = x[:, None, :] - x[None, :, :]
-        e = np.sqrt((diff * diff).sum(axis=2))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(e > 0, d / np.where(e > 0, e, 1.0), 0.0)
-        b = -ratio
-        np.fill_diagonal(b, 0.0)
-        np.fill_diagonal(b, -b.sum(axis=1))
-        x = (b @ x) / k
-        trace.append(stress(d, x))
-    return np.array(trace)
+@functools.cache
+def preset_demand_matrix():
+    return pairwise_distances(gen_preset("3x6", 7), "demand").values
+
+
+def assert_matches_oracle(d, emb, seed):
+    trace, x = oracle_smacof(d, seed, emb.iterations)
+    assert emb.stress_trace.tobytes() == trace.tobytes()
+    assert emb.points.tobytes() == _canonicalize(x).tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 3])
 def test_trace_matches_reference_loop(seed):
     for d in (small_demand_matrix().values, trio_matrix()):
-        emb = mds_embed(d, seed=seed)
-        assert emb.stress_trace.tobytes() == reference_trace(d, seed, emb.iterations).tobytes()
+        assert_matches_oracle(d, mds_embed(d, seed=seed), seed)
+        multi = mds_embed(d, seed=seed, restarts=3)
+        assert_matches_oracle(d, multi, multi.seed_used)
+    d = preset_demand_matrix()
+    assert_matches_oracle(d, mds_embed(d, seed=seed), seed)
+
+
+class FixedStart:
+    """Stands in for the seeded generator: its uniform draw is a given start."""
+
+    def __init__(self, start):
+        self.start = start
+
+    def uniform(self, low, high, size):
+        assert size == self.start.shape
+        return self.start.copy()
+
+
+def test_coincident_points_match_reference_loop(monkeypatch):
+    # Two points of the start coincide, so the first Guttman transform meets
+    # a zero plane distance off the diagonal.
+    d = small_demand_matrix().values
+    start = np.random.default_rng(5).uniform(-1.0, 1.0, (d.shape[0], 2))
+    start[3] = start[6]
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedStart(start))
+    emb = mds_embed(d, seed=0)
+    assert np.isfinite(emb.points).all()
+    assert_matches_oracle(d, emb, 0)
 
 
 def test_canonical_frame():

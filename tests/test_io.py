@@ -4,17 +4,26 @@ import os
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from allocmap import cli, dataio, pipeline
 from allocmap.cli import build_parser, main
-from allocmap.core import InstanceRecord, Source, ValidationError, validate
+from allocmap.core import InstanceRecord, Source, ValidationError, normalize_rows, validate
 from allocmap.dataio import ParseError, fmt17
 from allocmap.distance import DistanceMatrix, pairwise_distances
 from allocmap.embedding import Embedding, mds_embed
 from allocmap.features import ALLOCATION_FEATURES, FeatureTable, feature_table
-from allocmap.generators import GeneratorSpec, gen_characteristic, gen_dataset, gen_iid
+from allocmap.generators import (
+    MODEL_PARAMS,
+    GeneratorSpec,
+    gen_characteristic,
+    gen_dataset,
+    gen_iid,
+)
 from allocmap.pipeline import PipelineConfig, PipelineError, run_pipeline
 from allocmap.render import render_svg
 
@@ -39,6 +48,51 @@ def test_fmt17_round_trips_doubles():
     rng = np.random.default_rng(0)
     for x in [1 / 3, 0.1, 1e-17, 2 / 3, np.pi] + rng.random(50).tolist():
         assert float(fmt17(x)) == x
+
+
+# --------------------------------------------------------------- dataset
+
+_LABELS = st.text(st.characters(blacklist_characters=",\n\r"), min_size=1, max_size=8)
+_PARAMS = st.dictionaries(
+    st.text(max_size=5),
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=5),
+    max_size=3,
+)
+
+
+@st.composite
+def _datasets(draw):
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(n, 6))
+    labels = draw(st.lists(_LABELS, min_size=1, max_size=4, unique=True))
+    records = []
+    for label in labels:
+        w = draw(
+            hnp.arrays(np.float64, (n, m), elements=st.floats(0.0, 1e6))
+            .filter(lambda w: w.sum(axis=1).all())
+        )
+        source = Source(draw(st.text(max_size=8)), draw(_PARAMS))
+        seed = draw(st.none() | st.integers(0, 2**64 - 1))
+        records.append(InstanceRecord(label, source, seed, normalize_rows(w)))
+    return records, draw(st.none() | st.integers(0, 2**64 - 1))
+
+
+def test_dataset_write_then_read_is_identity(tmp_path):
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(_datasets())
+    def check(dataset):
+        records, seed = dataset
+        path = tmp_path / "d.json"
+        dataio.write_dataset(path, records, seed=seed)
+        back, meta = dataio.read_dataset(path)
+        assert meta["seed"] == seed
+        assert [r.label for r in back] == [r.label for r in records]
+        assert [r.source for r in back] == [r.source for r in records]
+        assert [r.seed for r in back] == [r.seed for r in records]
+        for got, want in zip(back, records):
+            assert got.matrix.values.tobytes() == want.matrix.values.tobytes()
+
+    check()
 
 
 # --------------------------------------------------------- instance text
@@ -634,6 +688,29 @@ def test_cli_generate_preset_with_model_exits_2(tmp_path, capsys, flags):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["--model", "iid", "--n", 3, "--m", 4, "--p", 0.3, "--kind", "SEP"],
+            "generate --model iid does not take --kind, --p",
+        ),
+        (["--preset", "3x6", "--count", 5], "generate --preset 3x6 does not take --count"),
+        (["--preset", "5x5", "--dist", "exponential"], "generate --preset 5x5 does not take --dist"),
+        (
+            ["--model", "characteristic", "--n", 3, "--m", 3, "--phi", 0.2],
+            "generate --model characteristic does not take --phi",
+        ),
+    ],
+)
+def test_cli_generate_flag_the_choice_does_not_take_exits_2(tmp_path, capsys, argv, message):
+    ds = tmp_path / "d.json"
+    assert run_cli("generate", *argv, "-o", ds) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not ds.exists()
+
+
+@pytest.mark.parametrize(
     "model, params, count",
     [
         ("iid", {"dist": "exponential"}, 3),
@@ -654,6 +731,15 @@ def test_cli_generate_model_matches_gen_dataset(tmp_path, model, params, count):
         want, gen_dataset([GeneratorSpec(model, count, params)], 3, 5, 4), seed=4
     )
     assert got.read_bytes() == want.read_bytes()
+
+
+def test_cli_generate_fills_model_defaults(tmp_path):
+    for model, defaults in MODEL_PARAMS.items():
+        got = tmp_path / f"{model}_cli.json"
+        assert run_cli("generate", "--model", model, "--n", 3, "--m", 4, "-o", got) == 0
+        want = tmp_path / f"{model}_lib.json"
+        dataio.write_dataset(want, gen_dataset([GeneratorSpec(model, 1, defaults)], 3, 4, 0), seed=0)
+        assert got.read_bytes() == want.read_bytes(), model
 
 
 def test_cli_non_matrix_names_its_shape(tmp_path, capsys):
