@@ -10,7 +10,9 @@ The explicit map sends an instance U to its two largest singular values
   east   sigma2 <= sigma1, with a sufficient block-duplication certificate
 
 Eigenvalues come from a cyclic Jacobi sweep on the n x n Gram matrix
-U U^T (n <= m keeps the small side), run to off-diagonal norm < 1e-12.
+U U^T (n <= m keeps the small side), run to off-diagonal norm < 1e-12. The
+sweep is batched: the Gram matrices of all instances of one shape are
+stacked and rotated together, bit-identical to one matrix at a time.
 """
 
 from __future__ import annotations
@@ -26,46 +28,79 @@ from .generators import gen_characteristic
 
 JACOBI_OFF_TOL = 1e-12
 BOUNDARY_TOL = 1e-7
+# Rows per stacked eigenvalue call in dirichlet_duplicated_sample: bounds the
+# Gram stack at a few hundred KiB whatever the sample count.
+_DIRICHLET_BLOCK = 4096
 
 
 def jacobi_eigenvalues(sym, off_tol: float = JACOBI_OFF_TOL, max_sweeps: int = 60) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, descending, by cyclic Jacobi sweeps.
 
-    Each sweep annihilates every off-diagonal pair (p, q) in row order with a
-    Givens rotation; convergence is quadratic, so the off-diagonal Frobenius
-    norm drops below ``off_tol`` after a handful of sweeps at these sizes.
+    ``sym`` is one (n, n) matrix or a (K, n, n) stack; the result is (n,) or
+    (K, n). Each sweep annihilates every off-diagonal pair (p, q) in row order
+    with a Givens rotation, applied at once to every matrix of the stack that
+    is not yet converged and has a[p, q] != 0. Every matrix gets exactly the
+    elementwise float64 operations it would get alone, so a stacked result is
+    bit-identical to one matrix at a time. Convergence is quadratic, so the
+    off-diagonal Frobenius norm drops below ``off_tol`` after a handful of
+    sweeps at these sizes.
     """
     a = np.array(sym, dtype=np.float64)
-    k = a.shape[0]
-    if a.ndim != 2 or a.shape[1] != k:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    for _ in range(max_sweeps):
-        off = a - np.diag(np.diag(a))
-        if np.sqrt((off * off).sum()) < off_tol:
-            return np.sort(np.diag(a))[::-1].copy()
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                app, aqq = a[p, p], a[q, q]
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, :] = a[:, p]
-                a[q, :] = a[:, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-    raise RuntimeError(f"Jacobi sweep did not converge in {max_sweeps} sweeps")
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    single = a.ndim == 2
+    if single:
+        a = a[None]
+    k = a.shape[-1]
+    eig = np.empty(a.shape[:2])
+    rows = np.arange(a.shape[0])
+    diag = np.arange(k)
+    off_mask = 1.0 - np.eye(k)
+    # A tiny a[p, q] can overflow tau * tau to inf; t is then the correct
+    # signed zero, so the overflow is benign.
+    with np.errstate(over="ignore", divide="ignore"):
+        for _ in range(max_sweeps):
+            off = a * off_mask
+            done = np.sqrt((off * off).reshape(len(a), k * k).sum(axis=1)) < off_tol
+            if done.any():
+                eig[rows[done]] = np.sort(a[done][:, diag, diag], axis=1)[:, ::-1]
+                a, rows = a[~done], rows[~done]
+            if not len(a):
+                return eig[0] if single else eig
+            for p in range(k - 1):
+                for q in range(p + 1, k):
+                    # The matrices with a[p, q] != 0: all of them by a slice,
+                    # some by an index array, and a lone one by an integer, so
+                    # that its tau, t, c and s are NumPy scalars, as cheap as
+                    # in an unstacked rotation.
+                    live = np.count_nonzero(a[:, p, q])
+                    if not live:
+                        continue
+                    if live == len(a):
+                        sub = 0 if live == 1 else slice(None)
+                    else:
+                        sub = np.flatnonzero(a[:, p, q])
+                        if live == 1:
+                            sub = int(sub[0])
+                    apq, app, aqq = a[sub, p, q], a[sub, p, p], a[sub, q, q]
+                    tau = (aqq - app) / (2.0 * apq)
+                    # The textbook t takes the branch of tau >= 0, so tau = -0.0
+                    # counts as positive: tau + 0.0 is +0.0 there.
+                    t = np.copysign(1.0 / (abs(tau) + np.sqrt(1.0 + tau * tau)), tau + 0.0)
+                    c = 1.0 / np.sqrt(1.0 + t * t)
+                    s = t * c
+                    col_p, col_q = a[sub, :, p], a[sub, :, q]
+                    cc, ss = c[..., None], s[..., None]
+                    new_p = cc * col_p - ss * col_q
+                    new_q = ss * col_p + cc * col_q
+                    new_pp, new_qq = app - t * apq, aqq + t * apq
+                    a[sub, :, p] = a[sub, p, :] = new_p
+                    a[sub, :, q] = a[sub, q, :] = new_q
+                    a[sub, p, p] = new_pp
+                    a[sub, q, q] = new_qq
+                    a[sub, p, q] = a[sub, q, p] = 0.0
+    where = "" if single else f" for matrix {int(rows[0])} of the stack"
+    raise RuntimeError(f"Jacobi sweep did not converge in {max_sweeps} sweeps{where}")
 
 
 @dataclass(frozen=True)
@@ -81,20 +116,26 @@ def _values_of(matrix) -> np.ndarray:
     return matrix.values if isinstance(matrix, UtilityMatrix) else np.asarray(matrix, dtype=np.float64)
 
 
+def _stacked_singular_values(arrays) -> np.ndarray:
+    """(K, min(n, m)) singular values, descending, of K same-shape arrays.
+
+    Each Gram matrix is formed as one ``arr @ arr.T`` (or ``arr.T @ arr``)
+    per array, exactly as for a single array, and the stack goes through one
+    ``jacobi_eigenvalues`` call. Eigenvalues are clamped at 0 before the
+    square root; the clamp extends to anything below 64 eps times the row's
+    top eigenvalue, which is indistinguishable from 0 at working precision
+    (sqrt would otherwise inflate that rounding junk to ~1e-8).
+    """
+    grams = [arr @ arr.T if arr.shape[0] <= arr.shape[1] else arr.T @ arr for arr in arrays]
+    eig = jacobi_eigenvalues(np.stack(grams))
+    tiny = 64.0 * np.finfo(np.float64).eps * np.maximum(eig[:, 0], 1.0)
+    return np.sqrt(np.where(eig > tiny[:, None], eig, 0.0))
+
+
 def singular_values(matrix) -> np.ndarray:
     """All singular values, descending. Accepts a raw array as well, which
-    keeps perturbation experiments outside the row-stochastic contract.
-
-    Eigenvalues of the Gram matrix are clamped at 0 before the square root;
-    the clamp extends to anything below 64 eps times the top eigenvalue,
-    which is indistinguishable from 0 at working precision (sqrt would
-    otherwise inflate that rounding junk to ~1e-8).
-    """
-    arr = _values_of(matrix)
-    gram = arr @ arr.T if arr.shape[0] <= arr.shape[1] else arr.T @ arr
-    eig = jacobi_eigenvalues(gram)
-    tiny = 64.0 * np.finfo(np.float64).eps * max(float(eig[0]), 1.0)
-    return np.sqrt(np.where(eig > tiny, eig, 0.0))
+    keeps perturbation experiments outside the row-stochastic contract."""
+    return _stacked_singular_values([_values_of(matrix)])[0]
 
 
 def top_singular_values(matrix) -> SpectralPoint:
@@ -103,12 +144,15 @@ def top_singular_values(matrix) -> SpectralPoint:
 
 
 def explicit_coords(records) -> np.ndarray:
-    """(k, 2) array of (sigma1, sigma2) rows, aligned with ``records``."""
+    """(k, 2) array of (sigma1, sigma2) rows, aligned with ``records``.
+    Records of one shape share one stacked eigenvalue call."""
+    arrays = [_values_of(rec.matrix) for rec in records]
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for idx, arr in enumerate(arrays):
+        by_shape.setdefault(arr.shape, []).append(idx)
     out = np.empty((len(records), 2))
-    for idx, rec in enumerate(records):
-        pt = top_singular_values(rec.matrix)
-        out[idx, 0] = pt.sigma1
-        out[idx, 1] = pt.sigma2
+    for idxs in by_shape.values():
+        out[idxs] = _stacked_singular_values([arrays[i] for i in idxs])[:, :2]
     return out
 
 
@@ -327,12 +371,13 @@ def dirichlet_duplicated_sample(n: int, m: int, count: int, seed) -> DirichletSu
     rng = np.random.default_rng(seed)
     s1sq = np.empty(count)
     max_s2 = 0.0
-    for idx in range(count):
-        row = rng.exponential(1.0, m)
-        row /= row.sum()
-        pt = top_singular_values(np.tile(row, (n, 1)))
-        s1sq[idx] = pt.sigma1 * pt.sigma1
-        max_s2 = max(max_s2, pt.sigma2)
+    for lo in range(0, count, _DIRICHLET_BLOCK):
+        # One draw per block takes the same stream values as one per row.
+        rows = rng.exponential(1.0, (min(_DIRICHLET_BLOCK, count - lo), m))
+        rows /= rows.sum(axis=1, keepdims=True)
+        sv = _stacked_singular_values([np.tile(row, (n, 1)) for row in rows])
+        s1sq[lo : lo + len(rows)] = sv[:, 0] * sv[:, 0]
+        max_s2 = max(max_s2, float(sv[:, 1].max()))
     mean = float(s1sq.mean())
     se = float(s1sq.std(ddof=1) / np.sqrt(count))
     return DirichletSummary(mean_sigma1_sq=mean, std_error=se, max_sigma2=float(max_s2))

@@ -4,11 +4,13 @@ The enumerations are coded from scratch in plain Python and share only the
 arithmetic-order conventions with the library: fsum over elementary terms
 for distances, and bundles accumulated good by good with agent aggregates
 in ascending index order for allocation features. That makes exact-equality
-checks against the library meaningful rather than circular. Two oracles
+checks against the library meaningful rather than circular. Three oracles
 are former library code kept as byte oracles: ``oracle_search``, the
-per-pair valuation search, which pins the bytes of the batched search, and
+per-pair valuation search, which pins the bytes of the batched search;
 ``oracle_smacof``, the textbook allocating SMACOF loop, which pins the bytes
-of the buffered one.
+of the buffered one; and ``oracle_jacobi``, the one-matrix-at-a-time Jacobi
+eigensolver, which pins the bytes of the stacked one (with the singular
+values and the Dirichlet sample built on it).
 """
 
 import itertools
@@ -18,6 +20,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from allocmap.core import InstanceRecord, ShapeMismatch, Source
+from allocmap.spectral import JACOBI_OFF_TOL
 
 
 def record(label, u):
@@ -229,3 +232,80 @@ def oracle_smacof(d, seed, iterations):
         x = (b @ x) / k
         trace.append(stress(d, x))
     return np.array(trace), x
+
+
+# The Jacobi eigensolver as it stood before it rotated stacks of matrices,
+# kept verbatim, with one addition: the overflow of tau * tau on a tiny
+# a[p, q] is silenced, as in the library, since t is then the correct zero.
+
+
+def oracle_jacobi(sym, off_tol=JACOBI_OFF_TOL, max_sweeps=60):
+    """Eigenvalues of one symmetric matrix, descending, one Givens rotation
+    at a time through NumPy scalar operations."""
+    a = np.array(sym, dtype=np.float64)
+    k = a.shape[0]
+    if a.ndim != 2 or a.shape[1] != k:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    for _ in range(max_sweeps):
+        off = a - np.diag(np.diag(a))
+        if np.sqrt((off * off).sum()) < off_tol:
+            return np.sort(np.diag(a))[::-1].copy()
+        for p in range(k - 1):
+            for q in range(p + 1, k):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                with np.errstate(over="ignore", divide="ignore"):
+                    tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                    if tau >= 0.0:
+                        t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
+                    else:
+                        t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                app, aqq = a[p, p], a[q, q]
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                a[:, p] = c * col_p - s * col_q
+                a[:, q] = s * col_p + c * col_q
+                a[p, :] = a[:, p]
+                a[q, :] = a[:, q]
+                a[p, p] = app - t * apq
+                a[q, q] = aqq + t * apq
+                a[p, q] = a[q, p] = 0.0
+    raise RuntimeError(f"Jacobi sweep did not converge in {max_sweeps} sweeps")
+
+
+def oracle_singular_values(arr):
+    """Singular values of one array, descending: its Gram matrix through
+    ``oracle_jacobi``, clamped at 64 eps times the top eigenvalue."""
+    gram = arr @ arr.T if arr.shape[0] <= arr.shape[1] else arr.T @ arr
+    eig = oracle_jacobi(gram)
+    tiny = 64.0 * np.finfo(np.float64).eps * max(float(eig[0]), 1.0)
+    return np.sqrt(np.where(eig > tiny, eig, 0.0))
+
+
+def oracle_explicit_coords(records):
+    """(sigma1, sigma2) of each record, one record at a time."""
+    out = np.empty((len(records), 2))
+    for idx, rec in enumerate(records):
+        sv = oracle_singular_values(rec.matrix.values)
+        out[idx, 0] = float(sv[0])
+        out[idx, 1] = float(sv[1])
+    return out
+
+
+def oracle_dirichlet(n, m, count, seed):
+    """(mean sigma1^2, its standard error, max sigma2) of ``count`` flat
+    Dirichlet rows copied to all n agents, one row drawn at a time."""
+    rng = np.random.default_rng(seed)
+    s1sq = np.empty(count)
+    max_s2 = 0.0
+    for idx in range(count):
+        row = rng.exponential(1.0, m)
+        row /= row.sum()
+        sv = oracle_singular_values(np.tile(row, (n, 1)))
+        s1, s2 = float(sv[0]), float(sv[1])
+        s1sq[idx] = s1 * s1
+        max_s2 = max(max_s2, s2)
+    return float(s1sq.mean()), float(s1sq.std(ddof=1) / np.sqrt(count)), float(max_s2)

@@ -1,8 +1,13 @@
+import warnings
+
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from allocmap.core import BadDimensions, validate
-from allocmap.generators import gen_characteristic, gen_iid, gen_attributes, gen_resampling
+from allocmap.core import BadDimensions, InstanceRecord, Source, validate
+from allocmap.generators import gen_attributes, gen_characteristic, gen_iid, gen_preset, gen_resampling
 from allocmap.spectral import (
     boundary_interpolation,
     boundary_report,
@@ -13,6 +18,7 @@ from allocmap.spectral import (
     singular_values,
     top_singular_values,
 )
+from oracles import oracle_dirichlet, oracle_explicit_coords, oracle_jacobi
 
 ALL_SHAPES = [(2, 2), (2, 5), (3, 6), (3, 8), (4, 9), (5, 5), (5, 6), (6, 6)]
 
@@ -64,6 +70,94 @@ def test_jacobi_rejects_non_square():
         jacobi_eigenvalues(np.ones((2, 3)))
 
 
+# ------------------------------------------------------ stacked jacobi
+
+
+def _entries(shape, scale):
+    return hnp.arrays(np.float64, shape, elements=st.floats(-scale, scale, allow_subnormal=False))
+
+
+@st.composite
+def _mixed_stack(draw):
+    """Symmetric n x n matrices that leave the live set at different sweeps:
+    already diagonal, one 2x2 block, a rank-one Gram, scattered zero
+    off-diagonal entries (the a[p, q] == 0 skip), a nearly diagonal one and
+    random symmetric ones of several scales, in a drawn order."""
+    n = draw(st.integers(2, 6))
+    diag = np.diag(draw(_entries(n, 4.0)))
+    block = np.diag(draw(_entries(n, 4.0)))
+    block[0, 1] = block[1, 0] = draw(st.floats(0.5, 3.0))
+    v = draw(_entries(n, 2.0))
+    holes = draw(_entries((n, n), 3.0))
+    holes[draw(hnp.arrays(np.bool_, (n, n)))] = 0.0
+    near = draw(_entries((n, n), 1e-7)) + np.diag(draw(_entries(n, 4.0)))
+    mats = [diag, block, np.outer(v, v), holes + holes.T, near + near.T]
+    for scale in draw(st.lists(st.sampled_from([1e-3, 1.0, 50.0]), min_size=1, max_size=4)):
+        b = draw(_entries((n, n), scale))
+        mats.append((b + b.T) / 2)
+    return np.stack([mats[i] for i in draw(st.permutations(range(len(mats))))])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_mixed_stack())
+def test_jacobi_stack_matches_one_matrix_at_a_time_bitwise(stack):
+    mine = jacobi_eigenvalues(stack)
+    assert mine.shape == stack.shape[:2]
+    assert mine.tobytes() == np.stack([oracle_jacobi(a) for a in stack]).tobytes()
+
+
+def test_jacobi_stack_names_the_matrix_that_fails_to_converge():
+    rng = np.random.default_rng(9)
+    b = rng.normal(size=(4, 4))
+    stack = np.stack([np.diag([3.0, 2.0, 1.0, 0.5]), b + b.T, np.eye(4)])
+    with pytest.raises(RuntimeError, match="matrix 1 of the stack"):
+        jacobi_eigenvalues(stack, max_sweeps=1)
+
+
+def test_jacobi_stack_rejects_non_square_trailing_shape():
+    for shape in ((3, 2, 3), (2, 3, 2), (2, 2, 2, 2), (4,)):
+        with pytest.raises(ValueError):
+            jacobi_eigenvalues(np.ones(shape))
+
+
+def test_jacobi_tiny_off_diagonal_rotates_without_warning():
+    # the (0, 1) rotation has tau = 5e199, so tau * tau overflows and t is +0
+    sym = np.array([[1.0, 1e-200, 0.0], [1e-200, 2.0, 0.5], [0.0, 0.5, 3.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eig = jacobi_eigenvalues(sym)
+    assert eig.tobytes() == oracle_jacobi(sym).tobytes()
+    assert np.abs(eig - np.linalg.eigvalsh(sym)[::-1]).max() < 1e-12
+
+
+def test_explicit_coords_emits_no_warning_on_wide_preset():
+    # record resamp_p0.1_phi0.75_000 has an off-diagonal Gram entry small
+    # enough to overflow tau * tau
+    records = gen_preset("10x20", 3007)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        explicit_coords(records)
+
+
+@pytest.mark.parametrize("seed", [7, 3007])
+@pytest.mark.parametrize("preset", ["3x6", "5x5", "10x20"])
+def test_explicit_coords_match_per_record_oracle_bitwise(preset, seed):
+    records = gen_preset(preset, seed)
+    assert explicit_coords(records).tobytes() == oracle_explicit_coords(records).tobytes()
+
+
+def test_explicit_coords_mixed_shapes_keep_record_order():
+    shapes = [(3, 6), (5, 5), (3, 6), (2, 5), (5, 5), (5, 5), (3, 6)]
+    records = [
+        InstanceRecord(f"r{i}", Source("test", {}), None, random_instance(n, m, 40 + i))
+        for i, (n, m) in enumerate(shapes)
+    ]
+    coords = explicit_coords(records)
+    for row, rec in zip(coords.tolist(), records):
+        pt = top_singular_values(rec.matrix)
+        assert row == [pt.sigma1, pt.sigma2]
+
+
 # ---------------------------------------------------- singular values
 
 
@@ -111,8 +205,6 @@ def test_top_singular_values_unpacks():
 
 
 def test_explicit_coords_alignment():
-    from allocmap.core import InstanceRecord, Source
-
     recs = [
         InstanceRecord("a", Source("characteristic", {}), None, gen_characteristic("CON", 3, 6)),
         InstanceRecord("b", Source("characteristic", {}), None, gen_characteristic("IND", 3, 6)),
@@ -326,6 +418,12 @@ def test_dirichlet_rectangular_mean_scales_with_m():
     # wider instances concentrate toward indifference: E sigma1^2 = 2n/(m+1)
     s = dirichlet_duplicated_sample(4, 12, 20000, seed=43)
     assert abs(s.mean_sigma1_sq - 2 * 4 / 13) < 4 * s.std_error
+
+
+def test_dirichlet_matches_row_by_row_oracle_bitwise():
+    # 5000 rows span a full block and a partial one
+    s = dirichlet_duplicated_sample(3, 4, 5000, seed=44)
+    assert (s.mean_sigma1_sq, s.std_error, s.max_sigma2) == oracle_dirichlet(3, 4, 5000, 44)
 
 
 def test_dirichlet_validation():
