@@ -14,7 +14,7 @@ from . import dataio
 from .core import CapError, ValidationError
 from .distance import EXACT_SEARCH_CAP, METRICS, pairwise_distances
 from .embedding import SMACOF_MAX_ITERS, SMACOF_TOL, mds_embed
-from .features import ALL_FEATURES, ALLOC_CAP, EFPO_QUAD_CAP, feature_table
+from .features import ALL_FEATURES, ALLOC_CAP, EFPO_QUAD_CAP, _columns, feature_table
 from .generators import (
     CHARACTERISTIC_KINDS,
     IID_DISTS,
@@ -95,10 +95,18 @@ def _cmd_explicit(args) -> None:
     )
 
 
+def _feature_names(args) -> list[str] | None:
+    """The --features list, None without the flag; an empty one is kept
+    empty, for features._columns to refuse."""
+    if args.features is None:
+        return None
+    return args.features.split(",") if args.features else []
+
+
 def _cmd_features(args) -> None:
+    columns = _columns(_feature_names(args))
     records, _ = dataio.read_dataset(args.dataset)
-    names = args.features.split(",") if args.features else None
-    table = feature_table(records, names, cap=args.alloc_cap, quad_cap=args.quad_cap)
+    table = feature_table(records, columns, cap=args.alloc_cap, quad_cap=args.quad_cap)
     dataio.write_features_csv(_outpath(args, "features.csv"), table, args.reasons)
 
 
@@ -128,7 +136,7 @@ def _cmd_pipeline(args) -> None:
         max_iters=args.max_iters,
         tol=args.tol,
         restarts=args.restarts,
-        features=args.features.split(",") if args.features else None,
+        features=_feature_names(args),
         color_feature=args.color,
         valuation_cap=args.cap,
         alloc_cap=args.alloc_cap,

@@ -122,6 +122,13 @@ def _checked_array(raw) -> np.ndarray:
     return arr
 
 
+def _row_sums(arr: np.ndarray) -> np.ndarray:
+    """The row sums of arr; a row past the float range sums to inf, which
+    the row-sum rule then refuses, without an overflow warning."""
+    with np.errstate(over="ignore"):
+        return arr.sum(axis=1)
+
+
 def validate(raw) -> UtilityMatrix:
     """Check shape, sign, and row sums; re-normalize rows within tolerance.
 
@@ -136,7 +143,7 @@ def validate(raw) -> UtilityMatrix:
     is what keeps file round trips exact.
     """
     arr = _checked_array(raw)
-    sums = arr.sum(axis=1)
+    sums = _row_sums(arr)
     bad = np.nonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOL))[0]
     if bad.size:
         i = int(bad[0])
@@ -151,7 +158,7 @@ def validate(raw) -> UtilityMatrix:
 def normalize_rows(raw) -> UtilityMatrix:
     """Divide each nonnegative row by its sum; zero rows are an error."""
     arr = _checked_array(raw)
-    sums = arr.sum(axis=1)
+    sums = _row_sums(arr)
     zero = np.nonzero(sums <= 0.0)[0]
     if zero.size:
         raise ZeroRow(int(zero[0]))

@@ -144,6 +144,9 @@ def _parse_dataset(text: str) -> tuple[list[InstanceRecord], dict]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, exc.msg) from None
+    except (ValueError, RecursionError) as exc:
+        # an integer too long to convert, or nesting too deep to decode
+        raise ParseError(1, str(exc)) from None
     if not isinstance(doc, dict) or doc.get("format") != DATASET_FORMAT:
         raise ParseError(1, f"not a {DATASET_FORMAT} file")
     records = []
@@ -376,6 +379,9 @@ def read_features_csv(path) -> FeatureTable:
     if header[0] != "label":
         raise ParseError(header_line, "first column must be 'label'")
     columns = header[1:]
+    for k, name in enumerate(columns):
+        if name in header[: k + 1]:
+            raise ParseError(header_line, f"column {name!r} appears twice")
     labels = [fields[0] for _, fields in rows]
     _check_labels(labels, [i for i, _ in rows])
     values = [

@@ -2,10 +2,12 @@
 
 Every complete allocation of m goods to n agents is one of n^m owner
 vectors; one search walks them in counter order (good m-1 varies fastest)
-in vectorized chunks and computes every requested feature. Accumulation is
-in ascending good and agent order throughout, so a plain-loop
-reimplementation reproduces values bit for bit. All of these are
-exponential and guarded by an explicit cap.
+in chunks and computes every requested feature. Each chunk gathers its
+bundle values from a table of subset sums into one reused buffer.
+Accumulation is in ascending good and agent order throughout, so a
+plain-loop reimplementation reproduces values bit for bit. All of these are
+exponential and guarded by an explicit cap. The closed-form matrix features
+are computed for all instances of one shape at once.
 """
 
 from __future__ import annotations
@@ -25,9 +27,11 @@ MMS_TOL = 1e-9
 PO_STRICT_TOL = 1e-9
 SINGLE_MINDED_TOL = 1e-9
 # A chunk's (n, n, C) bundle block holds at most this many entries: 128 KiB
-# of float64, under glibc's default mmap threshold, so the blocks come from
-# reused heap memory. On a 2-core x86 VM, 4x larger blocks made the features
-# of the 5x5 preset 1.6x slower, mostly in page faults on fresh mappings.
+# of float64, one buffer that every chunk of a walk refills. Chunks stay this
+# small for their consumers: the reductions of allocation_features run over
+# whole chunks. On a 2-core x86 VM a 2^17 cap, one chunk per 5x5 instance,
+# made the walk of the 5x5 preset 1.4x faster but its allocation features
+# 1.9x slower, in CPU time.
 _CHUNK_ENTRIES = 16_384
 
 ALLOCATION_FEATURES = (
@@ -66,26 +70,38 @@ class UnknownFeature(ValidationError):
 def _bundle_chunks(arr: np.ndarray) -> Iterator[np.ndarray]:
     """(n, n, C) stacks of bundle matrices over every owner vector, in
     counter order: B[i, k, c] is the value agent i puts on agent k's bundle
-    in allocation c.
+    in allocation c. Every chunk is yielded in one buffer, which the next
+    chunk overwrites.
 
-    A chunk fixes the owners of the leading goods and expands the trailing
-    ones a good at a time: each allocation is repeated n times and good j is
-    added to owner k's column of the k-th copy. Entries thus accumulate from
-    zero in ascending good order.
+    A chunk fixes the owners of the leading goods. Its (n, n, 2^t) table
+    holds each agent's value of each agent's leading goods plus every subset
+    of the t trailing goods, filled a good at a time in ascending good order;
+    each allocation then gathers its bundles from the table. Entries thus
+    accumulate from zero in ascending good order.
     """
     n, m = arr.shape
     trailing = m
     while trailing > 1 and n ** (trailing + 2) > _CHUNK_ENTRIES:
         trailing -= 1
     lead = m - trailing
+    subsets = 1 << trailing
+    # cells[k, c]: agent k's row of the flattened table plus the bitmask of
+    # the trailing goods that k owns in allocation c
+    cells = np.arange(n)[:, None] * subsets
+    owns = np.eye(n, dtype=cells.dtype)
+    for g in range(trailing):
+        cells = (cells[:, :, None] + (owns << g)[:, None, :]).reshape(n, -1)
+    table = np.empty((n, n, subsets))
+    b = np.empty((n, n, cells.shape[1]))
     for prefix in itertools.product(range(n), repeat=lead):
-        b = np.zeros((n, n, 1))
+        table[:, :, 0] = 0.0
         for j, k in enumerate(prefix):
-            b[:, k, 0] += arr[:, j]
-        for j in range(lead, m):
-            b = np.repeat(b, n, axis=2)
-            for k in range(n):
-                b[:, k, k::n] += arr[:, j, None]
+            table[:, k, 0] += arr[:, j]
+        for g in range(trailing):
+            half = 1 << g
+            np.add(table[:, :, :half], arr[:, lead + g, None, None], out=table[:, :, half : 2 * half])
+        for i in range(n):
+            np.take(table[i], cells, out=b[i], mode="clip")
         yield b
 
 
@@ -124,12 +140,12 @@ def allocation_features(
     """The requested allocation features of one instance, from one walk over
     the n^m owner vectors.
 
-    ``names`` come from ALLOCATION_FEATURES or "mms_shares". Each maps to
-    its value or, when n^m is over its cap, to the CapExceeded that the cap
-    raises; a capped feature leaves the others computed. ``quad_cap`` bounds
-    efpo_exists, which keeps every utility profile, and ``cap`` the rest.
-    max_util is closed form and never capped. mms_ok needs a second,
-    early-exit pass once the shares are known.
+    ``names`` come from ALLOCATION_FEATURES or "mms_shares", and the result
+    keeps their order. Each maps to its value or, when n^m is over its cap,
+    to the CapExceeded that the cap raises; a capped feature leaves the
+    others computed. ``quad_cap`` bounds efpo_exists, which keeps every
+    utility profile, and ``cap`` the rest. max_util is closed form and never
+    capped. mms_ok needs a second, early-exit pass once the shares are known.
     """
     arr = matrix.values
     n, m = arr.shape
@@ -200,7 +216,7 @@ def allocation_features(
     if keep:
         values["efpo_exists"] = _efpo_from(profiles, worst_envy)
     out.update((name, values[name]) for name in want)
-    return out
+    return {name: out[name] for name in names}
 
 
 def max_util(matrix: UtilityMatrix) -> float:
@@ -208,63 +224,59 @@ def max_util(matrix: UtilityMatrix) -> float:
     return float(matrix.values.max(axis=0).sum())
 
 
-def gini(x) -> float:
-    """Mean absolute difference over twice the mean, 0 for an all-zero vector."""
-    v = np.asarray(x, dtype=np.float64).ravel()
-    if v.size == 0:
-        raise ValueError("gini of an empty vector")
-    if v.min() < 0:
-        raise ValueError("gini needs nonnegative entries")
-    mean = v.mean()
-    if mean == 0.0:
-        return 0.0
-    diff = np.abs(v[:, None] - v[None, :]).sum()
-    return float(diff / (2.0 * v.size**2 * mean))
+def _gini(v: np.ndarray) -> np.ndarray:
+    """The Gini coefficient of each vector along the last axis of v: mean
+    absolute difference over twice the mean, 0 for an all-zero vector."""
+    m = v.shape[-1]
+    mean = v.mean(axis=-1)
+    diff = v[..., :, None] - v[..., None, :]
+    diff = np.abs(diff, out=diff).reshape(*v.shape[:-1], m * m).sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(mean == 0.0, 0.0, diff / (2.0 * m**2 * mean))
 
 
-def max_demand(matrix: UtilityMatrix) -> float:
-    return float(matrix.values.sum(axis=0).max())
+def _matrix_columns(stack: np.ndarray, names: list[str]) -> dict[str, np.ndarray]:
+    """The requested MATRIX_FEATURES of a (K, n, m) stack of instances, one
+    length-K column each, with the bits that one instance at a time gives.
 
-
-def preference_diversity(matrix: UtilityMatrix) -> float:
-    """Mean pairwise euclidean distance between utility rows."""
-    arr = matrix.values
-    n = arr.shape[0]
-    diff = arr[:, None, :] - arr[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    iu = np.triu_indices(n, k=1)
-    return float(dist[iu].mean())
-
-
-def demand_gini(matrix: UtilityMatrix) -> float:
-    return gini(matrix.values.sum(axis=0))
-
-
-def pickiness(matrix: UtilityMatrix) -> float:
-    """Mean Gini coefficient of the individual utility rows."""
-    return float(np.mean([gini(row) for row in matrix.values]))
-
-
-def frac_single_minded(matrix: UtilityMatrix) -> float:
-    positive = (matrix.values > SINGLE_MINDED_TOL).sum(axis=1)
-    return float((positive == 1).mean())
-
-
-_MATRIX_FUNCTIONS = {
-    "max_demand": max_demand,
-    "preference_diversity": preference_diversity,
-    "demand_gini": demand_gini,
-    "pickiness": pickiness,
-    "frac_single_minded": frac_single_minded,
-}
+    max_demand is the largest column sum; preference_diversity the mean
+    euclidean distance over pairs of utility rows; demand_gini the Gini
+    coefficient of the column sums; pickiness the mean Gini coefficient of
+    the rows; frac_single_minded the share of agents with exactly one good
+    above SINGLE_MINDED_TOL.
+    """
+    n = stack.shape[1]
+    out = {}
+    demand = stack.sum(axis=1)
+    if "max_demand" in names:
+        out["max_demand"] = demand.max(axis=1)
+    if "demand_gini" in names:
+        out["demand_gini"] = _gini(demand)
+    if "preference_diversity" in names:
+        diff = stack[:, :, None, :] - stack[:, None, :, :]
+        dist = np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=3))
+        pairs = np.triu_indices(n, k=1)
+        # The gathered pairs are strided; their mean rounds like one
+        # instance's only from a contiguous copy.
+        out["preference_diversity"] = np.ascontiguousarray(dist[:, pairs[0], pairs[1]]).mean(axis=1)
+    if "pickiness" in names:
+        out["pickiness"] = _gini(stack).mean(axis=1)
+    if "frac_single_minded" in names:
+        out["frac_single_minded"] = ((stack > SINGLE_MINDED_TOL).sum(axis=2) == 1).mean(axis=1)
+    return {name: out[name] for name in names}
 
 
 def _columns(features: list[str] | None) -> list[str]:
-    """The columns of a table of ``features``, all of them by default."""
+    """The columns of a table of ``features``, all of them by default; an
+    empty list or a repeated name is refused."""
     columns = list(features) if features is not None else list(ALL_FEATURES)
-    for name in columns:
+    if not columns:
+        raise ValidationError("no features requested")
+    for k, name in enumerate(columns):
         if name not in ALL_FEATURES:
             raise UnknownFeature(name)
+        if name in columns[:k]:
+            raise ValidationError(f"feature {name!r} requested twice")
     return columns
 
 
@@ -285,21 +297,30 @@ def feature_table(
     quad_cap: int = EFPO_QUAD_CAP,
 ) -> FeatureTable:
     """Compute requested features for every record; a feature that trips its
-    cap is recorded as absent with the reason, never raised."""
+    cap is recorded as absent with the reason, never raised. The matrix
+    features are computed for all records of one shape at once."""
     columns = _columns(features)
     alloc_names = [name for name in columns if name in ALLOCATION_FEATURES]
+    matrix_names = [name for name in columns if name in MATRIX_FEATURES]
+    cells: list[dict] = [{} for _ in records]
+    if matrix_names:
+        shapes: dict = {}
+        for index, rec in enumerate(records):
+            shapes.setdefault(rec.matrix.values.shape, []).append(index)
+        for group in shapes.values():
+            stack = np.stack([records[index].matrix.values for index in group])
+            for name, column in _matrix_columns(stack, matrix_names).items():
+                for index, value in zip(group, column.tolist()):
+                    cells[index][name] = value
     rows = []
     reasons = []
-    for rec in records:
-        alloc = allocation_features(rec.matrix, alloc_names, cap, quad_cap)
-        row: dict = {}
+    for rec, row in zip(records, cells):
+        row.update(allocation_features(rec.matrix, alloc_names, cap, quad_cap))
         for name in columns:
-            value = _MATRIX_FUNCTIONS[name](rec.matrix) if name in _MATRIX_FUNCTIONS else alloc[name]
-            if isinstance(value, CapError):
-                reasons.append((rec.label, name, str(value)))
-                value = None
-            row[name] = value
-        rows.append(row)
+            if isinstance(row[name], CapError):
+                reasons.append((rec.label, name, str(row[name])))
+                row[name] = None
+        rows.append({name: row[name] for name in columns})
     return FeatureTable(
         columns=columns, labels=[rec.label for rec in records], rows=rows, reasons=reasons
     )

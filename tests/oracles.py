@@ -10,7 +10,9 @@ per-pair valuation search, which pins the bytes of the batched search;
 ``oracle_smacof``, the textbook allocating SMACOF loop, which pins the bytes
 of the buffered one; and ``oracle_jacobi``, the one-matrix-at-a-time Jacobi
 eigensolver, which pins the bytes of the stacked one (with the singular
-values and the Dirichlet sample built on it).
+values and the Dirichlet sample built on it). So are the per-instance
+matrix features in ``MATRIX_FUNCTIONS``, which pin the bytes of
+``feature_table``'s columns computed for all instances of a shape at once.
 """
 
 import itertools
@@ -20,6 +22,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from allocmap.core import InstanceRecord, ShapeMismatch, Source
+from allocmap.features import SINGLE_MINDED_TOL
 from allocmap.spectral import JACOBI_OFF_TOL
 
 
@@ -309,3 +312,54 @@ def oracle_dirichlet(n, m, count, seed):
         s1sq[idx] = s1 * s1
         max_s2 = max(max_s2, s2)
     return float(s1sq.mean()), float(s1sq.std(ddof=1) / np.sqrt(count)), float(max_s2)
+
+
+def gini(x) -> float:
+    """Mean absolute difference over twice the mean, 0 for an all-zero vector."""
+    v = np.asarray(x, dtype=np.float64).ravel()
+    if v.size == 0:
+        raise ValueError("gini of an empty vector")
+    if v.min() < 0:
+        raise ValueError("gini needs nonnegative entries")
+    mean = v.mean()
+    if mean == 0.0:
+        return 0.0
+    diff = np.abs(v[:, None] - v[None, :]).sum()
+    return float(diff / (2.0 * v.size**2 * mean))
+
+
+def max_demand(matrix) -> float:
+    return float(matrix.values.sum(axis=0).max())
+
+
+def preference_diversity(matrix) -> float:
+    """Mean pairwise euclidean distance between utility rows."""
+    arr = matrix.values
+    n = arr.shape[0]
+    diff = arr[:, None, :] - arr[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    iu = np.triu_indices(n, k=1)
+    return float(dist[iu].mean())
+
+
+def demand_gini(matrix) -> float:
+    return gini(matrix.values.sum(axis=0))
+
+
+def pickiness(matrix) -> float:
+    """Mean Gini coefficient of the individual utility rows."""
+    return float(np.mean([gini(row) for row in matrix.values]))
+
+
+def frac_single_minded(matrix) -> float:
+    positive = (matrix.values > SINGLE_MINDED_TOL).sum(axis=1)
+    return float((positive == 1).mean())
+
+
+MATRIX_FUNCTIONS = {
+    "max_demand": max_demand,
+    "preference_diversity": preference_diversity,
+    "demand_gini": demand_gini,
+    "pickiness": pickiness,
+    "frac_single_minded": frac_single_minded,
+}

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from allocmap import features
-from allocmap.core import UtilityMatrix, validate
+from allocmap.core import UtilityMatrix, ValidationError, validate
 from allocmap.features import (
     ALL_FEATURES,
     ALLOCATION_FEATURES,
@@ -14,14 +14,10 @@ from allocmap.features import (
     UnknownFeature,
     allocation_features,
     feature_table,
-    frac_single_minded,
-    gini,
-    max_demand,
     max_util,
-    preference_diversity,
 )
-from allocmap.generators import gen_characteristic, gen_iid, gen_resampling
-from oracles import oracle_features, record
+from allocmap.generators import gen_characteristic, gen_iid, gen_preset, gen_resampling
+from oracles import MATRIX_FUNCTIONS, gini, oracle_features, record
 
 
 EXACT_ORACLE_FEATURES = (
@@ -71,11 +67,43 @@ def test_feature_table_matches_oracle_bitwise(n, m, examples):
                 # closed form, summed in NumPy's order rather than the oracle's
                 assert abs(got - want[name]) < 1e-12
             else:
-                assert np.float64(got).tobytes() == np.float64(want[name]).tobytes(), name
+                assert same_bits(got, want[name]), name
         shares = allocation_features(u, ["mms_shares"])["mms_shares"]
         assert shares.tobytes() == np.array(want["mms_shares"]).tobytes()
 
     check()
+
+
+def same_bits(got, want) -> bool:
+    return np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_walk_with_two_leading_goods_matches_oracle_bitwise():
+    # 4^7 owner vectors come in 16 chunks, each fixing the owners of the
+    # first 2 goods; the other cases walk 0 or 1 leading goods.
+    ties = weights_matrix([[3, 0, 1, 1, 2, 0, 3], [1, 1, 1, 1, 1, 1, 1],
+                           [0, 2, 2, 0, 1, 3, 1], [0, 0, 0, 0, 0, 0, 0]])
+    for u in (ties, gen_iid(4, 7, "uniform01", seed=47)):
+        chunks = [b.shape for b in features._bundle_chunks(u.values)]
+        assert chunks == [(4, 4, 4**5)] * 16
+        got = allocation_features(u, EXACT_ORACLE_FEATURES + ("ef_exists", "mms_shares"), quad_cap=4**7)
+        want = oracle_features(u)
+        for name in EXACT_ORACLE_FEATURES + ("ef_exists",):
+            if isinstance(want[name], bool):
+                assert got[name] is want[name], name
+            else:
+                assert same_bits(got[name], want[name]), (name, got[name], want[name])
+        assert got["mms_shares"].tobytes() == np.array(want["mms_shares"]).tobytes()
+
+
+def test_allocation_features_keep_the_requested_order():
+    rng = np.random.default_rng(5)
+    u = gen_iid(3, 4, "uniform01", seed=9)
+    for names in (ALLOCATION_FEATURES[::-1], ALLOCATION_FEATURES[3:] + ALLOCATION_FEATURES[:3],
+                  tuple(rng.permutation(ALLOCATION_FEATURES))):
+        assert list(allocation_features(u, names)) == list(names)
+        # capped names keep their place too
+        assert list(allocation_features(u, names, cap=80, quad_cap=80)) == list(names)
 
 
 # -------------------------------------------------------- frozen values
@@ -272,22 +300,52 @@ def test_matrix_features_indifference():
 
 
 def test_matrix_features_hand_cases():
-    u = validate(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    assert preference_diversity(u) == pytest.approx(np.sqrt(2), abs=1e-15)
-    assert frac_single_minded(u) == 1.0
-    assert max_demand(u) == 1.0
+    feats = matrix_row(validate(np.array([[1.0, 0.0], [0.0, 1.0]])))
+    assert feats["preference_diversity"] == pytest.approx(np.sqrt(2), abs=1e-15)
+    assert feats["frac_single_minded"] == 1.0
+    assert feats["max_demand"] == 1.0
     mixed = validate(np.array([
         [1.0, 0.0, 0.0, 0.0],
         [0.0, 1.0, 0.0, 0.0],
         [0.5, 0.5, 0.0, 0.0],
         [0.2, 0.3, 0.5, 0.0],
     ]))
-    assert frac_single_minded(mixed) == 0.5
+    assert matrix_row(mixed)["frac_single_minded"] == 0.5
 
 
 def test_single_minded_ignores_dust():
     arr = np.array([[1.0 - 1e-12, 1e-12], [0.5, 0.5]])
-    assert frac_single_minded(validate(arr)) == 0.5
+    assert matrix_row(validate(arr))["frac_single_minded"] == 0.5
+
+
+def assert_matrix_columns_match_oracle(records):
+    table = feature_table(records, MATRIX_FEATURES)
+    assert table.labels == [rec.label for rec in records]
+    for rec, row in zip(records, table.rows):
+        assert list(row) == list(MATRIX_FEATURES)
+        for name in MATRIX_FEATURES:
+            want = MATRIX_FUNCTIONS[name](rec.matrix)
+            assert same_bits(row[name], want), (rec.label, name, row[name], want)
+
+
+@pytest.mark.parametrize("preset", ["3x6", "5x5", "10x20"])
+@pytest.mark.parametrize("seed", [7, 1007])
+def test_matrix_columns_match_per_instance_oracle_bitwise(preset, seed):
+    assert_matrix_columns_match_oracle(gen_preset(preset, seed))
+
+
+def test_matrix_columns_of_a_mixed_shape_table_match_oracle_bitwise():
+    # shapes interleaved, so each shape's stack gathers records out of order;
+    # ties throughout, and an all-zero row and matrix for the zero-mean Gini
+    mats = [
+        weights_matrix([[1, 1, 0, 2], [0, 0, 0, 0], [3, 0, 0, 0]]),
+        weights_matrix([[1, 1, 1, 1, 1], [2, 0, 0, 0, 1]]),
+        weights_matrix([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
+        gen_iid(2, 5, "uniform01", seed=3),
+        weights_matrix([[2, 2, 1, 1], [1, 2, 1, 2], [0, 3, 0, 3]]),
+        gen_iid(4, 4, "uniform01", seed=4),
+    ]
+    assert_matrix_columns_match_oracle([record(f"r{k}", u) for k, u in enumerate(mats)])
 
 
 # ---------------------------------------------------------- feature table
@@ -323,16 +381,17 @@ def test_feature_table_absent_with_reason():
 
 
 def test_feature_table_computes_only_requested_matrix_features(monkeypatch):
-    def boom(matrix):
+    def boom(stack, names):
         raise AssertionError("matrix feature computed but not requested")
 
-    assert tuple(features._MATRIX_FUNCTIONS) == MATRIX_FEATURES
-    for name in MATRIX_FEATURES:
-        monkeypatch.setitem(features._MATRIX_FUNCTIONS, name, boom)
     recs = [record("a", gen_iid(3, 4, "uniform01", seed=3))]
+    assert list(features._matrix_columns(np.stack([recs[0].matrix.values]), MATRIX_FEATURES)) == list(
+        MATRIX_FEATURES
+    )
+    monkeypatch.setattr(features, "_matrix_columns", boom)
     tab = feature_table(recs, ALLOCATION_FEATURES)
     assert tab.columns == list(ALLOCATION_FEATURES) and not tab.reasons
-    # the table is where feature_table looks names up: a requested one runs
+    # _matrix_columns is where feature_table computes them: a requested one runs
     with pytest.raises(AssertionError):
         feature_table(recs, ["preference_diversity"])
 
@@ -346,3 +405,17 @@ def test_feature_table_subset_and_empty():
     assert empty.labels == [] and empty.rows == []
     with pytest.raises(UnknownFeature):
         feature_table(recs, features=["utility_spread"])
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        (["max_demand", "max_demand"], "feature 'max_demand' requested twice"),
+        (["ef_exists", "max_demand", "ef_exists"], "feature 'ef_exists' requested twice"),
+        ([], "no features requested"),
+    ],
+)
+def test_feature_table_refuses_repeated_or_empty_lists(names, message):
+    recs = [record("a", gen_iid(3, 4, "uniform01", seed=3))]
+    with pytest.raises(ValidationError, match=message):
+        feature_table(recs, features=names)

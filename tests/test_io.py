@@ -364,6 +364,16 @@ def test_csv_header_errors_name_the_header_line(tmp_path):
         dataio.read_distance_csv(p)
 
 
+def test_features_csv_refuses_a_repeated_column(tmp_path):
+    p = tmp_path / "f.csv"
+    p.write_text("# note=x\nlabel,max_demand,ef_exists,max_demand\na,0.5,1,0.25\n")
+    with pytest.raises(ParseError, match=r"^line 2: column 'max_demand' appears twice$"):
+        dataio.read_features_csv(p)
+    p.write_text("label,max_demand,label\na,0.5,b\n")
+    with pytest.raises(ParseError, match=r"^line 1: column 'label' appears twice$"):
+        dataio.read_features_csv(p)
+
+
 def test_features_csv_non_numeric_cell(tmp_path):
     p = tmp_path / "f.csv"
     p.write_text("# note=x\nlabel,max_demand\na,0.5\n\nb,zz\n")
@@ -532,6 +542,10 @@ BAD_INPUT_FILES = {
         "render points.csv --features-csv", b"label,max_demand\na,0.5\na,0.25\n", 4,
         "line 3: label 'a' appears twice",
     ),
+    "repeated_features_column": (
+        "render points.csv --features-csv", b"label,max_demand,max_demand\na,0.5,0.25\n", 4,
+        "line 1: column 'max_demand' appears twice",
+    ),
 }
 
 
@@ -668,6 +682,24 @@ def test_cli_features_alloc_cap(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("features", ds, "--cap", 80)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [("max_demand,max_demand", "feature 'max_demand' requested twice"), ("", "no features requested")],
+    ids=["repeated", "empty"],
+)
+def test_cli_features_refuses_repeated_or_empty_list(tmp_path, capsys, monkeypatch, names, message):
+    ds = make_input_dataset(tmp_path)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the dataset was read")
+
+    monkeypatch.setattr(dataio, "read_dataset", unreachable)
+    out = tmp_path / "f.csv"
+    assert run_cli("features", ds, "--features", names, "-o", out) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_cli_generate_preset(tmp_path):
@@ -867,6 +899,8 @@ def test_cli_pipeline_failure_cleans_up(tmp_path):
         (["--features", "minimax_envy"], "'max_demand'"),
         (["--features", "max_demand,envy"], "'envy'"),
         (["--color", "envy"], "'envy'"),
+        (["--features", "max_demand,ef_exists,max_demand"], "'max_demand' requested twice"),
+        (["--features", ""], "no features requested"),
     ],
 )
 def test_cli_pipeline_checks_features_before_any_work(tmp_path, capsys, monkeypatch, flags, named):
