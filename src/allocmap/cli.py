@@ -116,7 +116,7 @@ def _cmd_render(args) -> None:
         _outpath(args, "map.svg"),
         labels,
         pts,
-        explicit=args.explicit or header[1:] == ["sigma1", "sigma2"],
+        explicit=header[1:] == ["sigma1", "sigma2"],
         records=dataio.read_dataset(args.dataset)[0] if args.dataset else None,
         by_source=args.by_source,
         features=dataio.read_features_csv(args.features_csv) if args.features_csv else None,
@@ -218,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("render", parents=[output], help="SVG scatter of an embedding or explicit map")
     r.add_argument("points", help="embedding.csv or explicit.csv")
-    r.add_argument("--explicit", action="store_true", help="force explicit-map axes")
     r.add_argument("--dataset", help="dataset JSON for sources and boundary curves")
     r.add_argument("--features-csv", help="features CSV for coloring and markers")
     r.add_argument("--color", help="feature column used for the color ramp")

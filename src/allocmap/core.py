@@ -62,10 +62,6 @@ class ShapeMismatch(ValidationError):
         super().__init__(f"operands have different shapes: {shape_a} vs {shape_b}")
 
 
-class UnsupportedShape(ValidationError):
-    pass
-
-
 class CapError(RuntimeError):
     """Base for every explicit computation cap."""
 
@@ -83,24 +79,6 @@ class UtilityMatrix:
     @property
     def m(self) -> int:
         return self.values.shape[1]
-
-    def permuted(self, agents=None, goods=None) -> "UtilityMatrix":
-        """Reindex rows and/or columns (permutations leave validity intact)."""
-        arr = self.values
-        if agents is not None:
-            idx = _as_permutation(agents, self.n)
-            arr = arr[idx, :]
-        if goods is not None:
-            idx = _as_permutation(goods, self.m)
-            arr = arr[:, idx]
-        return UtilityMatrix(_frozen(arr))
-
-
-def _as_permutation(indices, size: int) -> np.ndarray:
-    idx = np.asarray(indices, dtype=int)
-    if idx.shape != (size,) or sorted(idx.tolist()) != list(range(size)):
-        raise ValidationError(f"not a permutation of 0..{size - 1}: {indices!r}")
-    return idx
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -116,6 +116,14 @@ def _field(obj: dict, key: str, kind: type, where: str):
     return value
 
 
+def _seed(obj: dict, where: str) -> int | None:
+    """obj's 'seed', an integer or null; an absent dataset seed reads as null."""
+    value = obj.get("seed")
+    if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
+        raise ParseError(1, f"{where}: 'seed' must be a JSON integer or null")
+    return value
+
+
 def write_dataset(path, records: list[InstanceRecord], seed: int | None = None) -> None:
     _check_labels([r.label for r in records])
     doc = {
@@ -132,7 +140,7 @@ def write_dataset(path, records: list[InstanceRecord], seed: int | None = None) 
             for rec in records
         ],
     }
-    _write_text(path, [json.dumps(doc, indent=2, sort_keys=True)])
+    _write_text(path, [json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)])
 
 
 def read_dataset(path) -> tuple[list[InstanceRecord], dict]:
@@ -164,13 +172,13 @@ def _parse_dataset(text: str) -> tuple[list[InstanceRecord], dict]:
                 source=Source(
                     _field(source, "model", str, where), dict(_field(source, "params", dict, where))
                 ),
-                seed=item["seed"],
+                seed=_seed(item, where),
                 matrix=validate(_rows_to_matrix(_field(item, "matrix", list, where), where)),
             )
         )
     # like every structural fault of the document, reported at line 1
     _check_labels([rec.label for rec in records], [1] * len(records))
-    meta = {"seed": doc.get("seed"), "version": doc.get("version")}
+    meta = {"seed": _seed(doc, "dataset"), "version": doc.get("version")}
     return records, meta
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .core import ValidationError, _child_seed
 from .distance import check_distances
@@ -28,22 +29,6 @@ class Embedding:
     stress_trace: np.ndarray
     degenerate: bool = False
     seed_used: int | None = field(default=None)
-
-
-def _plane_distances(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-    """Write |x_i - x_j| for k points in the plane into the k x k buffer out,
-    with the k x k buffer scratch overwritten on the way.
-
-    The columns of x are copied first: broadcasting a strided column is
-    several times slower than a contiguous one.
-    """
-    cols = x.T.copy()
-    np.subtract(cols[0, :, None], cols[0, None, :], out=out)
-    np.multiply(out, out, out=out)
-    np.subtract(cols[1, :, None], cols[1, None, :], out=scratch)
-    np.multiply(scratch, scratch, out=scratch)
-    np.add(out, scratch, out=out)
-    np.sqrt(out, out=out)
 
 
 def _canonicalize(x: np.ndarray) -> np.ndarray:
@@ -70,7 +55,6 @@ def _run_once(d: np.ndarray, seed, max_iters: int, tol: float) -> Embedding:
     neg_d = -d
     b = np.empty((k, k))
     e = np.empty((k, k))
-    scratch = np.empty((k, k))
     positive = np.empty((k, k), dtype=bool)
     res = np.empty(target.size)
     rowsum = np.empty(k)
@@ -85,8 +69,9 @@ def _run_once(d: np.ndarray, seed, max_iters: int, tol: float) -> Embedding:
         return float(res.sum())
 
     # The distances of each iterate serve both its stress and the next
-    # Guttman transform.
-    _plane_distances(x, e, scratch)
+    # Guttman transform. cdist sums dx * dx + dy * dy before the square root,
+    # as the textbook loop does, so e has its bits.
+    cdist(x, x, out=e)
     prev = raw_stress(e)
     trace = [prev]
     iterations = 0
@@ -102,7 +87,7 @@ def _run_once(d: np.ndarray, seed, max_iters: int, tol: float) -> Embedding:
         np.sum(b, axis=1, out=rowsum)
         np.fill_diagonal(b, -rowsum)
         x = (b @ x) / k
-        _plane_distances(x, e, scratch)
+        cdist(x, x, out=e)
         cur = raw_stress(e)
         trace.append(cur)
         iterations += 1

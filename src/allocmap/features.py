@@ -33,6 +33,11 @@ SINGLE_MINDED_TOL = 1e-9
 # made the walk of the 5x5 preset 1.4x faster but its allocation features
 # 1.9x slower, in CPU time.
 _CHUNK_ENTRIES = 16_384
+# The records of one shape go to _matrix_columns in blocks whose largest
+# temporary, the (K, n, m, m) row differences of pickiness, holds at most
+# this many entries: 512 KiB of float64. The 3x6 and 5x5 presets are one
+# block each.
+_MATRIX_BLOCK_ENTRIES = 65_536
 
 ALLOCATION_FEATURES = (
     "minimax_envy",
@@ -298,7 +303,7 @@ def feature_table(
 ) -> FeatureTable:
     """Compute requested features for every record; a feature that trips its
     cap is recorded as absent with the reason, never raised. The matrix
-    features are computed for all records of one shape at once."""
+    features are computed for blocks of records of one shape at once."""
     columns = _columns(features)
     alloc_names = [name for name in columns if name in ALLOCATION_FEATURES]
     matrix_names = [name for name in columns if name in MATRIX_FEATURES]
@@ -307,11 +312,14 @@ def feature_table(
         shapes: dict = {}
         for index, rec in enumerate(records):
             shapes.setdefault(rec.matrix.values.shape, []).append(index)
-        for group in shapes.values():
-            stack = np.stack([records[index].matrix.values for index in group])
-            for name, column in _matrix_columns(stack, matrix_names).items():
-                for index, value in zip(group, column.tolist()):
-                    cells[index][name] = value
+        for (n, m), group in shapes.items():
+            size = max(1, _MATRIX_BLOCK_ENTRIES // (n * m * m))
+            for lo in range(0, len(group), size):
+                block = group[lo : lo + size]
+                stack = np.stack([records[index].matrix.values for index in block])
+                for name, column in _matrix_columns(stack, matrix_names).items():
+                    for index, value in zip(block, column.tolist()):
+                        cells[index][name] = value
     rows = []
     reasons = []
     for rec, row in zip(records, cells):

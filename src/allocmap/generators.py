@@ -16,7 +16,6 @@ import numpy as np
 from .core import (
     InstanceRecord,
     Source,
-    UnsupportedShape,
     UtilityMatrix,
     _child_seed,
     check_shape,
@@ -66,8 +65,6 @@ def gen_characteristic(kind: str, n: int, m: int) -> UtilityMatrix:
             arr[:, n * block :] = (1.0 - block * n / m) / rest
     elif kind == "BIC":
         half = n // 2
-        if n % 2 and m < 3:
-            raise UnsupportedShape(f"BIC with odd n={n} needs m >= 3, got m={m}")
         arr[:half, 0] = 1.0
         arr[half : 2 * half, 1] = 1.0
         if n % 2:
@@ -75,12 +72,6 @@ def gen_characteristic(kind: str, n: int, m: int) -> UtilityMatrix:
     else:
         raise ValueError(f"unknown characteristic kind {kind!r}")
     return validate(arr)
-
-
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def gen_iid(n: int, m: int, dist: str, seed) -> UtilityMatrix:
@@ -92,7 +83,7 @@ def gen_iid(n: int, m: int, dist: str, seed) -> UtilityMatrix:
     check_shape(n, m)
     if dist not in IID_DISTS:
         raise ValueError(f"unknown iid dist {dist!r}, expected one of {IID_DISTS}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
 
     def draw(rows: int) -> np.ndarray:
         if dist == "uniform01":
@@ -119,7 +110,7 @@ def gen_attributes(n: int, m: int, d: int, seed) -> UtilityMatrix:
     check_shape(n, m)
     if d < 1:
         raise ValueError(f"attribute dimension must be >= 1, got {d}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     goods = rng.random((m, d))
     agents = rng.random((n, d))
     arr = agents @ goods.T
@@ -146,7 +137,7 @@ def gen_resampling(n: int, m: int, p: float, phi: float, seed) -> UtilityMatrix:
         raise ValueError(f"p must be in (0, 1], got {p}")
     if not 0.0 <= phi <= 1.0:
         raise ValueError(f"phi must be in [0, 1], got {phi}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     size = int(np.floor(p * m))
     central = np.zeros(m, dtype=bool)
     central[rng.choice(m, size=size, replace=False)] = True

@@ -10,9 +10,10 @@ The explicit map sends an instance U to its two largest singular values
   east   sigma2 <= sigma1, with a sufficient block-duplication certificate
 
 Eigenvalues come from a cyclic Jacobi sweep on the n x n Gram matrix
-U U^T (n <= m keeps the small side), run to off-diagonal norm < 1e-12. The
-sweep is batched: the Gram matrices of all instances of one shape are
-stacked and rotated together, bit-identical to one matrix at a time.
+U U^T (n <= m keeps the small side), run to off-diagonal norm < 1e-12.
+``singular_values`` is the one entry: it stacks the Gram matrices of
+same-shape arrays and rotates them together, bit-identical to one matrix
+at a time.
 """
 
 from __future__ import annotations
@@ -23,34 +24,30 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .core import UnsupportedShape, UtilityMatrix, check_shape, validate
+from .core import UtilityMatrix, check_shape, validate
 from .generators import gen_characteristic
 
 JACOBI_OFF_TOL = 1e-12
+JACOBI_MAX_SWEEPS = 60
 BOUNDARY_TOL = 1e-7
 # Rows per stacked eigenvalue call in dirichlet_duplicated_sample: bounds the
 # Gram stack at a few hundred KiB whatever the sample count.
 _DIRICHLET_BLOCK = 4096
 
 
-def jacobi_eigenvalues(sym, off_tol: float = JACOBI_OFF_TOL, max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, descending, by cyclic Jacobi sweeps.
+def _jacobi_eigenvalues(stack: np.ndarray) -> np.ndarray:
+    """(K, n) eigenvalues, descending, of a (K, n, n) stack of symmetric
+    matrices, by cyclic Jacobi sweeps.
 
-    ``sym`` is one (n, n) matrix or a (K, n, n) stack; the result is (n,) or
-    (K, n). Each sweep annihilates every off-diagonal pair (p, q) in row order
-    with a Givens rotation, applied at once to every matrix of the stack that
-    is not yet converged and has a[p, q] != 0. Every matrix gets exactly the
+    Each sweep annihilates every off-diagonal pair (p, q) in row order with a
+    Givens rotation, applied at once to every matrix of the stack that is not
+    yet converged and has a[p, q] != 0. Every matrix gets exactly the
     elementwise float64 operations it would get alone, so a stacked result is
     bit-identical to one matrix at a time. Convergence is quadratic, so the
-    off-diagonal Frobenius norm drops below ``off_tol`` after a handful of
-    sweeps at these sizes.
+    off-diagonal Frobenius norm drops below ``JACOBI_OFF_TOL`` after a
+    handful of sweeps at these sizes.
     """
-    a = np.array(sym, dtype=np.float64)
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    single = a.ndim == 2
-    if single:
-        a = a[None]
+    a = np.array(stack, dtype=np.float64)
     k = a.shape[-1]
     eig = np.empty(a.shape[:2])
     rows = np.arange(a.shape[0])
@@ -59,14 +56,14 @@ def jacobi_eigenvalues(sym, off_tol: float = JACOBI_OFF_TOL, max_sweeps: int = 6
     # A tiny a[p, q] can overflow tau * tau to inf; t is then the correct
     # signed zero, so the overflow is benign.
     with np.errstate(over="ignore", divide="ignore"):
-        for _ in range(max_sweeps):
+        for _ in range(JACOBI_MAX_SWEEPS):
             off = a * off_mask
-            done = np.sqrt((off * off).reshape(len(a), k * k).sum(axis=1)) < off_tol
+            done = np.sqrt((off * off).reshape(len(a), k * k).sum(axis=1)) < JACOBI_OFF_TOL
             if done.any():
                 eig[rows[done]] = np.sort(a[done][:, diag, diag], axis=1)[:, ::-1]
                 a, rows = a[~done], rows[~done]
             if not len(a):
-                return eig[0] if single else eig
+                return eig
             for p in range(k - 1):
                 for q in range(p + 1, k):
                     # The matrices with a[p, q] != 0: all of them by a slice,
@@ -99,81 +96,58 @@ def jacobi_eigenvalues(sym, off_tol: float = JACOBI_OFF_TOL, max_sweeps: int = 6
                     a[sub, p, p] = new_pp
                     a[sub, q, q] = new_qq
                     a[sub, p, q] = a[sub, q, p] = 0.0
-    where = "" if single else f" for matrix {int(rows[0])} of the stack"
-    raise RuntimeError(f"Jacobi sweep did not converge in {max_sweeps} sweeps{where}")
+    raise RuntimeError(
+        f"Jacobi sweep did not converge in {JACOBI_MAX_SWEEPS} sweeps"
+        f" for matrix {int(rows[0])} of the stack"
+    )
 
 
-@dataclass(frozen=True)
-class SpectralPoint:
-    sigma1: float
-    sigma2: float
-
-    def __iter__(self):
-        return iter((self.sigma1, self.sigma2))
-
-
-def _values_of(matrix) -> np.ndarray:
-    return matrix.values if isinstance(matrix, UtilityMatrix) else np.asarray(matrix, dtype=np.float64)
-
-
-def _stacked_singular_values(arrays) -> np.ndarray:
-    """(K, min(n, m)) singular values, descending, of K same-shape arrays.
+def singular_values(arrays) -> np.ndarray:
+    """(K, min(n, m)) singular values, descending, of K same-shape arrays;
+    raw arrays are accepted, which keeps perturbation experiments outside the
+    row-stochastic contract. Every singular value in allocmap comes from here.
 
     Each Gram matrix is formed as one ``arr @ arr.T`` (or ``arr.T @ arr``)
     per array, exactly as for a single array, and the stack goes through one
-    ``jacobi_eigenvalues`` call. Eigenvalues are clamped at 0 before the
+    ``_jacobi_eigenvalues`` call. Eigenvalues are clamped at 0 before the
     square root; the clamp extends to anything below 64 eps times the row's
     top eigenvalue, which is indistinguishable from 0 at working precision
     (sqrt would otherwise inflate that rounding junk to ~1e-8).
     """
     grams = [arr @ arr.T if arr.shape[0] <= arr.shape[1] else arr.T @ arr for arr in arrays]
-    eig = jacobi_eigenvalues(np.stack(grams))
+    eig = _jacobi_eigenvalues(np.stack(grams))
     tiny = 64.0 * np.finfo(np.float64).eps * np.maximum(eig[:, 0], 1.0)
     return np.sqrt(np.where(eig > tiny[:, None], eig, 0.0))
-
-
-def singular_values(matrix) -> np.ndarray:
-    """All singular values, descending. Accepts a raw array as well, which
-    keeps perturbation experiments outside the row-stochastic contract."""
-    return _stacked_singular_values([_values_of(matrix)])[0]
-
-
-def top_singular_values(matrix) -> SpectralPoint:
-    sv = singular_values(matrix)
-    return SpectralPoint(float(sv[0]), float(sv[1]))
 
 
 def explicit_coords(records) -> np.ndarray:
     """(k, 2) array of (sigma1, sigma2) rows, aligned with ``records``.
     Records of one shape share one stacked eigenvalue call."""
-    arrays = [_values_of(rec.matrix) for rec in records]
     by_shape: dict[tuple[int, int], list[int]] = {}
-    for idx, arr in enumerate(arrays):
-        by_shape.setdefault(arr.shape, []).append(idx)
+    for idx, rec in enumerate(records):
+        by_shape.setdefault(rec.matrix.values.shape, []).append(idx)
     out = np.empty((len(records), 2))
     for idxs in by_shape.values():
-        out[idxs] = _stacked_singular_values([arrays[i] for i in idxs])[:, :2]
+        out[idxs] = singular_values([records[i].matrix.values for i in idxs])[:, :2]
     return out
 
 
-def corner_coordinates(kind: str, n: int, m: int) -> SpectralPoint:
-    """Closed-form map position of a characteristic instance."""
+def corner_coordinates(kind: str, n: int, m: int) -> tuple[float, float]:
+    """Closed-form (sigma1, sigma2) of a characteristic instance."""
     check_shape(n, m)
     block = m // n
     if kind == "IND":
-        return SpectralPoint(np.sqrt(n / m), 0.0)
+        return np.sqrt(n / m), 0.0
     if kind == "CON":
-        return SpectralPoint(np.sqrt(n), 0.0)
+        return np.sqrt(n), 0.0
     if kind == "SEP":
-        return SpectralPoint(1.0, 1.0)
+        return 1.0, 1.0
     if kind == "WSEP":
-        return SpectralPoint(np.sqrt(1.0 / block), np.sqrt(1.0 / block))
+        return np.sqrt(1.0 / block), np.sqrt(1.0 / block)
     if kind == "WSEPf":
-        return SpectralPoint(np.sqrt(n / m), np.sqrt(block) * n / m)
+        return np.sqrt(n / m), np.sqrt(block) * n / m
     if kind == "BIC":
-        if n % 2 and m < 3:
-            raise UnsupportedShape(f"BIC with odd n={n} needs m >= 3, got m={m}")
-        return SpectralPoint(np.sqrt(n // 2), np.sqrt(n // 2))
+        return np.sqrt(n // 2), np.sqrt(n // 2)
     raise ValueError(f"unknown characteristic kind {kind!r}")
 
 
@@ -252,7 +226,7 @@ def _east_block_certificate(arr: np.ndarray, tol: float) -> bool | None:
         return False
     if max(b.shape[0] for b in blocks) > 8:
         return None
-    tops = [float(singular_values(b)[0]) for b in blocks]
+    tops = [float(singular_values([b])[0, 0]) for b in blocks]
     peak = max(tops)
     peak_idx = [i for i, t in enumerate(tops) if t >= peak - tol]
     for i, j in itertools.combinations(peak_idx, 2):
@@ -264,7 +238,7 @@ def _east_block_certificate(arr: np.ndarray, tol: float) -> bool | None:
 def boundary_report(matrix: UtilityMatrix, tol: float = BOUNDARY_TOL) -> BoundaryReport:
     arr = matrix.values
     n, m = arr.shape
-    s1, s2 = top_singular_values(matrix)
+    s1, s2 = singular_values([arr])[0, :2].tolist()
 
     west_res = s2
     south_res = s1 - float(np.sqrt(n / m))
@@ -375,7 +349,7 @@ def dirichlet_duplicated_sample(n: int, m: int, count: int, seed) -> DirichletSu
         # One draw per block takes the same stream values as one per row.
         rows = rng.exponential(1.0, (min(_DIRICHLET_BLOCK, count - lo), m))
         rows /= rows.sum(axis=1, keepdims=True)
-        sv = _stacked_singular_values([np.tile(row, (n, 1)) for row in rows])
+        sv = singular_values([np.tile(row, (n, 1)) for row in rows])
         s1sq[lo : lo + len(rows)] = sv[:, 0] * sv[:, 0]
         max_s2 = max(max_s2, float(sv[:, 1].max()))
     mean = float(s1sq.mean())

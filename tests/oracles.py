@@ -21,13 +21,18 @@ import math
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from allocmap.core import InstanceRecord, ShapeMismatch, Source
+from allocmap.core import InstanceRecord, ShapeMismatch, Source, UtilityMatrix
 from allocmap.features import SINGLE_MINDED_TOL
 from allocmap.spectral import JACOBI_OFF_TOL
 
 
 def record(label, u):
     return InstanceRecord(label, Source("test", {}), None, u)
+
+
+def relabel(u, agents, goods):
+    """The instance u with its agents and goods reordered by two permutations."""
+    return UtilityMatrix(u.values[np.ix_(agents, goods)])
 
 
 def oracle_valuation(u1, u2):

@@ -75,21 +75,6 @@ def test_normalize_rows_rejects_negatives():
         normalize_rows([[2.0, -1.0], [1.0, 1.0]])
 
 
-def test_permuted_rows_and_columns():
-    u = validate([[0.1, 0.2, 0.7], [0.3, 0.3, 0.4]])
-    v = u.permuted([1, 0], [2, 0, 1])
-    assert np.array_equal(v.values, [[0.4, 0.3, 0.3], [0.7, 0.1, 0.2]])
-    # identity permutations change nothing
-    w = u.permuted([0, 1], [0, 1, 2])
-    assert np.array_equal(w.values, u.values)
-
-
-def test_permuted_validates_permutations():
-    u = validate([[0.5, 0.5], [0.25, 0.75]])
-    with pytest.raises(Exception):
-        u.permuted([0, 0], [0, 1])
-
-
 def test_shape_mismatch_message():
     err = ShapeMismatch((2, 3), (3, 3))
     assert "(2, 3)" in str(err) and "(3, 3)" in str(err)

@@ -17,7 +17,7 @@ from allocmap.features import (
     max_util,
 )
 from allocmap.generators import gen_characteristic, gen_iid, gen_preset, gen_resampling
-from oracles import MATRIX_FUNCTIONS, gini, oracle_features, record
+from oracles import MATRIX_FUNCTIONS, gini, oracle_features, record, relabel
 
 
 EXACT_ORACLE_FEATURES = (
@@ -245,7 +245,7 @@ def test_features_invariant_under_relabeling():
     rng = np.random.default_rng(31)
     for seed in range(10):
         u = gen_iid(3, 4, "uniform01", seed=seed + 300)
-        v = u.permuted(rng.permutation(3), rng.permutation(4))
+        v = relabel(u, rng.permutation(3), rng.permutation(4))
         names = ["minimax_envy", "max_nash", "prop_fraction", "mms_ok"]
         fu, fv = allocation_features(u, names), allocation_features(v, names)
         assert abs(fu["minimax_envy"] - fv["minimax_envy"]) < 1e-12
@@ -332,6 +332,26 @@ def assert_matrix_columns_match_oracle(records):
 @pytest.mark.parametrize("seed", [7, 1007])
 def test_matrix_columns_match_per_instance_oracle_bitwise(preset, seed):
     assert_matrix_columns_match_oracle(gen_preset(preset, seed))
+
+
+@pytest.mark.parametrize("preset", ["3x6", "5x5"])
+def test_matrix_columns_in_blocks_match_oracle_bitwise(monkeypatch, preset):
+    records = gen_preset(preset, 7)
+    sizes = []
+    columns = features._matrix_columns
+
+    def spy(stack, names):
+        sizes.append(len(stack))
+        return columns(stack, names)
+
+    monkeypatch.setattr(features, "_matrix_columns", spy)
+    feature_table(records, MATRIX_FEATURES)
+    assert sizes == [len(records)]  # the default bound keeps a preset one block
+    sizes.clear()
+    # 1000 entries: blocks of 9 (3x6) or 8 (5x5) records, the last one partial
+    monkeypatch.setattr(features, "_MATRIX_BLOCK_ENTRIES", 1000)
+    assert_matrix_columns_match_oracle(records)
+    assert len(sizes) > 1 and sum(sizes) == len(records)
 
 
 def test_matrix_columns_of_a_mixed_shape_table_match_oracle_bitwise():

@@ -670,6 +670,47 @@ def test_dataset_non_numeric_cell_names_instance_and_row(tmp_path):
         dataio.read_dataset(p)
 
 
+BAD_SEEDS = {"nan": float("nan"), "string": "x", "float": 1.5, "bool": True, "list": [1]}
+
+
+@pytest.mark.parametrize("level", ["instance", "dataset"])
+@pytest.mark.parametrize("case", sorted(BAD_SEEDS))
+def test_dataset_seed_that_is_not_an_integer_or_null_exits_4(tmp_path, capsys, level, case):
+    doc = _dataset_doc()
+    (doc["instances"][0] if level == "instance" else doc)["seed"] = BAD_SEEDS[case]
+    p = tmp_path / "d.json"
+    p.write_text(json.dumps(doc))
+    where = "instance 0" if level == "instance" else "dataset"
+    message = f"line 1: {where}: 'seed' must be a JSON integer or null"
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        dataio.read_dataset(p)
+    out = tmp_path / "out.json"
+    assert run_cli("ingest", p, "-o", out) == 4
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [2**64 - 1, None])
+def test_dataset_seed_round_trip(tmp_path, seed):
+    doc = _dataset_doc(seed=seed)
+    doc["seed"] = seed
+    p = tmp_path / "d.json"
+    p.write_text(json.dumps(doc))
+    records, meta = dataio.read_dataset(p)
+    assert records[0].seed == seed and meta["seed"] == seed
+    once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+    dataio.write_dataset(once, records, seed=meta["seed"])
+    back, meta = dataio.read_dataset(once)
+    assert back[0].seed == seed and meta["seed"] == seed
+    dataio.write_dataset(twice, back, seed=meta["seed"])
+    assert twice.read_bytes() == once.read_bytes()
+
+
+def test_write_dataset_refuses_non_standard_json(tmp_path):
+    with pytest.raises(ValueError):
+        dataio.write_dataset(tmp_path / "w.json", tiny_records(2), seed=float("nan"))
+
+
 def test_cli_features_alloc_cap(tmp_path, capsys):
     ds = make_input_dataset(tmp_path)
     out = tmp_path / "f.csv"
