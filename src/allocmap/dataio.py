@@ -148,8 +148,16 @@ def read_dataset(path) -> tuple[list[InstanceRecord], dict]:
 
 
 def _parse_dataset(text: str) -> tuple[list[InstanceRecord], dict]:
+    # json.loads takes NaN, Infinity and -Infinity anywhere; each is refused
+    # once the structure is checked, so a non-finite seed fails as a seed
+    nonfinite = []
+
+    def constant(name):
+        nonfinite.append(name)
+        return float(name)
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=constant)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, exc.msg) from None
     except (ValueError, RecursionError) as exc:
@@ -179,6 +187,8 @@ def _parse_dataset(text: str) -> tuple[list[InstanceRecord], dict]:
     # like every structural fault of the document, reported at line 1
     _check_labels([rec.label for rec in records], [1] * len(records))
     meta = {"seed": _seed(doc, "dataset"), "version": doc.get("version")}
+    if nonfinite:
+        raise ParseError(1, f"not a finite number: {nonfinite[0]!r}")
     return records, meta
 
 

@@ -11,6 +11,7 @@ and the root bound of the exact search.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -194,14 +195,51 @@ def _walk(tensor, order, k, best: float, bound: float, levels) -> float:
     return best
 
 
+def _settle(tensor, order, live, best, lbs) -> list[int]:
+    """Leaf pass over block pairs ``live`` whose whole tree fits the node
+    budget: price all n! leaves of each (costs summed in matching order, as
+    ``_price`` sums them, so each leaf gets the bits ``_price`` gives it) and
+    settle ``best[k]`` where the walk's result follows from the leaves alone.
+    Returns the pairs left for the walk.
+
+    The walk skips a leaf only below a relaxation >= its incumbent plus
+    ``_PRUNE_SLACK``, and a leaf never falls below an ancestor's relaxation
+    by more than a few ulps, so no skipped leaf could lower the minimum or
+    stop the walk. With no leaf within the bound the walk returns the least
+    leaf or the incumbent; with leaves within it the walk stops at the first
+    it reaches, which only its order decides unless they all tie.
+    """
+    n, m = order.size, tensor.shape[-1]
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    f = len(perms)
+    pairs, paths = np.repeat(live, f), np.tile(perms, (len(live), 1))
+    costs = np.zeros((len(paths), m, m))
+    for s in range(n):
+        costs += tensor[pairs, order[s], paths[:, s]]
+    leaves = _matched_l1(tensor, pairs, order, paths, costs)
+    undecided = []
+    for t, k in enumerate(live):
+        values = leaves[t * f : t * f + f]
+        below = {v for v in values if v <= lbs[k]}
+        if not below:
+            best[k] = min(best[k], *values)
+        elif len(below) == 1:
+            best[k] = below.pop()
+        else:
+            undecided.append(k)
+    return undecided
+
+
 def _valuation_row(values: np.ndarray, i: int, demand: list[float]) -> list[float]:
     """Valuation distances from instance i to every later instance of the
     stacked (k, n, m) ``values``, with the demand row as root bounds.
 
     Pairs go in blocks. One broadcast builds each block's agent-to-agent
     goods-cost tensor; the identity matchings (costs summed in agent order)
-    give every pair's first incumbent; ``_price`` values the top levels of
-    every pair still above its bound; then ``_walk`` searches each pair.
+    give every pair's first incumbent. Where the whole tree fits the node
+    budget (n <= 5), ``_settle`` prices every leaf of the pairs still above
+    their bounds and settles almost all of them; ``_price`` values the top
+    levels of every pair left, then ``_walk`` searches each.
     """
     a1 = values[i]
     n, m = a1.shape
@@ -218,6 +256,8 @@ def _valuation_row(values: np.ndarray, i: int, demand: list[float]) -> list[floa
             tensor[:, ident, ident].sum(axis=1),
         )
         live = [k for k in range(len(rest)) if best[k] > lbs[k]]
+        if live and len(_ahead(n, 0)) == n:
+            live = _settle(tensor, order, live, best, lbs)
         if live:
             priced = _price(
                 tensor, order, np.array(live), np.empty((len(live), 0), dtype=np.intp),

@@ -323,20 +323,37 @@ def test_pairwise_valuation_matches_search_oracle_bitwise(monkeypatch, n, m, bud
     # given the same root bound, the batched search must take every decision
     # of the per-pair search, so each entry equals its bytes, for one process
     # and for two. A drawn column per instance (or -1 for none) is zeroed.
+    # Some draws rebuild the first instance from drawn rows of its own, so
+    # rows repeat, and replace the last by a relabeled copy of it: many of
+    # that pair's leaves then tie at its bound.
     # Small node budgets price fewer levels ahead and send the walk down the
-    # path that prices one node's subtree; the pool inherits the patch by
-    # forking.
+    # path that prices one node's subtree; they also turn the leaf pass off
+    # (budget 0 always, budget 5 from n = 3), so the walk decides every pair
+    # there. The pool inherits the patch by forking.
     if budget is not None:
         monkeypatch.setattr(distance, "_NODE_BUDGET", budget)
 
     @settings(max_examples=10, deadline=None, derandomize=True)
-    @given(_weights((5, n, m)), st.lists(st.integers(-1, m - 1), min_size=5, max_size=5))
-    def check(weights, zero_cols):
+    @given(
+        _weights((5, n, m)),
+        st.lists(st.integers(-1, m - 1), min_size=5, max_size=5),
+        st.none()
+        | st.tuples(
+            st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+            st.permutations(range(n)),
+            st.permutations(range(m)),
+        ),
+    )
+    def check(weights, zero_cols, copy):
         for w, j in zip(weights, zero_cols):
             if j >= 0:
                 w[:, j] = 0
+        if copy is not None:
+            weights[0] = weights[0][copy[0]]
         assume(weights.sum(axis=2).all())
         recs = [record(f"r{i}", normalize_rows(w)) for i, w in enumerate(weights)]
+        if copy is not None:
+            recs[-1] = record("copy", relabel(recs[0].matrix, *copy[1:]))
         want = np.zeros((len(recs), len(recs)))
         for i, j in itertools.combinations(range(len(recs)), 2):
             u1, u2 = recs[i].matrix, recs[j].matrix
@@ -356,6 +373,48 @@ def test_valuation_preset_pair_keeps_the_search_stop():
     want = oracle_search(u1, u2, demand_distance(u1, u2))
     assert want == 1.194090485797808
     assert np.float64(valuation_distance(u1, u2)).tobytes() == np.float64(want).tobytes()
+
+
+def _record_walks(monkeypatch):
+    """The block pairs ``_walk`` is called for, in call order."""
+    pairs, walk = [], distance._walk
+    monkeypatch.setattr(distance, "_walk", lambda *args: pairs.append(args[2]) or walk(*args))
+    return pairs
+
+
+def test_valuation_leaf_pass_hands_a_pair_with_two_leaves_within_its_bound_to_the_walk(monkeypatch):
+    # two distinct leaf values of this pair are at most its demand bound, and
+    # only the walk's order picks between them
+    recs = {r.label: r for r in gen_preset("3x6", 1007)}
+    pair = [recs["attr_d5_004"], recs["iid_exp_035"]]
+    walks = _record_walks(monkeypatch)
+    got = pairwise_distances(pair, "valuation").values[0, 1]
+    assert walks == [0]
+    u1, u2 = (r.matrix for r in pair)
+    assert got.tobytes() == np.float64(oracle_search(u1, u2, demand_distance(u1, u2))).tobytes()
+
+
+def test_valuation_leaf_pass_settles_every_preset_pair_without_the_walk(monkeypatch):
+    walks = _record_walks(monkeypatch)
+    pairwise_distances(gen_preset("3x6", 7)[::28], "valuation")
+    assert walks == []
+
+
+def test_valuation_leaf_pass_sums_leaf_costs_in_matching_order():
+    # each of these preset pairs has goods matchings that tie in exact cost,
+    # and summing a leaf's costs in another agent order than _price's makes
+    # the solver pick one whose canonical value is 1 ulp off
+    recs = {r.label: r for r in gen_preset("3x6", 7)}
+    for a, b in [
+        ("attr_d2_001", "attr_d5_009"),
+        ("attr_d5_001", "iid_exp_010"),
+        ("attr_d5_008", "iid_exp_010"),
+        ("attr_d5_019", "iid_exp_010"),
+    ]:
+        u1, u2 = recs[a].matrix, recs[b].matrix
+        got = pairwise_distances([recs[a], recs[b]], "valuation").values[0, 1]
+        want = oracle_search(u1, u2, demand_distance(u1, u2))
+        assert got.tobytes() == np.float64(want).tobytes(), (a, b)
 
 
 class _RecordingPool:
@@ -423,6 +482,30 @@ def test_demand_at_most_valuation_within_ulps(n, m):
     def check(pair):
         dd, dv = demand_distance(*pair), valuation_distance(*pair)
         assert dd <= dv + _ulps(dd, dv)
+
+    check()
+
+
+@pytest.mark.parametrize("n,m", [(2, 5), (3, 6), (4, 5), (5, 5)])
+def test_leaves_never_fall_below_an_ancestors_relaxation(n, m):
+    # the leaf pass rests on this: a leaf lies at most a few ulps below the
+    # relaxation of any node above it (worst seen -4.4e-16), so a subtree the
+    # walk prunes at its incumbent plus _PRUNE_SLACK holds no leaf it needs
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(_instances(n, m, 2))
+    def check(pair):
+        a1, a2 = (u.values for u in pair)
+        tensor = np.abs(a1[None, :, None, :, None] - a2[None, None, :, None, :])
+        order = np.argsort(-a1.var(axis=1), kind="stable")
+        levels = distance._price(
+            tensor, order, np.array([0]), np.empty((1, 0), dtype=np.intp),
+            np.zeros((1, m, m)), np.array([np.inf]),
+        )
+        assert len(levels) == n
+        leaves = np.array(levels[-1][0])
+        for depth, level in enumerate(levels[:-1], start=1):
+            above = np.repeat(level[0], math.factorial(n - depth))
+            assert (leaves >= above - distance._PRUNE_SLACK / 100).all(), depth
 
     check()
 

@@ -644,6 +644,8 @@ MALFORMED_DATASETS = {
     "non_numeric_cell": _dataset_doc(matrix=["0.5 0.5 0", "0 x 0.5"]),
     "label_with_comma": _dataset_doc(label="a,b"),
     "repeated_label": {"format": "allocmap-dataset", "instances": _dataset_doc()["instances"] * 2},
+    "nan_param": _dataset_doc(source={"model": "resampling", "params": {"p": float("nan")}}),
+    "infinite_version": {**_dataset_doc(), "version": -float("inf")},
 }
 
 
