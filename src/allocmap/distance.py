@@ -2,11 +2,12 @@
 
 Two instances are compared entrywise (l1) after optimally relabeling agents
 and goods. The full valuation distance minimizes over both labelings and is
-exact but exponential in n (branch-and-bound over agent matchings, each node
-bounded by a goods-assignment relaxation). The demand distance compares the
-multiset of sorted demand columns and needs one polynomial matching; it never
-exceeds the valuation distance, which makes it both a cheap stand-in at scale
-and the root bound of the exact search.
+exact but exponential in n: a leaf pass prices all n! agent matchings, each
+with its goods matched by one assignment, and a branch-and-bound walk decides
+the rare pair whose result depends on the search order. The demand distance
+compares the multiset of sorted demand columns and needs one polynomial
+matching; it never exceeds the valuation distance, which makes it both a
+cheap stand-in at scale and the search's stopping bound.
 """
 
 from __future__ import annotations
@@ -61,146 +62,45 @@ def _demand_row(vectors: np.ndarray, i: int) -> list[float]:
     return [math.fsum(t) for t in terms]
 
 
-# Slack for branch pruning. Relaxation totals are plain float sums and can
-# land an ulp or two off the canonical leaf values; pruning strictly at the
-# incumbent could then discard a leaf that canonically ties or beats it.
-# Values here are at most 2n, so a couple of ulps is well under 1e-12.
+# Slack for pruning and for the leaf pass's candidates. Relaxation and leaf
+# totals are plain float sums and can land an ulp or two off the canonical
+# leaf values; pruning strictly at the incumbent could then discard a leaf
+# that canonically ties or beats it. Values here are at most 2n, so a couple
+# of ulps is well under 1e-12.
 _PRUNE_SLACK = 1e-12
 
-# Below a node (the root of every pair of a block, then each node where the
-# priced levels end), its whole subtree is priced in one call when it has at
-# most this many nodes, else only its children. Whole trees fit up to n = 5
-# (325 nodes). An 8x8 tree has 109,600: its top three levels go one node at a
-# time and each node below them prices its whole 325-node subtree, so a
-# near-duplicate pair whose walk stops after a few nodes prices few more.
-_NODE_BUDGET = 400
-
-# Pairs of a row are priced in blocks of at most this many float64 entries of
-# goods costs (the agent-to-agent tensor plus the widest level priced ahead).
+# Pairs of a row go in blocks of at most this many float64 entries of the
+# agent-to-agent goods-cost tensor, and the leaf pass builds its leaves'
+# goods costs in chunks of at most this many entries.
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _ahead(n: int, depth: int) -> list[int]:
-    """Level sizes priced ahead below a node that has ``depth`` agents
-    matched: its whole subtree if that fits the budget, else its children."""
-    sizes = [math.perm(n - depth, t) for t in range(1, n - depth + 1)]
-    return sizes if sum(sizes) <= _NODE_BUDGET else sizes[:1]
+def _assign(costs) -> np.ndarray:
+    """The goods column of each row in one min-cost assignment per (m, m)
+    cost of ``costs``."""
+    return np.array([linear_sum_assignment(cost)[1] for cost in costs])
 
 
-def _matched_l1(tensor, pairs, rows, paths, costs) -> list[float]:
-    """Canonical l1 of N agent matchings, each with its goods matched by a
-    min-cost assignment of ``costs[t]``. Matching t pairs instance i with
-    block partner ``pairs[t]`` and matches agent ``rows[s]`` of i to agent
-    ``paths[t, s]`` of the partner."""
-    cols = np.array([linear_sum_assignment(cost)[1] for cost in costs])
-    goods = np.arange(costs.shape[-1])
+def _matched_l1(tensor, pairs, rows, paths, cols) -> list[float]:
+    """Canonical l1 of N matchings. Matching t pairs instance i with block
+    partner ``pairs[t]``, matches agent ``rows[s]`` of i to agent
+    ``paths[t, s]`` of the partner and good g to good ``cols[t, g]``."""
+    goods = np.arange(cols.shape[-1])
     terms = tensor[pairs[:, None, None], rows[:, None], paths[:, :, None], goods, cols[:, None]]
-    return [math.fsum(t) for t in terms.reshape(len(costs), -1).tolist()]
-
-
-def _price(tensor, order, pairs, paths, costs, bounds) -> list[list[list[float]]]:
-    """Node values of the search trees below N nodes of one depth d, priced
-    level by level for all N at once.
-
-    Node t belongs to block pair ``pairs[t]``, matches agent ``order[s]`` of
-    instance i to agent ``paths[t, s]`` of its partner for s < d, and has the
-    goods cost ``costs[t]``. A child matches agent ``order[d]`` to a free
-    agent; children come in increasing agent order, and a child's cost is its
-    parent's plus one agent pair's goods costs, so every cost is summed along
-    its path in matching order. A node's value is its assignment relaxation
-    total (a lower bound on every leaf below it, since matching more agents
-    only adds nonnegative cost), or the canonical fsum of its goods-matched
-    entries when every agent is matched. Only children of nodes valued below
-    ``bounds[t]`` are priced.
-
-    Returns, per level below depth d and per node t, the values of that
-    level's nodes by rank (children of rank r at ranks r*c .. r*c+c-1);
-    unpriced ranks hold NaN.
-    """
-    count, depth = paths.shape
-    n, m = order.size, costs.shape[-1]
-    owner, ranks = np.arange(count), np.zeros(count, dtype=np.intp)
-    goods = np.arange(m)
-    levels = []
-    for size in _ahead(n, depth):
-        c = n - depth
-        free = np.ones((len(paths), n), dtype=bool)
-        free[np.arange(len(paths))[:, None], paths] = False
-        agents = free.nonzero()[1].reshape(-1, c)
-        costs = (costs[:, None] + tensor[pairs[:, None], order[depth], agents]).reshape(-1, m, m)
-        owner, pairs = np.repeat(owner, c), np.repeat(pairs, c)
-        ranks = (ranks[:, None] * c + np.arange(c)).ravel()
-        paths = np.concatenate([np.repeat(paths, c, axis=0), agents.reshape(-1, 1)], axis=1)
-        depth += 1
-        if depth < n:
-            cols = np.array([linear_sum_assignment(cost)[1] for cost in costs])
-            totals = costs[np.arange(len(costs))[:, None], goods, cols].sum(axis=-1)
-            values = totals.tolist()
-        else:
-            values = _matched_l1(tensor, pairs, order, paths, costs)
-        level = np.full((count, size), np.nan)
-        level[owner, ranks] = values
-        levels.append(level.tolist())
-        if depth == n:
-            break
-        keep = totals < bounds[owner]
-        if not keep.any():
-            break
-        owner, ranks, pairs, paths, costs = (x[keep] for x in (owner, ranks, pairs, paths, costs))
-    return levels
-
-
-def _walk(tensor, order, k, best: float, bound: float, levels) -> float:
-    """Branch and bound over the agent matchings of block pair k.
-
-    Agents of instance i are matched in decreasing entry variance (``order``,
-    a pruning heuristic only; the minimum is order independent). Children are
-    visited in increasing relaxation and skipped once they cannot beat the
-    incumbent, and the search stops at the first incumbent within the demand
-    ``bound``. ``levels`` are the values ``_price`` gave below the root; where
-    they end, the walk prices below the one node it reached.
-    """
-    n, m = order.size, tensor.shape[-1]
-
-    def rec(depth, levels, start, t, rank):
-        nonlocal best
-        if best <= bound:
-            return
-        if t == len(levels):
-            # the node at this rank below ``start``: its agent path and cost
-            positions = []
-            for s in range(depth - 1, depth - t - 1, -1):
-                rank, p = divmod(rank, n - s)
-                positions.append(p)
-            free = [a for a in range(n) if a not in start]
-            start += tuple(free.pop(p) for p in reversed(positions))
-            cost = np.zeros((m, m))
-            for s, a in enumerate(start):
-                cost = cost + tensor[k, order[s], a]
-            priced = _price(
-                tensor, order, np.array([k]), np.array([start], dtype=np.intp),
-                cost[None], np.array([best + _PRUNE_SLACK]),
-            )
-            levels, t, rank = [level[0] for level in priced], 0, 0
-        c = n - depth
-        values = levels[t][rank * c : rank * c + c]
-        if depth == n - 1:
-            best = min(best, values[0])
-            return
-        for r in sorted(range(c), key=values.__getitem__):
-            if values[r] < best + _PRUNE_SLACK:
-                rec(depth + 1, levels, start, t + 1, rank * c + r)
-
-    rec(0, levels, (), 0, 0)
-    return best
+    return [math.fsum(t) for t in terms.reshape(len(cols), rows.size * goods.size).tolist()]
 
 
 def _settle(tensor, order, live, best, lbs) -> list[int]:
-    """Leaf pass over block pairs ``live`` whose whole tree fits the node
-    budget: price all n! leaves of each (costs summed in matching order, as
-    ``_price`` sums them, so each leaf gets the bits ``_price`` gives it) and
-    settle ``best[k]`` where the walk's result follows from the leaves alone.
-    Returns the pairs left for the walk.
+    """Leaf pass over the block pairs ``live``: price all n! agent matchings
+    of each and settle ``best[k]`` wherever the walk's result follows from
+    the leaves alone. Returns the pairs left for the walk.
+
+    A leaf's goods costs are summed from zero in matching order, as the walk
+    sums them, so the solver matches its goods the same way. Only leaves
+    whose plain total is within ``_PRUNE_SLACK`` of the pair's demand bound
+    or least total so far get a canonical value: a leaf's total and
+    canonical value differ by a few ulps, so the others can neither be the
+    least leaf nor lie within the bound.
 
     The walk skips a leaf only below a relaxation >= its incumbent plus
     ``_PRUNE_SLACK``, and a leaf never falls below an ancestor's relaxation
@@ -211,15 +111,25 @@ def _settle(tensor, order, live, best, lbs) -> list[int]:
     """
     n, m = order.size, tensor.shape[-1]
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    f = len(perms)
-    pairs, paths = np.repeat(live, f), np.tile(perms, (len(live), 1))
-    costs = np.zeros((len(paths), m, m))
-    for s in range(n):
-        costs += tensor[pairs, order[s], paths[:, s]]
-    leaves = _matched_l1(tensor, pairs, order, paths, costs)
+    f, live = len(perms), np.array(live, dtype=np.intp)
+    bounds, least = np.array(lbs), np.full(len(lbs), np.inf)
+    leaves = {k: [] for k in live.tolist()}
+    goods, step = np.arange(m), max(1, _BLOCK_ENTRIES // (m * m))
+    for lo in range(0, len(live) * f, step):
+        t = np.arange(lo, min(lo + step, len(live) * f))
+        pairs, paths = live[t // f], perms[t % f]
+        costs = np.zeros((len(t), m, m))
+        for s in range(n):
+            costs += tensor[pairs, order[s], paths[:, s]]
+        cols = _assign(costs)
+        totals = costs[np.arange(len(t))[:, None], goods, cols].sum(axis=-1)
+        np.minimum.at(least, pairs, totals)
+        keep = totals <= np.maximum(bounds, least)[pairs] + _PRUNE_SLACK
+        values = _matched_l1(tensor, pairs[keep], order, paths[keep], cols[keep])
+        for k, v in zip(pairs[keep].tolist(), values):
+            leaves[k].append(v)
     undecided = []
-    for t, k in enumerate(live):
-        values = leaves[t * f : t * f + f]
+    for k, values in leaves.items():
         below = {v for v in values if v <= lbs[k]}
         if not below:
             best[k] = min(best[k], *values)
@@ -230,21 +140,57 @@ def _settle(tensor, order, live, best, lbs) -> list[int]:
     return undecided
 
 
+def _walk(tensor, order, k, best: float, bound: float) -> float:
+    """Branch and bound over the agent matchings of block pair k.
+
+    Agents of instance i are matched in decreasing entry variance (``order``,
+    a pruning heuristic only; the minimum is order independent). A node's
+    value is its goods-assignment relaxation, a lower bound on every leaf
+    below it, since matching more agents only adds nonnegative cost.
+    Children are visited in increasing relaxation and skipped once they
+    cannot beat the incumbent, and the search stops at the first incumbent
+    within the demand ``bound``.
+    """
+    n, m = order.size, tensor.shape[-1]
+    goods, path = np.arange(m), []
+
+    def rec(cost):
+        nonlocal best
+        if best <= bound:
+            return
+        depth = len(path)
+        free = [a for a in range(n) if a not in path]
+        costs = np.array([cost + tensor[k, order[depth], a] for a in free])
+        cols = _assign(costs)
+        if depth == n - 1:
+            paths = np.array([path + free], dtype=np.intp)
+            best = min(best, *_matched_l1(tensor, np.array([k]), order, paths, cols))
+            return
+        totals = costs[np.arange(len(free))[:, None], goods, cols].sum(axis=-1).tolist()
+        for r in sorted(range(len(free)), key=totals.__getitem__):
+            if totals[r] < best + _PRUNE_SLACK:
+                path.append(free[r])
+                rec(costs[r])
+                path.pop()
+
+    rec(np.zeros((m, m)))
+    return best
+
+
 def _valuation_row(values: np.ndarray, i: int, demand: list[float]) -> list[float]:
     """Valuation distances from instance i to every later instance of the
     stacked (k, n, m) ``values``, with the demand row as root bounds.
 
     Pairs go in blocks. One broadcast builds each block's agent-to-agent
     goods-cost tensor; the identity matchings (costs summed in agent order)
-    give every pair's first incumbent. Where the whole tree fits the node
-    budget (n <= 5), ``_settle`` prices every leaf of the pairs still above
-    their bounds and settles almost all of them; ``_price`` values the top
-    levels of every pair left, then ``_walk`` searches each.
+    give every pair's first incumbent. ``_settle`` prices every leaf of the
+    pairs still above their bounds and settles almost all of them; ``_walk``
+    searches each pair left.
     """
     a1 = values[i]
     n, m = a1.shape
     order = np.argsort(-a1.var(axis=1), kind="stable")
-    step = max(1, _BLOCK_ENTRIES // ((n * n + max(_ahead(n, 0))) * m * m))
+    step = max(1, _BLOCK_ENTRIES // (n * n * m * m))
     ident = np.arange(n)
     out = []
     for lo in range(i + 1, len(values), step):
@@ -253,18 +199,11 @@ def _valuation_row(values: np.ndarray, i: int, demand: list[float]) -> list[floa
         tensor = np.abs(a1[None, :, None, :, None] - rest[:, None, :, None, :])
         best = _matched_l1(
             tensor, np.arange(len(rest)), ident, np.tile(ident, (len(rest), 1)),
-            tensor[:, ident, ident].sum(axis=1),
+            _assign(tensor[:, ident, ident].sum(axis=1)),
         )
         live = [k for k in range(len(rest)) if best[k] > lbs[k]]
-        if live and len(_ahead(n, 0)) == n:
-            live = _settle(tensor, order, live, best, lbs)
-        if live:
-            priced = _price(
-                tensor, order, np.array(live), np.empty((len(live), 0), dtype=np.intp),
-                np.zeros((len(live), m, m)), np.array([best[k] for k in live]) + _PRUNE_SLACK,
-            )
-            for t, k in enumerate(live):
-                best[k] = _walk(tensor, order, k, best[k], lbs[k], [level[t] for level in priced])
+        for k in _settle(tensor, order, live, best, lbs):
+            best[k] = _walk(tensor, order, k, best[k], lbs[k])
         out += best
     return out
 

@@ -1,0 +1,121 @@
+"""Known mutants of the library and the tests that kill them.
+
+Pytest does not collect this file. Run it from the repository root:
+
+    python tests/mutants.py
+
+For each mutant it copies ``src/``, ``tests/`` and ``pyproject.toml`` to a
+temporary directory, replaces the one occurrence of the mutant's old text by
+its new text, runs the mutant's tests on that copy in a subprocess and
+reports the mutant killed (some test failed) or survived. Any other pytest
+outcome, such as a test id that no longer exists, stops the run. It exits 1
+if any mutant survived. ``tests/test_distance.py`` checks that every old
+text still occurs exactly once, so a refactor has to update this list
+rather than strand it.
+"""
+
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+DISTANCE = "src/allocmap/distance.py"
+HANDOFF = (
+    "tests/test_distance.py::"
+    "test_valuation_leaf_pass_hands_a_pair_with_two_leaves_within_its_bound_to_the_walk"
+)
+WALK = "tests/test_distance.py::test_valuation_walk_alone_matches_search_oracle_bitwise"
+UNDECIDED = "        else:\n            undecided.append(k)\n"
+
+MUTANTS = [
+    Mutant(
+        "leaf costs summed in reversed agent order",
+        DISTANCE,
+        "for s in range(n):\n            costs += tensor[pairs, order[s], paths[:, s]]",
+        "for s in reversed(range(n)):\n            costs += tensor[pairs, order[s], paths[:, s]]",
+        ("tests/test_distance.py::test_valuation_leaf_pass_sums_leaf_costs_in_matching_order",),
+    ),
+    Mutant(
+        "undecided pairs settled by the least leaf within the bound",
+        DISTANCE,
+        UNDECIDED,
+        "        else:\n            best[k] = min(below)\n",
+        (HANDOFF,),
+    ),
+    Mutant(
+        "undecided pairs settled by the greatest leaf within the bound",
+        DISTANCE,
+        UNDECIDED,
+        "        else:\n            best[k] = max(below)\n",
+        (HANDOFF,),
+    ),
+    Mutant(
+        "leaf candidates without the slack",
+        DISTANCE,
+        "np.maximum(bounds, least)[pairs] + _PRUNE_SLACK",
+        "np.maximum(bounds, least)[pairs]",
+        ("tests/test_distance.py::test_valuation_leaf_pass_prices_every_leaf_near_the_least_total",),
+    ),
+    Mutant(
+        "walk pruning at 0.9 x the incumbent",
+        DISTANCE,
+        "if totals[r] < best + _PRUNE_SLACK:",
+        "if totals[r] < 0.9 * best + _PRUNE_SLACK:",
+        (WALK,),
+    ),
+    Mutant(
+        "walk stopping at 1.1 x the demand bound",
+        DISTANCE,
+        "if best <= bound:",
+        "if best <= 1.1 * bound:",
+        (WALK,),
+    ),
+]
+
+
+def killed(mutant: Mutant) -> bool:
+    """Whether some test of ``mutant`` fails on a mutated copy of the tree."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(ROOT / "tests", copy / "tests", ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        path = copy / mutant.file
+        text = path.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            raise SystemExit(f"{mutant.name}: old text must occur once in {mutant.file}")
+        path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=copy, capture_output=True, text=True,
+        )
+        if run.returncode not in (0, 1):
+            raise SystemExit(f"{mutant.name}: pytest exited {run.returncode}\n{run.stdout}{run.stderr}")
+        return run.returncode == 1
+
+
+def main() -> int:
+    survivors = 0
+    for mutant in MUTANTS:
+        ok = killed(mutant)
+        survivors += not ok
+        print(f"{'killed  ' if ok else 'SURVIVED'}  {mutant.name}", flush=True)
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

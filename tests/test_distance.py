@@ -29,6 +29,8 @@ from allocmap.generators import (
     gen_preset,
     gen_resampling,
 )
+import oracles
+from mutants import MUTANTS, ROOT
 from oracles import (
     oracle_demand,
     oracle_fixed_agents,
@@ -317,21 +319,21 @@ def _weights(shape):
     )
 
 
-@pytest.mark.parametrize("budget", [None, 0, 5], ids=["default", "one_level", "five_nodes"])
-@pytest.mark.parametrize("n,m", [(2, 2), (2, 5), (3, 6), (4, 5), (5, 5)])
-def test_pairwise_valuation_matches_search_oracle_bitwise(monkeypatch, n, m, budget):
-    # given the same root bound, the batched search must take every decision
-    # of the per-pair search, so each entry equals its bytes, for one process
-    # and for two. A drawn column per instance (or -1 for none) is zeroed.
-    # Some draws rebuild the first instance from drawn rows of its own, so
-    # rows repeat, and replace the last by a relabeled copy of it: many of
-    # that pair's leaves then tie at its bound.
-    # Small node budgets price fewer levels ahead and send the walk down the
-    # path that prices one node's subtree; they also turn the leaf pass off
-    # (budget 0 always, budget 5 from n = 3), so the walk decides every pair
-    # there. The pool inherits the patch by forking.
-    if budget is not None:
-        monkeypatch.setattr(distance, "_NODE_BUDGET", budget)
+@pytest.mark.parametrize("entries", [None, 1], ids=["default", "one_leaf_chunks"])
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 5), (3, 6), (4, 5), (5, 5), (6, 6), (6, 8)])
+def test_pairwise_valuation_matches_search_oracle_bitwise(monkeypatch, n, m, entries):
+    # given the same root bound, the leaf pass and the walk must together
+    # take every decision of the per-pair search, so each entry equals its
+    # bytes, for one process and for two. A drawn column per instance (or -1
+    # for none) is zeroed. Some draws rebuild the first instance from drawn
+    # rows of its own, so rows repeat, and replace the last by a relabeled
+    # copy of it: many of that pair's leaves then tie at its bound.
+    # By default a leaf chunk can split a pair from n = 6. One entry per block
+    # puts each pair in a block of its own and each leaf in a chunk of its
+    # own, so a pair's least total is known only after its last chunk. The
+    # pool inherits the patch by forking.
+    if entries is not None:
+        monkeypatch.setattr(distance, "_BLOCK_ENTRIES", entries)
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(
@@ -394,6 +396,26 @@ def test_valuation_leaf_pass_hands_a_pair_with_two_leaves_within_its_bound_to_th
     assert got.tobytes() == np.float64(oracle_search(u1, u2, demand_distance(u1, u2))).tobytes()
 
 
+@pytest.mark.parametrize("n,m", [(3, 6), (5, 5)])
+def test_valuation_walk_alone_matches_search_oracle_bitwise(monkeypatch, n, m):
+    # the leaf pass leaves the walk almost no pair, so here it leaves every
+    # pair above its bound to the walk, which must then take every decision
+    # of the per-pair search itself
+    monkeypatch.setattr(distance, "_settle", lambda tensor, order, live, best, lbs: live)
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(_instances(n, m, 4))
+    def check(instances):
+        recs = [record(f"r{i}", u) for i, u in enumerate(instances)]
+        got = pairwise_distances(recs, "valuation").values
+        for i, j in itertools.combinations(range(len(recs)), 2):
+            u1, u2 = instances[i], instances[j]
+            want = oracle_search(u1, u2, demand_distance(u1, u2))
+            assert got[i, j].tobytes() == np.float64(want).tobytes(), (i, j)
+
+    check()
+
+
 def test_valuation_leaf_pass_settles_every_preset_pair_without_the_walk(monkeypatch):
     walks = _record_walks(monkeypatch)
     pairwise_distances(gen_preset("3x6", 7)[::28], "valuation")
@@ -402,7 +424,7 @@ def test_valuation_leaf_pass_settles_every_preset_pair_without_the_walk(monkeypa
 
 def test_valuation_leaf_pass_sums_leaf_costs_in_matching_order():
     # each of these preset pairs has goods matchings that tie in exact cost,
-    # and summing a leaf's costs in another agent order than _price's makes
+    # and summing a leaf's costs in another agent order than the walk's makes
     # the solver pick one whose canonical value is 1 ulp off
     recs = {r.label: r for r in gen_preset("3x6", 7)}
     for a, b in [
@@ -415,6 +437,30 @@ def test_valuation_leaf_pass_sums_leaf_costs_in_matching_order():
         got = pairwise_distances([recs[a], recs[b]], "valuation").values[0, 1]
         want = oracle_search(u1, u2, demand_distance(u1, u2))
         assert got.tobytes() == np.float64(want).tobytes(), (a, b)
+
+
+def test_valuation_leaf_pass_prices_every_leaf_near_the_least_total():
+    # in each of these preset pairs the leaf of least plain float total is
+    # not the leaf of least canonical value, so the leaf pass must take the
+    # canonical value of every leaf within _PRUNE_SLACK of the least total
+    recs = {r.label: r for r in gen_preset("3x6", 7)}
+    for a, b in [
+        ("attr_d5_009", "iid_exp_028"),
+        ("resamp_p0.4_phi0.8_000", "resamp_p0.8_phi0.2_004"),
+        ("resamp_p0.6_phi0.8_004", "resamp_p0.8_phi0.2_004"),
+    ]:
+        u1, u2 = recs[a].matrix, recs[b].matrix
+        got = pairwise_distances([recs[a], recs[b]], "valuation").values[0, 1]
+        want = oracle_search(u1, u2, demand_distance(u1, u2))
+        assert got.tobytes() == np.float64(want).tobytes(), (a, b)
+
+
+def test_every_mutant_text_occurs_once_in_src():
+    # tests/mutants.py plants each mutant by replacing its old text, so each
+    # must still name exactly one place in the source
+    for mutant in MUTANTS:
+        text = (ROOT / mutant.file).read_text(encoding="utf-8")
+        assert text.count(mutant.old) == 1, mutant.name
 
 
 class _RecordingPool:
@@ -486,26 +532,35 @@ def test_demand_at_most_valuation_within_ulps(n, m):
     check()
 
 
-@pytest.mark.parametrize("n,m", [(2, 5), (3, 6), (4, 5), (5, 5)])
+@pytest.mark.parametrize("n,m", [(2, 5), (3, 6), (4, 5), (5, 5), (6, 6)])
 def test_leaves_never_fall_below_an_ancestors_relaxation(n, m):
     # the leaf pass rests on this: a leaf lies at most a few ulps below the
     # relaxation of any node above it (worst seen -4.4e-16), so a subtree the
-    # walk prunes at its incumbent plus _PRUNE_SLACK holds no leaf it needs
+    # walk prunes at its incumbent plus _PRUNE_SLACK holds no leaf it needs.
+    # Costs are summed along each path in matching order, as the walk sums
+    # them.
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(_instances(n, m, 2))
     def check(pair):
         a1, a2 = (u.values for u in pair)
-        tensor = np.abs(a1[None, :, None, :, None] - a2[None, None, :, None, :])
+        tensor = np.abs(a1[:, None, :, None] - a2[None, :, None, :])
         order = np.argsort(-a1.var(axis=1), kind="stable")
-        levels = distance._price(
-            tensor, order, np.array([0]), np.empty((1, 0), dtype=np.intp),
-            np.zeros((1, m, m)), np.array([np.inf]),
-        )
-        assert len(levels) == n
-        leaves = np.array(levels[-1][0])
-        for depth, level in enumerate(levels[:-1], start=1):
-            above = np.repeat(level[0], math.factorial(n - depth))
-            assert (leaves >= above - distance._PRUNE_SLACK / 100).all(), depth
+
+        def descend(path, cost, above):
+            if len(path) == n:
+                assign = np.empty(n, dtype=np.intp)
+                assign[order] = path
+                leaf = oracles._goods_matched_l1(a1, a2[assign], cost)
+                assert leaf >= above - distance._PRUNE_SLACK / 100, path
+                return
+            for a in range(n):
+                if a not in path:
+                    child = cost + tensor[order[len(path)], a]
+                    last = len(path) == n - 1
+                    bound = above if last else max(above, oracles._assignment_total(child))
+                    descend(path + [a], child, bound)
+
+        descend([], np.zeros((m, m)), 0.0)
 
     check()
 
