@@ -274,8 +274,8 @@ def _subsample(
 
 
 def _check_labels(labels: list[str], lines: list[int] | None = None) -> None:
-    """The label rule of every file: no label holds a comma or a newline, and
-    no label appears twice. A fault is a ValidationError or, given the file
+    """The label rule of every file and generated dataset: no label holds a
+    comma or a newline, and no label appears twice. A fault is a ValidationError or, given the file
     line of each label, a ParseError naming the line."""
     seen = set()
     for k, lab in enumerate(labels):

@@ -56,8 +56,7 @@ def _demand_row(vectors: np.ndarray, i: int) -> list[float]:
     pair's assignment and canonical fsum see the same numbers either way."""
     d1, rest = vectors[i], vectors[i + 1 :]
     costs = np.abs(d1[None, :, None, :] - rest[:, None, :, :]).sum(axis=3)
-    cols = [linear_sum_assignment(c)[1] for c in costs]
-    matched = rest[np.arange(len(rest))[:, None], cols]
+    matched = rest[np.arange(len(rest))[:, None], _assign(costs)]
     terms = np.abs(d1 - matched).reshape(len(rest), -1).tolist()
     return [math.fsum(t) for t in terms]
 

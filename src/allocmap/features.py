@@ -110,14 +110,6 @@ def _bundle_chunks(arr: np.ndarray) -> Iterator[np.ndarray]:
         yield b
 
 
-def _ascending(op: np.ufunc, x: np.ndarray) -> np.ndarray:
-    """Fold the rows of x with op in ascending agent order."""
-    acc = x[0].copy()
-    for row in x[1:]:
-        op(acc, row, out=acc)
-    return acc
-
-
 def _efpo_from(profiles: np.ndarray, worst_envy: np.ndarray) -> bool:
     """Some envy-free profile that no other profile Pareto-dominates; EF
     candidates are checked against higher-welfare profiles only."""
@@ -181,6 +173,8 @@ def allocation_features(
     nash = egal = -np.inf
     shares = np.full(n, -np.inf)
     pos = 0
+    # NumPy reduces axis 0 of the C-contiguous (n, C) arrays below one row at
+    # a time, so sums and products over agents accumulate in agent order.
     for b in _bundle_chunks(arr):
         own = b[idx, idx]
         if mms:
@@ -194,13 +188,13 @@ def allocation_features(
             worst = per_agent.max(axis=0)
             min_envy = min(min_envy, float(worst.min()))
             if "sum_max_envies" in want:
-                min_sum = min(min_sum, float(_ascending(np.add, per_agent).min()))
+                min_sum = min(min_sum, float(per_agent.sum(axis=0).min()))
             if keep:
                 profiles[pos : pos + own.shape[1]] = own.T
                 worst_envy[pos : pos + own.shape[1]] = worst
                 pos += own.shape[1]
         if "max_nash" in want:
-            nash = max(nash, float(_ascending(np.multiply, own).max()))
+            nash = max(nash, float(own.prod(axis=0).max()))
         if "prop_fraction" in want:
             egal = max(egal, float(own.min(axis=0).max()))
 

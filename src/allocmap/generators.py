@@ -22,6 +22,7 @@ from .core import (
     normalize_rows,
     validate,
 )
+from .dataio import _check_labels
 
 CHARACTERISTIC_KINDS = ("IND", "SEP", "CON", "WSEP", "WSEPf", "BIC")
 
@@ -75,28 +76,14 @@ def gen_characteristic(kind: str, n: int, m: int) -> UtilityMatrix:
 
 
 def gen_iid(n: int, m: int, dist: str, seed) -> UtilityMatrix:
-    """Each entry drawn i.i.d. from ``dist``, rows then normalized to sum 1.
-
-    A row that comes out all-zero (measure zero for both distributions) is
-    redrawn so normalization is always defined.
-    """
+    """Each entry drawn i.i.d. from ``dist``, rows then normalized to sum 1."""
     check_shape(n, m)
     if dist not in IID_DISTS:
         raise ValueError(f"unknown iid dist {dist!r}, expected one of {IID_DISTS}")
     rng = np.random.default_rng(seed)
-
-    def draw(rows: int) -> np.ndarray:
-        if dist == "uniform01":
-            return rng.random((rows, m))
-        return rng.exponential(1.0, (rows, m))
-
-    arr = draw(n)
-    while True:
-        dead = np.nonzero(arr.sum(axis=1) <= 0.0)[0]
-        if not dead.size:
-            break
-        arr[dead] = draw(dead.size)
-    return normalize_rows(arr)
+    if dist == "uniform01":
+        return normalize_rows(rng.random((n, m)))
+    return normalize_rows(rng.exponential(1.0, (n, m)))
 
 
 def gen_attributes(n: int, m: int, d: int, seed) -> UtilityMatrix:
@@ -113,14 +100,7 @@ def gen_attributes(n: int, m: int, d: int, seed) -> UtilityMatrix:
     rng = np.random.default_rng(seed)
     goods = rng.random((m, d))
     agents = rng.random((n, d))
-    arr = agents @ goods.T
-    while True:
-        dead = np.nonzero(arr.sum(axis=1) <= 0.0)[0]
-        if not dead.size:
-            break
-        agents[dead] = rng.random((dead.size, d))
-        arr[dead] = agents[dead] @ goods.T
-    return normalize_rows(arr)
+    return normalize_rows(agents @ goods.T)
 
 
 def gen_resampling(n: int, m: int, p: float, phi: float, seed) -> UtilityMatrix:
@@ -221,9 +201,7 @@ def gen_dataset(specs: list[GeneratorSpec], n: int, m: int, seed: int) -> list[I
             )
             index += 1
         counters[prefix] = start + spec.count
-    labels = [r.label for r in records]
-    if len(set(labels)) != len(labels):
-        raise ValueError("duplicate labels in dataset")
+    _check_labels([r.label for r in records])
     return records
 
 

@@ -56,12 +56,10 @@ def run_pipeline(config: PipelineConfig) -> dict[str, list[str]]:
             f"{','.join(columns)}"
         )
     os.makedirs(config.out_dir, exist_ok=True)
-    written: list[str] = []
     outputs: dict[str, list[str]] = {}
 
     def out(name: str, stage: str) -> str:
         path = os.path.join(config.out_dir, name)
-        written.append(path)
         outputs.setdefault(stage, []).append(path)
         return path
 
@@ -124,11 +122,12 @@ def run_pipeline(config: PipelineConfig) -> dict[str, list[str]]:
                     title=title,
                 )
     except BaseException as exc:
-        for path in written:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+        for paths in outputs.values():
+            for path in paths:
+                try:
+                    os.unlink(path)
+                except OSError:
+                    pass
         if not isinstance(exc, Exception):
             raise
         raise PipelineError(stage, exc) from exc

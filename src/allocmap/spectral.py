@@ -185,8 +185,6 @@ def _single_minded_two_goods(arr: np.ndarray, tol: float) -> bool:
     row_max = arr.max(axis=1)
     if (row_max < 1.0 - tol).any():
         return False
-    if (arr.sum(axis=1) - row_max > tol).any():
-        return False
     valued = np.nonzero(arr.max(axis=0) > tol)[0]
     return valued.size <= 2
 
@@ -281,15 +279,10 @@ def boundary_interpolation(kind: str, n: int, m: int, resolution: int = 11) -> l
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     thetas = np.linspace(0.0, 1.0, resolution)
 
-    if kind == "west":
+    if kind in ("west", "south"):
         ind = gen_characteristic("IND", n, m).values
-        con = gen_characteristic("CON", n, m).values
-        return [validate((1 - t) * ind + t * con) for t in thetas]
-
-    if kind == "south":
-        ind = gen_characteristic("IND", n, m).values
-        wsepf = gen_characteristic("WSEPf", n, m).values
-        return [validate((1 - t) * ind + t * wsepf) for t in thetas]
+        end = gen_characteristic("CON" if kind == "west" else "WSEPf", n, m).values
+        return [validate((1 - t) * ind + t * end) for t in thetas]
 
     if kind == "north":
         out = []

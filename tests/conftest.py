@@ -3,11 +3,11 @@
 Hypothesis mixes literals found in the loaded local modules (here ``allocmap``
 and the tests) into its draws, so deleting a constant from the library could
 change what a property test draws, even under ``derandomize`` or ``@seed``.
-Reading the private hook first makes a Hypothesis version without it fail at
-import instead of silently drawing from the source text again.
+The hook is read before it is replaced, so a Hypothesis version without it
+fails at import instead of silently drawing from the source text again.
 """
 
 from hypothesis.internal.conjecture import providers
 
-providers._get_local_constants  # noqa: B018 - fail at import if the hook is gone
+providers._get_local_constants
 providers._get_local_constants = lambda: providers.Constants()

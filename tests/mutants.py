@@ -39,6 +39,12 @@ HANDOFF = (
 )
 WALK = "tests/test_distance.py::test_valuation_walk_alone_matches_search_oracle_bitwise"
 UNDECIDED = "        else:\n            undecided.append(k)\n"
+FEATURES = "src/allocmap/features.py"
+FEATURE_ORACLE = "tests/test_features.py::test_feature_table_matches_oracle_bitwise"
+ONE_WRITER = (
+    "tests/test_io.py::test_files_are_opened_only_by_the_dataio_reader_and_writer",
+    "tests/test_io.py::test_pipeline_writes_every_file_through_one_writer",
+)
 
 MUTANTS = [
     Mutant(
@@ -82,6 +88,80 @@ MUTANTS = [
         "if best <= bound:",
         "if best <= 1.1 * bound:",
         (WALK,),
+    ),
+    Mutant(
+        "demand costs replaced by a fixed matrix",
+        DISTANCE,
+        "costs = np.abs(d1[None, :, None, :] - rest[:, None, :, :]).sum(axis=3)",
+        "costs = np.ones((len(rest), len(d1), len(d1)))",
+        ("tests/test_distance.py::test_pairwise_demand_matches_oracle_bitwise",),
+    ),
+    Mutant(
+        "envy sums folded in reversed agent order",
+        FEATURES,
+        "per_agent.sum(axis=0)",
+        "per_agent[::-1].sum(axis=0)",
+        (FEATURE_ORACLE,),
+    ),
+    Mutant(
+        "Nash products folded in reversed agent order",
+        FEATURES,
+        "own.prod(axis=0)",
+        "own[::-1].prod(axis=0)",
+        (FEATURE_ORACLE,),
+    ),
+    Mutant(
+        "leading goods added after the trailing ones in the bundle walk",
+        FEATURES,
+        "        table[:, :, 0] = 0.0\n"
+        "        for j, k in enumerate(prefix):\n"
+        "            table[:, k, 0] += arr[:, j]\n"
+        "        for g in range(trailing):\n"
+        "            half = 1 << g\n"
+        "            np.add(table[:, :, :half], arr[:, lead + g, None, None], out=table[:, :, half : 2 * half])\n",
+        "        table[:, :, 0] = 0.0\n"
+        "        for g in range(trailing):\n"
+        "            half = 1 << g\n"
+        "            np.add(table[:, :, :half], arr[:, lead + g, None, None], out=table[:, :, half : 2 * half])\n"
+        "        for j, k in enumerate(prefix):\n"
+        "            table[:, k, :] += arr[:, j, None]\n",
+        ("tests/test_features.py::test_walk_with_two_leading_goods_matches_oracle_bitwise",),
+    ),
+    Mutant(
+        "preference diversity averaged over the strided pairs",
+        FEATURES,
+        "np.ascontiguousarray(dist[:, pairs[0], pairs[1]]).mean(axis=1)",
+        "dist[:, pairs[0], pairs[1]].mean(axis=1)",
+        ("tests/test_features.py::test_matrix_columns_match_per_instance_oracle_bitwise",),
+    ),
+    Mutant(
+        "SMACOF without the coincident-point fix-up",
+        "src/allocmap/embedding.py",
+        "            b[~positive] = -0.0\n",
+        "            pass\n",
+        ("tests/test_embedding.py::test_coincident_points_match_reference_loop",),
+    ),
+    Mutant(
+        "Jacobi sign of t without + 0.0",
+        "src/allocmap/spectral.py",
+        "np.sqrt(1.0 + tau * tau)), tau + 0.0)",
+        "np.sqrt(1.0 + tau * tau)), tau)",
+        ("tests/test_spectral.py::test_jacobi_stack_matches_one_matrix_at_a_time_bitwise",),
+    ),
+    Mutant(
+        "reasons file written by a direct open",
+        "src/allocmap/dataio.py",
+        "    _write_text(_reasons_path(path) if reasons_path is None else reasons_path, reasons)\n",
+        "    with open(_reasons_path(path) if reasons_path is None else reasons_path, \"w\") as fh:\n"
+        "        fh.write(\"\\n\".join(reasons) + \"\\n\")\n",
+        ONE_WRITER,
+    ),
+    Mutant(
+        "SVG written by ElementTree.write",
+        "src/allocmap/render.py",
+        'dataio._write_text(path, [ET.tostring(root, encoding="unicode", xml_declaration=True)])',
+        'ET.ElementTree(root).write(path, encoding="unicode", xml_declaration=True)',
+        ONE_WRITER,
     ),
 ]
 

@@ -627,6 +627,10 @@ def test_distance_matrix_validation():
         DistanceMatrix(["a", "b"], bad, "demand")
     with pytest.raises(Exception):
         DistanceMatrix(["a", "b"], np.array([[0.5, 1.0], [1.0, 0.0]]), "demand")
+    for entry in (np.nan, np.inf):
+        bad = np.array([[0.0, entry], [entry, 0.0]])
+        with pytest.raises(ValidationError, match="NaN or infinite entries"):
+            DistanceMatrix(["a", "b"], bad, "demand")
     with pytest.raises(Exception):
         DistanceMatrix(["a", "b"], np.array([[0.0, -1.0], [-1.0, 0.0]]), "demand")
 

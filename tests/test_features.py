@@ -104,6 +104,8 @@ def test_allocation_features_keep_the_requested_order():
         assert list(allocation_features(u, names)) == list(names)
         # capped names keep their place too
         assert list(allocation_features(u, names, cap=80, quad_cap=80)) == list(names)
+    with pytest.raises(UnknownFeature, match="unknown feature 'bogus'"):
+        allocation_features(u, ["bogus"])
 
 
 # -------------------------------------------------------- frozen values

@@ -213,7 +213,7 @@ def test_ingest_normalize(tmp_path):
     assert np.array_equal(got[0].matrix.values, gen_characteristic("IND", 2, 2).values)
 
 
-def test_ingest_subsample(tmp_path):
+def test_ingest_subsample(tmp_path, capsys):
     rng = np.random.default_rng(17)
     table = rng.random((6, 9))
     p = tmp_path / "wide.txt"
@@ -240,6 +240,14 @@ def test_ingest_subsample(tmp_path):
     assert not out.exists()
     with pytest.raises(ValidationError):
         dataio.ingest(p, subsample=(7, 4, 1), seed=1)
+    assert run_cli("ingest", p, "--subsample", 3, 10, 1, "-o", out) == 2
+    assert "cannot draw 3x10 instances from a 6x9 table" in capsys.readouterr().err
+    # two of any three rows include a zero row, so no draw normalizes
+    sparse = tmp_path / "sparse.txt"
+    sparse.write_text("3 2\n0 0\n0 0\n1 1\n")
+    assert run_cli("ingest", sparse, "--subsample", 2, 2, 1, "-o", out) == 2
+    assert "could not draw a normalizable 2x2 subtable in 100 tries" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_ingest_subsample_of_dataset_exits_2(tmp_path, capsys):
@@ -284,6 +292,9 @@ def test_embedding_csv_round_trip(tmp_path):
     assert np.array_equal(pts, emb.points)
     assert float(meta["stress"]) == emb.stress
     assert int(meta["iterations"]) == emb.iterations
+    with pytest.raises(ValidationError, match="label count does not match point count"):
+        dataio.write_embedding_csv(tmp_path / "short.csv", dm.labels[:-1], emb)
+    assert not (tmp_path / "short.csv").exists()
 
 
 def test_embedding_csv_degenerate_flag(tmp_path):
@@ -475,6 +486,14 @@ def test_cli_generate_and_chain(tmp_path):
     ) == 0
     svg = out / "map.svg"
     assert len(svg_markers(svg)) == 6
+    # neither --color nor --by-source: every point gets the one plain fill
+    # and the map has no legend
+    plain = out / "plain.svg"
+    assert run_cli("render", out / "embedding.csv", "-o", plain) == 0
+    assert {m.get("fill") for m in svg_markers(plain)} == {"#4477aa"}
+    tags = [el.tag.split("}")[-1] for el in ET.parse(plain).getroot().iter()]
+    assert set(tags) == {"svg", "rect", "line", "text", "circle", "title"}
+    assert tags.count("rect") == 1
     for name in ("embedding.csv", "explicit.csv", "features.csv", "features_reasons.csv"):
         assert (out / name).exists()
 
@@ -786,6 +805,24 @@ def test_cli_generate_flag_the_choice_does_not_take_exits_2(tmp_path, capsys, ar
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", 3, "--m", 4], "generate needs --preset or --model with --n and --m"),
+        (
+            ["--model", "characteristic", "--kind", "IND", "--count", 2, "--n", 3, "--m", 4],
+            "label 'IND' appears twice",
+        ),
+    ],
+    ids=["no_choice", "repeated_characteristic"],
+)
+def test_cli_generate_without_a_dataset_to_make_exits_2(tmp_path, capsys, argv, message):
+    ds = tmp_path / "d.json"
+    assert run_cli("generate", *argv, "-o", ds) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not ds.exists()
+
+
+@pytest.mark.parametrize(
     "model, params, count",
     [
         ("iid", {"dist": "exponential"}, 3),
@@ -835,6 +872,14 @@ def test_cli_empty_dataset_exits_2(tmp_path):
     with pytest.raises(PipelineError) as exc:
         run_pipeline(PipelineConfig(out_dir=str(out), dataset_path=str(p)))
     assert exc.value.stage == "distances"
+
+
+@pytest.mark.parametrize("preset, dataset", [("3x6", "d.json"), (None, None)], ids=["both", "neither"])
+def test_run_pipeline_needs_one_of_preset_and_dataset(tmp_path, preset, dataset):
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match="^exactly one of preset or dataset_path must be set$"):
+        run_pipeline(PipelineConfig(out_dir=str(out), preset=preset, dataset_path=dataset))
+    assert not out.exists()
 
 
 def test_pipeline_one_instance_fails_in_dataset_stage(tmp_path, capsys):
