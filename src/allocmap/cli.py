@@ -12,7 +12,7 @@ import sys
 
 from . import dataio
 from .core import CapError, ValidationError
-from .distance import EXACT_SEARCH_CAP, METRICS, pairwise_distances
+from .distance import EXACT_SEARCH_CAP, METRICS, check_threads, pairwise_distances
 from .embedding import SMACOF_MAX_ITERS, SMACOF_TOL, mds_embed
 from .features import ALL_FEATURES, ALLOC_CAP, EFPO_QUAD_CAP, _columns, feature_table
 from .generators import (
@@ -252,6 +252,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # refused before any command reads a file, whether it uses workers or not
+        check_threads(args.threads)
         args.func(args)
     except (PipelineError, CapError, dataio.ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

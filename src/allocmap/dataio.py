@@ -293,7 +293,8 @@ def _check_labels(labels: list[str], lines: list[int] | None = None) -> None:
 
 def write_distance_csv(path, dm: DistanceMatrix) -> None:
     _check_labels(dm.labels)
-    rows = [",".join(fmt17(v) for v in row) for row in dm.values]
+    # "%.17g" % x is fmt17(x) and, on the Python floats of tolist(), faster
+    rows = [",".join(["%.17g" % v for v in row.tolist()]) for row in dm.values]
     _write_text(path, [f"# metric={dm.metric}", ",".join(dm.labels), *rows])
 
 

@@ -2,12 +2,13 @@
 
 Two instances are compared entrywise (l1) after optimally relabeling agents
 and goods. The full valuation distance minimizes over both labelings and is
-exact but exponential in n: a leaf pass prices all n! agent matchings, each
-with its goods matched by one assignment, and a branch-and-bound walk decides
-the rare pair whose result depends on the search order. The demand distance
-compares the multiset of sorted demand columns and needs one polynomial
-matching; it never exceeds the valuation distance, which makes it both a
-cheap stand-in at scale and the search's stopping bound.
+exact but exponential in n: a leaf pass bounds all n! agent matchings by the
+reduced costs of their goods assignment problems, matches the goods of only
+those the bound cannot rule out by one assignment each, and a branch-and-bound
+walk decides the rare pair whose result depends on the search order. The
+demand distance compares the multiset of sorted demand columns and needs one
+polynomial matching; it never exceeds the valuation distance, which makes it
+both a cheap stand-in at scale and the search's stopping bound.
 """
 
 from __future__ import annotations
@@ -61,11 +62,11 @@ def _demand_row(vectors: np.ndarray, i: int) -> list[float]:
     return [math.fsum(t) for t in terms]
 
 
-# Slack for pruning and for the leaf pass's candidates. Relaxation and leaf
-# totals are plain float sums and can land an ulp or two off the canonical
-# leaf values; pruning strictly at the incumbent could then discard a leaf
-# that canonically ties or beats it. Values here are at most 2n, so a couple
-# of ulps is well under 1e-12.
+# Slack for pruning, for the leaf pass's reduced-cost bounds and for its
+# candidates. Relaxations, bounds and leaf totals are plain float sums and
+# can land a few ulps off the canonical leaf values; pruning strictly at the
+# incumbent could then discard a leaf that canonically ties or beats it.
+# Values here are at most 2n, so a few ulps is well under 1e-12.
 _PRUNE_SLACK = 1e-12
 
 # Pairs of a row go in blocks of at most this many float64 entries of the
@@ -89,17 +90,35 @@ def _matched_l1(tensor, pairs, rows, paths, cols) -> list[float]:
     return [math.fsum(t) for t in terms.reshape(len(cols), rows.size * goods.size).tolist()]
 
 
+def _reduced_bound(costs) -> np.ndarray:
+    """A lower bound on the least assignment total of each (m, m) cost of
+    ``costs``, to a few ulps: the row minima plus the column minima of the
+    row-reduced costs, or the column-first mirror, whichever is larger. Both
+    are feasible duals of the assignment problem. The reductions run on one
+    leaves-last copy, where each is a vectorized pass over contiguous rows."""
+    c = np.ascontiguousarray(costs.transpose(1, 2, 0))
+    rows, cols = c.min(axis=1), c.min(axis=0)
+    by_rows = rows.sum(axis=0) + (c - rows[:, None]).min(axis=0).sum(axis=0)
+    by_cols = cols.sum(axis=0) + (c - cols[None]).min(axis=1).sum(axis=0)
+    return np.maximum(by_rows, by_cols)
+
+
 def _settle(tensor, order, live, best, lbs) -> list[int]:
-    """Leaf pass over the block pairs ``live``: price all n! agent matchings
-    of each and settle ``best[k]`` wherever the walk's result follows from
-    the leaves alone. Returns the pairs left for the walk.
+    """Leaf pass over the block pairs ``live``: bound all n! agent matchings
+    of each, solve those the bound cannot rule out and settle ``best[k]``
+    wherever the walk's result follows from the leaves alone. Returns the
+    pairs left for the walk.
 
     A leaf's goods costs are summed from zero in matching order, as the walk
-    sums them, so the solver matches its goods the same way. Only leaves
-    whose plain total is within ``_PRUNE_SLACK`` of the pair's demand bound
-    or least total so far get a canonical value: a leaf's total and
-    canonical value differ by a few ulps, so the others can neither be the
-    least leaf nor lie within the bound.
+    sums them, so the solver matches its goods the same way. Each chunk of
+    leaves first solves the leaf of least reduced-cost bound of each of its
+    pairs, which sets the pair's least total, then every other leaf whose
+    bound is within ``_PRUNE_SLACK`` of the pair's demand bound or least
+    total. Only leaves whose plain total is within the same slack get a
+    canonical value. A leaf's bound lies at most a few ulps above its total,
+    and its total within a few ulps of its canonical value, so a leaf left
+    out either way can neither be the least leaf nor lie within the demand
+    bound.
 
     The walk skips a leaf only below a relaxation >= its incumbent plus
     ``_PRUNE_SLACK``, and a leaf never falls below an ancestor's relaxation
@@ -120,9 +139,21 @@ def _settle(tensor, order, live, best, lbs) -> list[int]:
         costs = np.zeros((len(t), m, m))
         for s in range(n):
             costs += tensor[pairs, order[s], paths[:, s]]
-        cols = _assign(costs)
-        totals = costs[np.arange(len(t))[:, None], goods, cols].sum(axis=-1)
-        np.minimum.at(least, pairs, totals)
+        lower = _reduced_bound(costs)
+        cols = np.zeros((len(t), m), dtype=np.intp)
+        totals = np.full(len(t), np.inf)  # until the leaf is solved
+
+        def solve(idx):
+            cols[idx] = _assign(costs[idx])
+            totals[idx] = costs[idx[:, None], goods, cols[idx]].sum(axis=-1)
+            np.minimum.at(least, pairs[idx], totals[idx])
+
+        # in (pair, bound) order each pair's first leaf is its least-bound leaf
+        by_bound = np.lexsort((lower, pairs))
+        solve(by_bound[np.unique(pairs[by_bound], return_index=True)[1]])
+        rest = np.flatnonzero((totals == np.inf) & (lower <= np.maximum(bounds, least)[pairs] + _PRUNE_SLACK))
+        if rest.size:
+            solve(rest)
         keep = totals <= np.maximum(bounds, least)[pairs] + _PRUNE_SLACK
         values = _matched_l1(tensor, pairs[keep], order, paths[keep], cols[keep])
         for k, v in zip(pairs[keep].tolist(), values):
@@ -207,6 +238,12 @@ def _valuation_row(values: np.ndarray, i: int, demand: list[float]) -> list[floa
     return out
 
 
+def check_threads(threads: int) -> None:
+    """Worker counts below 1 are refused, by every entry that takes one."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+
+
 def _check_matrices(matrices, metric: str, cap: int) -> None:
     """Every instance must share one shape, and the exact search refuses
     n > cap."""
@@ -286,8 +323,17 @@ def _pool_init(values, metric):
     _POOL_STATE.update(values=values, vectors=_demand_stack(values), metric=metric)
 
 
-def _pool_row(i: int) -> list[float]:
-    return _distance_row(i, **_POOL_STATE)
+def _pool_rows(span: tuple[int, int]) -> list[list[float]]:
+    return [_distance_row(i, **_POOL_STATE) for i in range(*span)]
+
+
+def _spans(k: int, count: int) -> list[tuple[int, int]]:
+    """At most ``count`` contiguous, nonempty row ranges (lo, hi) that cover
+    rows 0..k-2 in order, with about equal pair counts (row i has k-1-i)."""
+    done = np.cumsum(np.arange(k - 1, 0, -1))
+    cuts = np.searchsorted(done, done[-1] * np.arange(1, count) / count) + 1
+    edges = np.unique(np.r_[0, cuts, k - 1]).tolist()
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def pairwise_distances(
@@ -295,13 +341,14 @@ def pairwise_distances(
 ) -> DistanceMatrix:
     """All-pairs distance matrix over a dataset (instances must share n, m).
 
-    With threads > 1 the pair grid is computed by a process pool; entries are
-    assembled by index, so the result is identical for any thread count.
+    With threads > 1 a process pool computes the rows in about four spans
+    per worker, each span a contiguous range of rows with about equal pair
+    counts, since every pair costs about the same at a given shape. Rows are
+    assembled in order, so the result is identical for any thread count.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    check_threads(threads)
     if not records:
         raise ValidationError("need at least one instance, got none")
     matrices = [rec.matrix for rec in records]
@@ -310,10 +357,11 @@ def pairwise_distances(
     k = len(records)
     if threads > 1 and k > 2:
         # the pool has k - 1 rows to hand out, and it starts every worker at once
+        workers = min(threads, k - 1)
         with ProcessPoolExecutor(
-            max_workers=min(threads, k - 1), initializer=_pool_init, initargs=(values, metric)
+            max_workers=workers, initializer=_pool_init, initargs=(values, metric)
         ) as pool:
-            rows = list(pool.map(_pool_row, range(k - 1)))
+            rows = [row for block in pool.map(_pool_rows, _spans(k, 4 * workers)) for row in block]
     else:
         vectors = _demand_stack(values)
         rows = [_distance_row(i, values, vectors, metric) for i in range(k - 1)]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import dataio
 from .core import ValidationError
-from .distance import EXACT_SEARCH_CAP, pairwise_distances
+from .distance import EXACT_SEARCH_CAP, check_threads, pairwise_distances
 from .embedding import SMACOF_MAX_ITERS, SMACOF_TOL, mds_embed
 from .features import ALLOC_CAP, EFPO_QUAD_CAP, _columns, feature_table
 from .generators import gen_preset
@@ -55,6 +55,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, list[str]]:
             f"color feature {config.color_feature!r} is not among the features "
             f"{','.join(columns)}"
         )
+    check_threads(config.threads)
     os.makedirs(config.out_dir, exist_ok=True)
     outputs: dict[str, list[str]] = {}
 

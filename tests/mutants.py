@@ -71,9 +71,23 @@ MUTANTS = [
     Mutant(
         "leaf candidates without the slack",
         DISTANCE,
-        "np.maximum(bounds, least)[pairs] + _PRUNE_SLACK",
-        "np.maximum(bounds, least)[pairs]",
+        "keep = totals <= np.maximum(bounds, least)[pairs] + _PRUNE_SLACK",
+        "keep = totals <= np.maximum(bounds, least)[pairs]",
         ("tests/test_distance.py::test_valuation_leaf_pass_prices_every_leaf_near_the_least_total",),
+    ),
+    Mutant(
+        "leaf bound over-estimated by half",
+        DISTANCE,
+        "return np.maximum(by_rows, by_cols)",
+        "return 1.5 * np.maximum(by_rows, by_cols)",
+        ("tests/test_distance.py::test_pairwise_valuation_matches_search_oracle_bitwise",),
+    ),
+    Mutant(
+        "pool spans without the first row",
+        DISTANCE,
+        "np.unique(np.r_[0, cuts, k - 1])",
+        "np.unique(np.r_[cuts, k - 1])",
+        ("tests/test_distance.py::test_pairwise_thread_count_irrelevant",),
     ),
     Mutant(
         "walk pruning at 0.9 x the incumbent",

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 
@@ -254,13 +255,15 @@ def test_pairwise_characteristic_trio():
 
 
 def test_pairwise_thread_count_irrelevant():
-    recs = [record(f"r{i}", random_instance(4, 5, i + 1500)) for i in range(8)]
-    serial = pairwise_distances(recs, "demand", threads=1)
-    pooled = pairwise_distances(recs, "demand", threads=3)
-    assert np.array_equal(serial.values, pooled.values)
-    serial_v = pairwise_distances(recs, "valuation", threads=1)
-    pooled_v = pairwise_distances(recs, "valuation", threads=3)
-    assert np.array_equal(serial_v.values, pooled_v.values)
+    # six instances have five rows, fewer than the spans two or four workers
+    # ask for; a tenth of the 3x6 preset has more
+    small = [record(f"r{i}", random_instance(4, 5, i + 1500)) for i in range(6)]
+    for recs in (small, gen_preset("3x6", 7)[::14]):
+        for metric in ("demand", "valuation"):
+            serial = pairwise_distances(recs, metric, threads=1).values
+            for threads in (2, 4):
+                pooled = pairwise_distances(recs, metric, threads=threads).values
+                assert pooled.tobytes() == serial.tobytes(), (len(recs), metric, threads)
 
 
 def test_pairwise_valuation_matches_per_pair_search():
@@ -423,6 +426,53 @@ def test_valuation_leaf_pass_settles_every_preset_pair_without_the_walk(monkeypa
     assert walks == []
 
 
+def test_valuation_leaf_pass_solves_under_half_of_the_preset_leaves(monkeypatch):
+    # the reduced-cost bound rules out most leaves of the open pairs (those
+    # whose identity incumbent lies above the demand bound) without solving them
+    open_pairs, solved, settle, assign = [], [], distance._settle, distance._assign
+
+    def settle_counted(tensor, order, live, best, lbs):
+        open_pairs.append(len(live))
+        monkeypatch.setattr(distance, "_assign", lambda costs: solved.append(len(costs)) or assign(costs))
+        try:
+            return settle(tensor, order, live, best, lbs)
+        finally:
+            monkeypatch.setattr(distance, "_assign", assign)
+
+    monkeypatch.setattr(distance, "_settle", settle_counted)
+    pairwise_distances(gen_preset("3x6", 7)[::28], "valuation")
+    assert sum(open_pairs) > 0
+    assert sum(solved) < math.factorial(3) * sum(open_pairs) / 2
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 6])
+def test_reduced_bound_never_exceeds_the_assignment_total(m):
+    # each leaf's bound lies at most a few ulps above the float total of the
+    # matching _assign picks, on costs with tied entries and with zero rows
+    # or columns
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([3, 10**6]).flatmap(
+            lambda top: hnp.arrays(np.int64, (8, m, m), elements=st.integers(0, top))
+        ),
+        st.sampled_from([1.0, 3.0, 7e5]),
+        st.lists(st.tuples(st.booleans(), st.integers(0, m - 1)), min_size=8, max_size=8),
+    )
+    def check(weights, scale, zeros):
+        costs = weights / scale
+        for c, (row, j) in zip(costs, zeros):
+            if row:
+                c[j] = 0.0
+            else:
+                c[:, j] = 0.0
+        cols = distance._assign(costs)
+        totals = costs[np.arange(len(costs))[:, None], np.arange(m), cols].sum(axis=-1)
+        for bound, total in zip(distance._reduced_bound(costs).tolist(), totals.tolist()):
+            assert bound <= total + m * _ulps(total), (bound, total)
+
+    check()
+
+
 def test_valuation_leaf_pass_sums_leaf_costs_in_matching_order():
     # each of these preset pairs has goods matchings that tie in exact cost,
     # and summing a leaf's costs in another agent order than the walk's makes
@@ -462,6 +512,28 @@ def test_every_mutant_text_occurs_once_in_src():
     for mutant in MUTANTS:
         text = (ROOT / mutant.file).read_text(encoding="utf-8")
         assert text.count(mutant.old) == 1, mutant.name
+
+
+def test_every_mutant_test_is_a_function_of_its_file():
+    # a mutant whose test id names no test would stop tests/mutants.py, so
+    # the ids must follow renames
+    for mutant in MUTANTS:
+        for test in mutant.tests:
+            path, name = test.split("::")
+            tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
+            assert name in {f.name for f in tree.body if isinstance(f, ast.FunctionDef)}, (mutant.name, test)
+
+
+@pytest.mark.parametrize("k", [2, 3, 6, 12, 165])
+@pytest.mark.parametrize("count", [1, 2, 8, 16])
+def test_pool_spans_cover_every_row_once_in_order(k, count):
+    spans = distance._spans(k, count)
+    assert [i for lo, hi in spans for i in range(lo, hi)] == list(range(k - 1))
+    assert 0 < len(spans) <= count
+    assert all(lo < hi for lo, hi in spans)
+    # about equal pair counts: a span ends at the first row past its share
+    pairs = k * (k - 1) // 2
+    assert all(sum(k - 1 - i for i in range(lo, hi)) <= pairs / count + k for lo, hi in spans)
 
 
 class _RecordingPool:

@@ -3,6 +3,7 @@ import json
 import os
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from types import SimpleNamespace
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -48,6 +49,30 @@ def test_fmt17_round_trips_doubles():
     rng = np.random.default_rng(0)
     for x in [1 / 3, 0.1, 1e-17, 2 / 3, np.pi] + rng.random(50).tolist():
         assert float(fmt17(x)) == x
+
+
+def test_distance_csv_row_format_is_fmt17(tmp_path):
+    # write_distance_csv formats the values with "%.17g", which must give
+    # fmt17's text for every finite double, signed zero and subnormals
+    # included; the writer takes any row, so the drawn values need not form
+    # a valid matrix
+    path = tmp_path / "d.csv"
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([-0.0, 5e-324, -1e-310, 1e308, -1e308]),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def check(xs):
+        dm = SimpleNamespace(labels=[f"c{i}" for i in range(len(xs))], values=np.array([xs]), metric="demand")
+        dataio.write_distance_csv(path, dm)
+        assert path.read_text().splitlines()[-1] == ",".join(fmt17(x) for x in xs)
+
+    check()
 
 
 # --------------------------------------------------------------- dataset
@@ -626,12 +651,24 @@ def test_cli_generate_count_below_one_exits_2(tmp_path, capsys, count):
 
 @pytest.mark.parametrize("threads", [0, -3])
 def test_cli_threads_below_one_exits_2(tmp_path, capsys, threads):
-    ds = tmp_path / "d.json"
-    dataio.write_dataset(ds, tiny_records(3))
-    out = tmp_path / "dist.csv"
-    assert run_cli("--threads", threads, "distance", ds, "-o", out) == 2
-    assert "threads must be >= 1" in capsys.readouterr().err
-    assert not out.exists()
+    # every command refuses it before reading a file: each input is missing,
+    # which would exit 4 if it were read first, and nothing is written
+    missing, run = tmp_path / "missing.json", tmp_path / "run"
+    out = run / "out"
+    for argv in (
+        ["generate", "--preset", "3x6", "-o", out],
+        ["ingest", missing, "-o", out],
+        ["distance", missing, "-o", out],
+        ["embed", missing, "-o", out],
+        ["explicit", missing, "-o", out],
+        ["features", missing, "-o", out],
+        ["render", missing, "-o", out],
+        ["pipeline", "--dataset", missing],
+        ["pipeline", "--preset", "3x6"],
+    ):
+        assert run_cli("--threads", threads, "--out-dir", run, *argv) == 2, argv
+        assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err, argv
+        assert not run.exists(), argv
 
 
 def _dataset_doc(**changes):
@@ -879,6 +916,14 @@ def test_run_pipeline_needs_one_of_preset_and_dataset(tmp_path, preset, dataset)
     out = tmp_path / "run"
     with pytest.raises(ValueError, match="^exactly one of preset or dataset_path must be set$"):
         run_pipeline(PipelineConfig(out_dir=str(out), preset=preset, dataset_path=dataset))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_run_pipeline_refuses_threads_below_one_before_it_starts(tmp_path, threads):
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match=f"^threads must be >= 1, got {threads}$"):
+        run_pipeline(PipelineConfig(out_dir=str(out), preset="3x6", threads=threads))
     assert not out.exists()
 
 
