@@ -13,7 +13,7 @@ import sys
 from . import dataio
 from .core import CapError, ValidationError
 from .distance import EXACT_SEARCH_CAP, METRICS, check_threads, pairwise_distances
-from .embedding import SMACOF_MAX_ITERS, SMACOF_TOL, mds_embed
+from .embedding import SMACOF_MAX_ITERS, SMACOF_TOL, check_smacof, mds_embed
 from .features import ALL_FEATURES, ALLOC_CAP, EFPO_QUAD_CAP, _columns, feature_table
 from .generators import (
     CHARACTERISTIC_KINDS,
@@ -80,6 +80,7 @@ def _cmd_distance(args) -> None:
 
 
 def _cmd_embed(args) -> None:
+    check_smacof(args.max_iters, args.tol, args.restarts)
     labels, values, _ = dataio.read_distance_csv(args.distances)
     emb = mds_embed(
         values, args.seed, max_iters=args.max_iters, tol=args.tol, restarts=args.restarts

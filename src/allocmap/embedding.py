@@ -104,6 +104,17 @@ def _run_once(d: np.ndarray, seed, max_iters: int, tol: float) -> Embedding:
     )
 
 
+def check_smacof(max_iters: int, tol: float, restarts: int) -> None:
+    """SMACOF's arguments are refused, by every entry that takes them, before
+    any work: at least one iteration and one run, and a tolerance above 0."""
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+
+
 def mds_embed(
     dist, seed, max_iters: int = SMACOF_MAX_ITERS, tol: float = SMACOF_TOL, restarts: int = 1
 ) -> Embedding:
@@ -115,12 +126,7 @@ def mds_embed(
     the run r uses the child seed SeedSequence(seed, spawn_key=(r,)) and the
     lowest-stress result wins (first such on ties).
     """
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    check_smacof(max_iters, tol, restarts)
     d = check_distances(getattr(dist, "values", dist))
     k = d.shape[0]
     if k < 2:

@@ -2,8 +2,10 @@
 
 Every complete allocation of m goods to n agents is one of n^m owner
 vectors; one search walks them in counter order (good m-1 varies fastest)
-in chunks and computes every requested feature. Each chunk gathers its
-bundle values from a table of subset sums into one reused buffer.
+in chunks and computes every requested feature. The subset-sum tables of a
+block of chunks are filled at once, and each chunk is one gather from its
+table into one reused buffer. The maximin shares settle in the first chunks,
+where agent 0 owns good 0, and only mms_ok may walk those again.
 Accumulation is in ascending good and agent order throughout, so a
 plain-loop reimplementation reproduces values bit for bit. All of these are
 exponential and guarded by an explicit cap. The closed-form matrix features
@@ -30,8 +32,9 @@ SINGLE_MINDED_TOL = 1e-9
 # of float64, one buffer that every chunk of a walk refills. Chunks stay this
 # small for their consumers: the reductions of allocation_features run over
 # whole chunks. On a 2-core x86 VM a 2^17 cap, one chunk per 5x5 instance,
-# made the walk of the 5x5 preset 1.4x faster but its allocation features
-# 1.9x slower, in CPU time.
+# made the walk of the 5x5 preset 1.16x slower and its allocation features
+# 3.2x slower, in CPU time (median of 15 interleaved rounds); with no good
+# leading, mms_ok walks that one chunk twice.
 _CHUNK_ENTRIES = 16_384
 # The records of one shape go to _matrix_columns in blocks whose largest
 # temporary, the (K, n, m, m) row differences of pickiness, holds at most
@@ -72,56 +75,77 @@ class UnknownFeature(ValidationError):
         super().__init__(f"unknown feature {name!r}")
 
 
+def _trailing(n: int, m: int) -> int:
+    """The goods that vary within one chunk of the walk: the most, and at
+    least one, whose (n, n, n^t) bundle block fits _CHUNK_ENTRIES."""
+    trailing = m
+    while trailing > 1 and n ** (trailing + 2) > _CHUNK_ENTRIES:
+        trailing -= 1
+    return trailing
+
+
+def _prefix_tables(arr: np.ndarray, owners: np.ndarray, trailing: int) -> np.ndarray:
+    """(P, n, n 2^t) subset-sum tables of P owner prefixes of the leading
+    goods: entry [p, i, k 2^t + s] is agent i's value of agent k's leading
+    goods under owners[p] plus the subset s of the t trailing goods, summed
+    from +0.0 with the leading goods first, then the trailing ones, each in
+    ascending good order."""
+    n, m = arr.shape
+    lead = m - trailing
+    tables = np.zeros((len(owners), n, n, 1 << trailing))
+    rows = np.arange(len(owners))
+    for j in range(lead):
+        tables[rows, :, owners[:, j], 0] += arr[:, j]
+    for g in range(trailing):
+        half = 1 << g
+        np.add(tables[..., :half], arr[:, lead + g, None, None], out=tables[..., half : 2 * half])
+    return tables.reshape(len(owners), n, -1)
+
+
 def _bundle_chunks(arr: np.ndarray) -> Iterator[np.ndarray]:
     """(n, n, C) stacks of bundle matrices over every owner vector, in
     counter order: B[i, k, c] is the value agent i puts on agent k's bundle
     in allocation c. Every chunk is yielded in one buffer, which the next
     chunk overwrites.
 
-    A chunk fixes the owners of the leading goods. Its (n, n, 2^t) table
-    holds each agent's value of each agent's leading goods plus every subset
-    of the t trailing goods, filled a good at a time in ascending good order;
-    each allocation then gathers its bundles from the table. Entries thus
-    accumulate from zero in ascending good order.
+    A chunk fixes the owners of the leading goods, a prefix, and varies the
+    t = _trailing(n, m) others. The prefixes go in blocks whose tables
+    (_prefix_tables) hold at most one chunk's entries; each chunk is then one
+    gather from its prefix's table. A bundle's value is thus the same float
+    whoever owns it: its goods summed from +0.0 in ascending good order.
     """
     n, m = arr.shape
-    trailing = m
-    while trailing > 1 and n ** (trailing + 2) > _CHUNK_ENTRIES:
-        trailing -= 1
-    lead = m - trailing
+    trailing = _trailing(n, m)
     subsets = 1 << trailing
-    # cells[k, c]: agent k's row of the flattened table plus the bitmask of
-    # the trailing goods that k owns in allocation c
+    # cells[k, c]: agent k's block of a table row plus the bitmask of the
+    # trailing goods that k owns in allocation c
     cells = np.arange(n)[:, None] * subsets
     owns = np.eye(n, dtype=cells.dtype)
     for g in range(trailing):
         cells = (cells[:, :, None] + (owns << g)[:, None, :]).reshape(n, -1)
-    table = np.empty((n, n, subsets))
     b = np.empty((n, n, cells.shape[1]))
-    for prefix in itertools.product(range(n), repeat=lead):
-        table[:, :, 0] = 0.0
-        for j, k in enumerate(prefix):
-            table[:, k, 0] += arr[:, j]
-        for g in range(trailing):
-            half = 1 << g
-            np.add(table[:, :, :half], arr[:, lead + g, None, None], out=table[:, :, half : 2 * half])
-        for i in range(n):
-            np.take(table[i], cells, out=b[i], mode="clip")
-        yield b
+    prefixes = np.array(list(itertools.product(range(n), repeat=m - trailing)), dtype=np.intp)
+    block = max(1, n**trailing >> trailing)
+    for lo in range(0, len(prefixes), block):
+        for table in _prefix_tables(arr, prefixes[lo : lo + block], trailing):
+            np.take(table, cells, axis=1, out=b, mode="clip")
+            yield b
 
 
 def _efpo_from(profiles: np.ndarray, worst_envy: np.ndarray) -> bool:
-    """Some envy-free profile that no other profile Pareto-dominates; EF
-    candidates are checked against higher-welfare profiles only."""
+    """Some envy-free profile (a column of the (n, n^m) profiles) that no
+    other profile Pareto-dominates; EF candidates are checked against
+    higher-welfare profiles only. Rounding is monotone, so a dominating
+    profile never sums lower and the answer rests on comparisons alone."""
     ef_idx = np.nonzero(worst_envy <= EF_TOL)[0]
     if not ef_idx.size:
         return False
-    sums = profiles.sum(axis=1)
+    sums = profiles.sum(axis=0)
     for c in ef_idx[np.argsort(-sums[ef_idx], kind="stable")]:
-        v = profiles[c]
-        pool = profiles[sums >= sums[c]]
+        v = profiles[:, c, None]
+        pool = profiles[:, sums >= sums[c]]
         dominated = bool(
-            np.any((pool >= v).all(axis=1) & (pool > v + PO_STRICT_TOL).any(axis=1))
+            np.any((pool >= v).all(axis=0) & (pool > v + PO_STRICT_TOL).any(axis=0))
         )
         if not dominated:
             return True
@@ -142,7 +166,14 @@ def allocation_features(
     to the CapExceeded that the cap raises; a capped feature leaves the
     others computed. ``quad_cap`` bounds efpo_exists, which keeps every
     utility profile, and ``cap`` the rest. max_util is closed form and never
-    capped. mms_ok needs a second, early-exit pass once the shares are known.
+    capped.
+
+    The maximin shares come from the first n^(lead-1) chunks alone (all of
+    them when no good leads), where agent 0 owns good 0: relabeling an
+    allocation's owners keeps every agent's worst bundle, and a bundle's
+    value does not depend on its owner, so these chunks hold every share bit
+    for bit. mms_ok is checked from the next chunk on; only if none of those
+    settles it are the first chunks walked again.
     """
     arr = matrix.values
     n, m = arr.shape
@@ -166,31 +197,41 @@ def allocation_features(
     mms = not want.isdisjoint(("mms_ok", "mms_shares"))
     keep = "efpo_exists" in want
     if keep:
-        profiles = np.empty((total, n))
+        profiles = np.empty((n, total))
         worst_envy = np.empty(total)
-    idx = np.arange(n)
+    first = n ** max(m - _trailing(n, m) - 1, 0)
+    # no chunk from `first` on has yet given every agent its share
+    pending = "mms_ok" in want
+
+    def settles(own: np.ndarray) -> bool:
+        """Some allocation of the chunk gives every agent its final share."""
+        return bool((own >= (shares - MMS_TOL)[:, None]).all(axis=0).any())
+
     min_envy = min_sum = np.inf
     nash = egal = -np.inf
     shares = np.full(n, -np.inf)
     pos = 0
     # NumPy reduces axis 0 of the C-contiguous (n, C) arrays below one row at
     # a time, so sums and products over agents accumulate in agent order.
-    for b in _bundle_chunks(arr):
-        own = b[idx, idx]
-        if mms:
+    for c, b in enumerate(_bundle_chunks(arr)):
+        if mms and c < first:
             shares = np.maximum(shares, b.min(axis=1).max(axis=1))
+        diag = b.reshape(n * n, -1)[:: n + 1]
+        own = diag.copy()
+        if pending and c >= first:
+            pending = not settles(own)
         if envy:
             # Rounding of x - c is monotone in x, so the largest envy of
             # agent i is its best other bundle minus its own, bit for bit.
             # Masking in place: nothing below reads the diagonal of b.
-            b[idx, idx] = -np.inf
+            diag[...] = -np.inf
             per_agent = b.max(axis=1) - own
             worst = per_agent.max(axis=0)
             min_envy = min(min_envy, float(worst.min()))
             if "sum_max_envies" in want:
                 min_sum = min(min_sum, float(per_agent.sum(axis=0).min()))
             if keep:
-                profiles[pos : pos + own.shape[1]] = own.T
+                profiles[:, pos : pos + own.shape[1]] = own
                 worst_envy[pos : pos + own.shape[1]] = worst
                 pos += own.shape[1]
         if "max_nash" in want:
@@ -207,10 +248,8 @@ def allocation_features(
         "mms_shares": shares,
     }
     if "mms_ok" in want:
-        # second pass: stop at the first chunk where every agent gets its share
-        floor = (shares - MMS_TOL)[:, None]
-        values["mms_ok"] = any(
-            bool((b[idx, idx] >= floor).all(axis=0).any()) for b in _bundle_chunks(arr)
+        values["mms_ok"] = not pending or any(
+            settles(b.reshape(n * n, -1)[:: n + 1]) for b in itertools.islice(_bundle_chunks(arr), first)
         )
     if keep:
         values["efpo_exists"] = _efpo_from(profiles, worst_envy)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import dataio
 from .core import ValidationError
 from .distance import EXACT_SEARCH_CAP, check_threads, pairwise_distances
-from .embedding import SMACOF_MAX_ITERS, SMACOF_TOL, mds_embed
+from .embedding import SMACOF_MAX_ITERS, SMACOF_TOL, check_smacof, mds_embed
 from .features import ALLOC_CAP, EFPO_QUAD_CAP, _columns, feature_table
 from .generators import gen_preset
 from .render import render_svg
@@ -56,6 +56,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, list[str]]:
             f"{','.join(columns)}"
         )
     check_threads(config.threads)
+    check_smacof(config.max_iters, config.tol, config.restarts)
     os.makedirs(config.out_dir, exist_ok=True)
     outputs: dict[str, list[str]] = {}
 

@@ -41,6 +41,7 @@ WALK = "tests/test_distance.py::test_valuation_walk_alone_matches_search_oracle_
 UNDECIDED = "        else:\n            undecided.append(k)\n"
 FEATURES = "src/allocmap/features.py"
 FEATURE_ORACLE = "tests/test_features.py::test_feature_table_matches_oracle_bitwise"
+TWO_LEADING = "tests/test_features.py::test_walk_with_two_leading_goods_matches_oracle_bitwise"
 ONE_WRITER = (
     "tests/test_io.py::test_files_are_opened_only_by_the_dataio_reader_and_writer",
     "tests/test_io.py::test_pipeline_writes_every_file_through_one_writer",
@@ -127,19 +128,38 @@ MUTANTS = [
     Mutant(
         "leading goods added after the trailing ones in the bundle walk",
         FEATURES,
-        "        table[:, :, 0] = 0.0\n"
-        "        for j, k in enumerate(prefix):\n"
-        "            table[:, k, 0] += arr[:, j]\n"
-        "        for g in range(trailing):\n"
-        "            half = 1 << g\n"
-        "            np.add(table[:, :, :half], arr[:, lead + g, None, None], out=table[:, :, half : 2 * half])\n",
-        "        table[:, :, 0] = 0.0\n"
-        "        for g in range(trailing):\n"
-        "            half = 1 << g\n"
-        "            np.add(table[:, :, :half], arr[:, lead + g, None, None], out=table[:, :, half : 2 * half])\n"
-        "        for j, k in enumerate(prefix):\n"
-        "            table[:, k, :] += arr[:, j, None]\n",
-        ("tests/test_features.py::test_walk_with_two_leading_goods_matches_oracle_bitwise",),
+        "    for j in range(lead):\n"
+        "        tables[rows, :, owners[:, j], 0] += arr[:, j]\n"
+        "    for g in range(trailing):\n"
+        "        half = 1 << g\n"
+        "        np.add(tables[..., :half], arr[:, lead + g, None, None], out=tables[..., half : 2 * half])\n",
+        "    for g in range(trailing):\n"
+        "        half = 1 << g\n"
+        "        np.add(tables[..., :half], arr[:, lead + g, None, None], out=tables[..., half : 2 * half])\n"
+        "    for j in range(lead):\n"
+        "        tables[rows, :, owners[:, j]] += arr[:, j, None]\n",
+        (TWO_LEADING,),
+    ),
+    Mutant(
+        "shares from the first chunk only",
+        FEATURES,
+        "first = n ** max(m - _trailing(n, m) - 1, 0)",
+        "first = 1",
+        (TWO_LEADING,),
+    ),
+    Mutant(
+        "mms_ok without the re-walk of the first chunks",
+        FEATURES,
+        'values["mms_ok"] = not pending or any(',
+        'values["mms_ok"] = not pending or False and any(',
+        ("tests/test_features.py::test_mms_ok_decided_by_the_walk_again_over_the_first_chunks",),
+    ),
+    Mutant(
+        "own diagonal left unmasked before the envy max",
+        FEATURES,
+        "            diag[...] = -np.inf\n",
+        "            pass\n",
+        (FEATURE_ORACLE,),
     ),
     Mutant(
         "preference diversity averaged over the strided pairs",

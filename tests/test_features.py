@@ -1,3 +1,5 @@
+import itertools
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
@@ -51,7 +53,8 @@ def weights_matrix(weights):
     return UtilityMatrix(arr)
 
 
-@pytest.mark.parametrize("n,m,examples", [(2, 3, 60), (3, 4, 60), (3, 6, 40), (5, 5, 20)])
+# 3x8 walks 2 leading goods in 9 chunks, and its shares settle after 3
+@pytest.mark.parametrize("n,m,examples", [(2, 3, 60), (3, 4, 60), (3, 6, 40), (5, 5, 20), (3, 8, 10)])
 def test_feature_table_matches_oracle_bitwise(n, m, examples):
     @settings(max_examples=examples, deadline=None, derandomize=True)
     @given(hnp.arrays(np.int64, (n, m), elements=st.integers(0, 3)))
@@ -78,22 +81,81 @@ def same_bits(got, want) -> bool:
     return np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
-def test_walk_with_two_leading_goods_matches_oracle_bitwise():
+def count_walks(monkeypatch) -> list[int]:
+    """Wrap the bundle walk; each walk appends how many chunks it yielded."""
+    walks: list[int] = []
+    walk = features._bundle_chunks
+
+    def spy(arr):
+        walks.append(0)
+        for b in walk(arr):
+            walks[-1] += 1
+            yield b
+
+    monkeypatch.setattr(features, "_bundle_chunks", spy)
+    return walks
+
+
+def assert_matches_oracle(got, u):
+    want = oracle_features(u)
+    for name in EXACT_ORACLE_FEATURES + ("ef_exists",):
+        if isinstance(want[name], bool):
+            assert got[name] is want[name], name
+        else:
+            assert same_bits(got[name], want[name]), (name, got[name], want[name])
+    assert got["mms_shares"].tobytes() == np.array(want["mms_shares"]).tobytes()
+
+
+def test_walk_with_two_leading_goods_matches_oracle_bitwise(monkeypatch):
     # 4^7 owner vectors come in 16 chunks, each fixing the owners of the
-    # first 2 goods; the other cases walk 0 or 1 leading goods.
+    # first 2 goods; the other cases walk 0 or 1 leading goods. The shares
+    # settle in the 4 chunks where agent 0 owns good 0, and only those may
+    # be walked again.
     ties = weights_matrix([[3, 0, 1, 1, 2, 0, 3], [1, 1, 1, 1, 1, 1, 1],
                            [0, 2, 2, 0, 1, 3, 1], [0, 0, 0, 0, 0, 0, 0]])
     for u in (ties, gen_iid(4, 7, "uniform01", seed=47)):
         chunks = [b.shape for b in features._bundle_chunks(u.values)]
         assert chunks == [(4, 4, 4**5)] * 16
+        walks = count_walks(monkeypatch)
         got = allocation_features(u, EXACT_ORACLE_FEATURES + ("ef_exists", "mms_shares"), quad_cap=4**7)
-        want = oracle_features(u)
-        for name in EXACT_ORACLE_FEATURES + ("ef_exists",):
-            if isinstance(want[name], bool):
-                assert got[name] is want[name], name
-            else:
-                assert same_bits(got[name], want[name]), (name, got[name], want[name])
-        assert got["mms_shares"].tobytes() == np.array(want["mms_shares"]).tobytes()
+        assert walks[0] == 16 and len(walks) <= 2 and sum(walks[1:]) <= 4, walks
+        monkeypatch.undo()
+        assert_matches_oracle(got, u)
+
+
+def test_mms_ok_decided_by_the_walk_again_over_the_first_chunks(monkeypatch):
+    # Agents 1 and 2 need two of the six goods that all value alike, and
+    # agent 0 needs three of them or good 0, so every maximin-share
+    # allocation gives good 0 to agent 0: the first 3 of the 9 chunks.
+    u = weights_matrix([[6, 1, 1, 0, 1, 1, 1, 1], [0, 1, 1, 0, 1, 1, 1, 1],
+                        [0, 1, 1, 0, 1, 1, 1, 1]])
+    walks = count_walks(monkeypatch)
+    got = allocation_features(u, EXACT_ORACLE_FEATURES + ("ef_exists", "mms_shares"))
+    assert got["mms_ok"] is True
+    assert walks[0] == 9 and 1 <= walks[1] <= 3 and len(walks) == 2, walks
+    assert_matches_oracle(got, u)
+
+
+@pytest.mark.parametrize("n,m", [(2, 20), (3, 10), (5, 6)])
+def test_prefix_tables_of_a_block_fit_one_chunk(monkeypatch, n, m):
+    trailing = features._trailing(n, m)
+    blocks = []
+    tables = features._prefix_tables
+
+    def spy(arr, owners, t):
+        block = tables(arr, owners, t)
+        assert block.size <= n * n * n**trailing, (len(owners), block.shape)
+        blocks.append(owners.copy())
+        return block
+
+    monkeypatch.setattr(features, "_prefix_tables", spy)
+    walk = features._bundle_chunks(gen_iid(n, m, "uniform01", seed=m).values)
+    assert sum(1 for _ in walk) == n ** (m - trailing)
+    # the blocks cover every prefix once, in counter order
+    prefixes = np.concatenate(blocks)
+    assert prefixes.tolist() == [list(p) for p in itertools.product(range(n), repeat=m - trailing)]
+    if n == 2:
+        assert len(blocks) == len(prefixes)  # one prefix per block
 
 
 def test_allocation_features_keep_the_requested_order():

@@ -671,6 +671,29 @@ def test_cli_threads_below_one_exits_2(tmp_path, capsys, threads):
         assert not run.exists(), argv
 
 
+SMACOF_FLAGS = [
+    (["--max-iters", 0], "max_iters must be >= 1, got 0"),
+    (["--tol", 0], "tol must be > 0, got 0.0"),
+    (["--tol", "nan"], "tol must be > 0, got nan"),
+    (["--restarts", 0], "restarts must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("flag, message", SMACOF_FLAGS, ids=["max-iters", "tol-0", "tol-nan", "restarts"])
+def test_cli_smacof_flags_refused_before_any_work(tmp_path, capsys, flag, message):
+    # the input is missing, which would exit 4 if it were read first, and the
+    # valuation preset run would compute its whole matrix before the embedding
+    missing, run = tmp_path / "missing.csv", tmp_path / "run"
+    for argv in (
+        ["embed", missing, "-o", run / "e.csv"],
+        ["pipeline", "--dataset", missing],
+        ["pipeline", "--preset", "3x6", "--metric", "valuation"],
+    ):
+        assert run_cli("--out-dir", run, *argv, *flag) == 2, argv
+        assert capsys.readouterr().err == f"error: {message}\n", argv
+        assert not run.exists(), argv
+
+
 def _dataset_doc(**changes):
     item = {
         "label": "a",
@@ -924,6 +947,19 @@ def test_run_pipeline_refuses_threads_below_one_before_it_starts(tmp_path, threa
     out = tmp_path / "run"
     with pytest.raises(ValueError, match=f"^threads must be >= 1, got {threads}$"):
         run_pipeline(PipelineConfig(out_dir=str(out), preset="3x6", threads=threads))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [({"max_iters": 0}, "max_iters must be >= 1, got 0"), ({"tol": float("nan")}, "tol must be > 0, got nan"),
+     ({"restarts": 0}, "restarts must be >= 1, got 0")],
+    ids=["max_iters", "tol", "restarts"],
+)
+def test_run_pipeline_refuses_smacof_arguments_before_it_starts(tmp_path, changes, message):
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_pipeline(PipelineConfig(out_dir=str(out), preset="3x6", metric="valuation", **changes))
     assert not out.exists()
 
 
