@@ -4,11 +4,12 @@ Two instances are compared entrywise (l1) after optimally relabeling agents
 and goods. The full valuation distance minimizes over both labelings and is
 exact but exponential in n: a leaf pass bounds all n! agent matchings by the
 reduced costs of their goods assignment problems, matches the goods of only
-those the bound cannot rule out by one assignment each, and a branch-and-bound
-walk decides the rare pair whose result depends on the search order. The
-demand distance compares the multiset of sorted demand columns and needs one
-polynomial matching; it never exceeds the valuation distance, which makes it
-both a cheap stand-in at scale and the search's stopping bound.
+those the bound cannot rule out by one assignment each, and where leaves of
+distinct value lie within the demand bound takes the one a depth-first
+branch-and-bound walk would reach first. The demand distance compares the
+multiset of sorted demand columns and needs one polynomial matching; it
+never exceeds the valuation distance, which makes it both a cheap stand-in
+at scale and the search's stopping bound.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -103,29 +105,32 @@ def _reduced_bound(costs) -> np.ndarray:
     return np.maximum(by_rows, by_cols)
 
 
-def _settle(tensor, order, live, best, lbs) -> list[int]:
+def _settle(tensor, order, live, best, lbs) -> None:
     """Leaf pass over the block pairs ``live``: bound all n! agent matchings
     of each, solve those the bound cannot rule out and settle ``best[k]``
-    wherever the walk's result follows from the leaves alone. Returns the
-    pairs left for the walk.
+    with the value a branch-and-bound walk would return.
 
-    A leaf's goods costs are summed from zero in matching order, as the walk
-    sums them, so the solver matches its goods the same way. Each chunk of
-    leaves first solves the leaf of least reduced-cost bound of each of its
-    pairs, which sets the pair's least total, then every other leaf whose
-    bound is within ``_PRUNE_SLACK`` of the pair's demand bound or least
-    total. Only leaves whose plain total is within the same slack get a
-    canonical value. A leaf's bound lies at most a few ulps above its total,
-    and its total within a few ulps of its canonical value, so a leaf left
-    out either way can neither be the least leaf nor lie within the demand
-    bound.
+    That walk matches agent ``order[s]`` of instance i at step s, prices a
+    node by the goods-assignment relaxation of its costs summed from zero in
+    matching order, visits children in increasing relaxation, skips a child
+    whose relaxation is at least the incumbent plus ``_PRUNE_SLACK`` and
+    stops at the first incumbent within the demand bound.
 
-    The walk skips a leaf only below a relaxation >= its incumbent plus
-    ``_PRUNE_SLACK``, and a leaf never falls below an ancestor's relaxation
-    by more than a few ulps, so no skipped leaf could lower the minimum or
-    stop the walk. With no leaf within the bound the walk returns the least
-    leaf or the incumbent; with leaves within it the walk stops at the first
-    it reaches, which only its order decides unless they all tie.
+    A leaf's goods costs are summed the same way, so the solver matches its
+    goods as the walk would. Each chunk of leaves first solves the leaf of
+    least reduced-cost bound of each of its pairs, which sets the pair's
+    least total, then every other leaf whose bound is within
+    ``_PRUNE_SLACK`` of the pair's demand bound or least total. Only leaves
+    whose plain total is within the same slack get a canonical value. A
+    leaf's bound lies at most a few ulps above its total, and its total
+    within a few ulps of its canonical value, so a leaf left out either way
+    can neither be the least leaf nor lie within the demand bound.
+
+    A leaf never falls below an ancestor's relaxation by more than a few
+    ulps, so no leaf the walk skips could lower the minimum or stop the
+    walk. With no leaf within the bound the walk returns the least leaf or
+    the incumbent; with leaves within it the walk stops at the first it
+    reaches, the least by ``_walk_key`` where their values differ.
     """
     n, m = order.size, tensor.shape[-1]
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
@@ -156,55 +161,27 @@ def _settle(tensor, order, live, best, lbs) -> list[int]:
             solve(rest)
         keep = totals <= np.maximum(bounds, least)[pairs] + _PRUNE_SLACK
         values = _matched_l1(tensor, pairs[keep], order, paths[keep], cols[keep])
-        for k, v in zip(pairs[keep].tolist(), values):
-            leaves[k].append(v)
-    undecided = []
-    for k, values in leaves.items():
-        below = {v for v in values if v <= lbs[k]}
-        if not below:
-            best[k] = min(best[k], *values)
-        elif len(below) == 1:
-            best[k] = below.pop()
-        else:
-            undecided.append(k)
-    return undecided
+        for k, leaf in zip(pairs[keep].tolist(), zip(values, (t % f)[keep].tolist())):
+            leaves[k].append(leaf)
+    for k, found in leaves.items():
+        below = [leaf for leaf in found if leaf[0] <= lbs[k]]
+        if len({value for value, _ in below}) > 1:
+            below.sort(key=lambda leaf: _walk_key(tensor, order, k, perms[leaf[1]]))
+        best[k] = below[0][0] if below else min(best[k], *(value for value, _ in found))
 
 
-def _walk(tensor, order, k, best: float, bound: float) -> float:
-    """Branch and bound over the agent matchings of block pair k.
-
-    Agents of instance i are matched in decreasing entry variance (``order``,
-    a pruning heuristic only; the minimum is order independent). A node's
-    value is its goods-assignment relaxation, a lower bound on every leaf
-    below it, since matching more agents only adds nonnegative cost.
-    Children are visited in increasing relaxation and skipped once they
-    cannot beat the incumbent, and the search stops at the first incumbent
-    within the demand ``bound``.
-    """
-    n, m = order.size, tensor.shape[-1]
-    goods, path = np.arange(m), []
-
-    def rec(cost):
-        nonlocal best
-        if best <= bound:
-            return
-        depth = len(path)
-        free = [a for a in range(n) if a not in path]
-        costs = np.array([cost + tensor[k, order[depth], a] for a in free])
-        cols = _assign(costs)
-        if depth == n - 1:
-            paths = np.array([path + free], dtype=np.intp)
-            best = min(best, *_matched_l1(tensor, np.array([k]), order, paths, cols))
-            return
-        totals = costs[np.arange(len(free))[:, None], goods, cols].sum(axis=-1).tolist()
-        for r in sorted(range(len(free)), key=totals.__getitem__):
-            if totals[r] < best + _PRUNE_SLACK:
-                path.append(free[r])
-                rec(costs[r])
-                path.pop()
-
-    rec(np.zeros((m, m)))
-    return best
+def _walk_key(tensor, order, k, path) -> list:
+    """Where the leaf ``path`` of block pair k comes in the walk of
+    ``_settle``: that walk reaches leaves in increasing order of
+    [t_1, a_1, ..., t_{n-1}, a_{n-1}], where a_s is the partner agent
+    matched at step s and t_s the relaxation of the first s steps, since
+    ties between siblings go to the lower partner agent."""
+    m = tensor.shape[-1]
+    cost, key = np.zeros((m, m)), []
+    for s, a in enumerate(path[:-1]):
+        cost = cost + tensor[k, order[s], a]
+        key += [cost[np.arange(m), _assign([cost])[0]].sum(), a]
+    return key
 
 
 def _valuation_row(values: np.ndarray, i: int, demand: list[float]) -> list[float]:
@@ -213,9 +190,8 @@ def _valuation_row(values: np.ndarray, i: int, demand: list[float]) -> list[floa
 
     Pairs go in blocks. One broadcast builds each block's agent-to-agent
     goods-cost tensor; the identity matchings (costs summed in agent order)
-    give every pair's first incumbent. ``_settle`` prices every leaf of the
-    pairs still above their bounds and settles almost all of them; ``_walk``
-    searches each pair left.
+    give every pair's first incumbent. ``_settle`` prices the leaves of the
+    pairs still above their bounds and settles each of them.
     """
     a1 = values[i]
     n, m = a1.shape
@@ -231,9 +207,7 @@ def _valuation_row(values: np.ndarray, i: int, demand: list[float]) -> list[floa
             tensor, np.arange(len(rest)), ident, np.tile(ident, (len(rest), 1)),
             _assign(tensor[:, ident, ident].sum(axis=1)),
         )
-        live = [k for k in range(len(rest)) if best[k] > lbs[k]]
-        for k in _settle(tensor, order, live, best, lbs):
-            best[k] = _walk(tensor, order, k, best[k], lbs[k])
+        _settle(tensor, order, [k for k in range(len(rest)) if best[k] > lbs[k]], best, lbs)
         out += best
     return out
 
@@ -258,8 +232,7 @@ def _check_matrices(matrices, metric: str, cap: int) -> None:
 def demand_distance(u1: UtilityMatrix, u2: UtilityMatrix) -> float:
     """Min-cost matching of demand vectors (anonymous per-good demand)."""
     _check_matrices((u1, u2), "demand", EXACT_SEARCH_CAP)
-    values = np.array([u1.values, u2.values])
-    return _distance_row(0, values, _demand_stack(values), "demand")[0]
+    return _rows(np.array([u1.values, u2.values]), "demand", (0, 1))[0][0]
 
 
 def valuation_distance(
@@ -268,8 +241,7 @@ def valuation_distance(
     """Exact min over all agent and good relabelings of the entrywise l1
     difference. Exponential in n; refuses n > cap."""
     _check_matrices((u1, u2), "valuation", cap)
-    values = np.array([u1.values, u2.values])
-    return _distance_row(0, values, _demand_stack(values), "valuation")[0]
+    return _rows(np.array([u1.values, u2.values]), "valuation", (0, 1))[0][0]
 
 
 @dataclass
@@ -305,26 +277,16 @@ def check_distances(values) -> np.ndarray:
     return d
 
 
-def _distance_row(i: int, values: np.ndarray, vectors: np.ndarray, metric: str) -> list[float]:
-    """Distances from instance i to every later instance of the stacked
-    (k, n, m) ``values``; ``vectors`` is ``_demand_stack(values)``. The
-    demand row is also the valuation search's root bounds. Callers check
-    shapes and the cap with ``_check_matrices``."""
-    row = _demand_row(vectors, i)
+def _rows(values: np.ndarray, metric: str, span: tuple[int, int]) -> list[list[float]]:
+    """Distances from each instance i in ``range(*span)`` to every later
+    instance of the stacked (k, n, m) ``values``. A demand row is also the
+    valuation search's root bounds. Callers check shapes and the cap with
+    ``_check_matrices``."""
+    vectors = _demand_stack(values)
+    rows = [_demand_row(vectors, i) for i in range(*span)]
     if metric == "demand":
-        return row
-    return _valuation_row(values, i, row)
-
-
-_POOL_STATE: dict = {}
-
-
-def _pool_init(values, metric):
-    _POOL_STATE.update(values=values, vectors=_demand_stack(values), metric=metric)
-
-
-def _pool_rows(span: tuple[int, int]) -> list[list[float]]:
-    return [_distance_row(i, **_POOL_STATE) for i in range(*span)]
+        return rows
+    return [_valuation_row(values, i, row) for i, row in zip(range(*span), rows)]
 
 
 def _spans(k: int, count: int) -> list[tuple[int, int]]:
@@ -358,13 +320,11 @@ def pairwise_distances(
     if threads > 1 and k > 2:
         # the pool has k - 1 rows to hand out, and it starts every worker at once
         workers = min(threads, k - 1)
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_init, initargs=(values, metric)
-        ) as pool:
-            rows = [row for block in pool.map(_pool_rows, _spans(k, 4 * workers)) for row in block]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            blocks = pool.map(partial(_rows, values, metric), _spans(k, 4 * workers))
+            rows = [row for block in blocks for row in block]
     else:
-        vectors = _demand_stack(values)
-        rows = [_distance_row(i, values, vectors, metric) for i in range(k - 1)]
+        rows = _rows(values, metric, (0, k - 1))
     dist = np.zeros((k, k))
     for i, row in enumerate(rows):
         dist[i, i + 1 :] = row

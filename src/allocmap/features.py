@@ -5,7 +5,8 @@ vectors; one search walks them in counter order (good m-1 varies fastest)
 in chunks and computes every requested feature. The subset-sum tables of a
 block of chunks are filled at once, and each chunk is one gather from its
 table into one reused buffer. The maximin shares settle in the first chunks,
-where agent 0 owns good 0, and only mms_ok may walk those again.
+where agent 0 owns good 0, and only mms_ok may walk all but the last of
+those again.
 Accumulation is in ascending good and agent order throughout, so a
 plain-loop reimplementation reproduces values bit for bit. All of these are
 exponential and guarded by an explicit cap. The closed-form matrix features
@@ -33,8 +34,7 @@ SINGLE_MINDED_TOL = 1e-9
 # small for their consumers: the reductions of allocation_features run over
 # whole chunks. On a 2-core x86 VM a 2^17 cap, one chunk per 5x5 instance,
 # made the walk of the 5x5 preset 1.16x slower and its allocation features
-# 3.2x slower, in CPU time (median of 15 interleaved rounds); with no good
-# leading, mms_ok walks that one chunk twice.
+# 3.2x slower, in CPU time (median of 15 interleaved rounds).
 _CHUNK_ENTRIES = 16_384
 # The records of one shape go to _matrix_columns in blocks whose largest
 # temporary, the (K, n, m, m) row differences of pickiness, holds at most
@@ -172,8 +172,9 @@ def allocation_features(
     them when no good leads), where agent 0 owns good 0: relabeling an
     allocation's owners keeps every agent's worst bundle, and a bundle's
     value does not depend on its owner, so these chunks hold every share bit
-    for bit. mms_ok is checked from the next chunk on; only if none of those
-    settles it are the first chunks walked again.
+    for bit. mms_ok is checked from the last of these chunks on; only if
+    none of those settles it are the chunks before it walked again, so with
+    at most one good leading there is no second walk.
     """
     arr = matrix.values
     n, m = arr.shape
@@ -200,7 +201,8 @@ def allocation_features(
         profiles = np.empty((n, total))
         worst_envy = np.empty(total)
     first = n ** max(m - _trailing(n, m) - 1, 0)
-    # no chunk from `first` on has yet given every agent its share
+    # no chunk from `first - 1` on, where the shares are final, has yet
+    # given every agent its share
     pending = "mms_ok" in want
 
     def settles(own: np.ndarray) -> bool:
@@ -218,7 +220,7 @@ def allocation_features(
             shares = np.maximum(shares, b.min(axis=1).max(axis=1))
         diag = b.reshape(n * n, -1)[:: n + 1]
         own = diag.copy()
-        if pending and c >= first:
+        if pending and c >= first - 1:
             pending = not settles(own)
         if envy:
             # Rounding of x - c is monotone in x, so the largest envy of
@@ -249,7 +251,7 @@ def allocation_features(
     }
     if "mms_ok" in want:
         values["mms_ok"] = not pending or any(
-            settles(b.reshape(n * n, -1)[:: n + 1]) for b in itertools.islice(_bundle_chunks(arr), first)
+            settles(b.reshape(n * n, -1)[:: n + 1]) for b in itertools.islice(_bundle_chunks(arr), first - 1)
         )
     if keep:
         values["efpo_exists"] = _efpo_from(profiles, worst_envy)

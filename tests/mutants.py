@@ -33,12 +33,10 @@ class Mutant(NamedTuple):
 
 
 DISTANCE = "src/allocmap/distance.py"
-HANDOFF = (
-    "tests/test_distance.py::"
-    "test_valuation_leaf_pass_hands_a_pair_with_two_leaves_within_its_bound_to_the_walk"
+WALK_ORDER = (
+    "tests/test_distance.py::test_valuation_leaf_pass_decides_pairs_by_walk_order",
+    "tests/test_distance.py::test_valuation_first_leaf_in_walk_order_matches_search_oracle_bitwise",
 )
-WALK = "tests/test_distance.py::test_valuation_walk_alone_matches_search_oracle_bitwise"
-UNDECIDED = "        else:\n            undecided.append(k)\n"
 FEATURES = "src/allocmap/features.py"
 FEATURE_ORACLE = "tests/test_features.py::test_feature_table_matches_oracle_bitwise"
 TWO_LEADING = "tests/test_features.py::test_walk_with_two_leading_goods_matches_oracle_bitwise"
@@ -56,18 +54,25 @@ MUTANTS = [
         ("tests/test_distance.py::test_valuation_leaf_pass_sums_leaf_costs_in_matching_order",),
     ),
     Mutant(
-        "undecided pairs settled by the least leaf within the bound",
+        "distinct leaves within the bound settled by the least one",
         DISTANCE,
-        UNDECIDED,
-        "        else:\n            best[k] = min(below)\n",
-        (HANDOFF,),
+        "below.sort(key=lambda leaf: _walk_key(tensor, order, k, perms[leaf[1]]))",
+        "below.sort()",
+        WALK_ORDER,
     ),
     Mutant(
-        "undecided pairs settled by the greatest leaf within the bound",
+        "distinct leaves within the bound settled by the last in walk order",
         DISTANCE,
-        UNDECIDED,
-        "        else:\n            best[k] = max(below)\n",
-        (HANDOFF,),
+        "best[k] = below[0][0] if below else",
+        "best[k] = below[-1][0] if below else",
+        WALK_ORDER,
+    ),
+    Mutant(
+        "walk order keyed by partner agents only",
+        DISTANCE,
+        "key += [cost[np.arange(m), _assign([cost])[0]].sum(), a]",
+        "key += [a]",
+        WALK_ORDER,
     ),
     Mutant(
         "leaf candidates without the slack",
@@ -89,20 +94,6 @@ MUTANTS = [
         "np.unique(np.r_[0, cuts, k - 1])",
         "np.unique(np.r_[cuts, k - 1])",
         ("tests/test_distance.py::test_pairwise_thread_count_irrelevant",),
-    ),
-    Mutant(
-        "walk pruning at 0.9 x the incumbent",
-        DISTANCE,
-        "if totals[r] < best + _PRUNE_SLACK:",
-        "if totals[r] < 0.9 * best + _PRUNE_SLACK:",
-        (WALK,),
-    ),
-    Mutant(
-        "walk stopping at 1.1 x the demand bound",
-        DISTANCE,
-        "if best <= bound:",
-        "if best <= 1.1 * bound:",
-        (WALK,),
     ),
     Mutant(
         "demand costs replaced by a fixed matrix",
@@ -153,6 +144,13 @@ MUTANTS = [
         'values["mms_ok"] = not pending or any(',
         'values["mms_ok"] = not pending or False and any(',
         ("tests/test_features.py::test_mms_ok_decided_by_the_walk_again_over_the_first_chunks",),
+    ),
+    Mutant(
+        "mms_ok checked from the chunk after the shares settle",
+        FEATURES,
+        "if pending and c >= first - 1:",
+        "if pending and c >= first:",
+        ("tests/test_features.py::test_mms_ok_checked_from_the_last_chunk_of_the_shares",),
     ),
     Mutant(
         "own diagonal left unmasked before the envy max",

@@ -6,7 +6,7 @@ for distances, and bundles accumulated good by good with agent aggregates
 in ascending index order for allocation features. That makes exact-equality
 checks against the library meaningful rather than circular. Three oracles
 are former library code kept as byte oracles: ``oracle_search``, the
-per-pair valuation search, which pins the bytes of the leaf pass and walk;
+per-pair valuation search, which pins the bytes of the leaf pass;
 ``oracle_smacof``, the textbook allocating SMACOF loop, which pins the bytes
 of the buffered one; and ``oracle_jacobi``, the one-matrix-at-a-time Jacobi
 eigensolver, which pins the bytes of the stacked one (with the singular
@@ -60,7 +60,7 @@ def oracle_fixed_agents(u1, u2, agent_perm):
 
 
 # The exact search as it stood before its nodes were priced in batches, kept
-# verbatim as the byte oracle of the leaf pass and walk: the same variance
+# verbatim as the byte oracle of the leaf pass: the same variance
 # order, relaxation-sorted children, pruning slack and stop at the first
 # incumbent within the demand bound. It is not the enumerated minimum: on a few pairs it
 # stops 1 ulp above it.

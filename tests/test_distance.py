@@ -326,9 +326,9 @@ def _weights(shape):
 @pytest.mark.parametrize("entries", [None, 1], ids=["default", "one_leaf_chunks"])
 @pytest.mark.parametrize("n,m", [(2, 2), (2, 5), (3, 6), (4, 5), (5, 5), (6, 6), (6, 8)])
 def test_pairwise_valuation_matches_search_oracle_bitwise(monkeypatch, n, m, entries):
-    # given the same root bound, the leaf pass and the walk must together
-    # take every decision of the per-pair search, so each entry equals its
-    # bytes, for one process and for two. A drawn column per instance (or -1
+    # given the same root bound, the leaf pass must take every decision of
+    # the per-pair search, so each entry equals its bytes, for one process
+    # and for two. A drawn column per instance (or -1
     # for none) is zeroed. Some draws rebuild the first instance from drawn
     # rows of its own, so rows repeat, and replace the last by a relabeled
     # copy of it: many of that pair's leaves then tie at its bound.
@@ -381,49 +381,84 @@ def test_valuation_preset_pair_keeps_the_search_stop():
     assert np.float64(valuation_distance(u1, u2)).tobytes() == np.float64(want).tobytes()
 
 
-def _record_walks(monkeypatch):
-    """The block pairs ``_walk`` is called for, in call order."""
-    pairs, walk = [], distance._walk
-    monkeypatch.setattr(distance, "_walk", lambda *args: pairs.append(args[2]) or walk(*args))
+def _record_walk_keys(monkeypatch):
+    """The block pair of each ``_walk_key`` call, in call order."""
+    pairs, walk_key = [], distance._walk_key
+    monkeypatch.setattr(
+        distance, "_walk_key", lambda tensor, order, k, path: pairs.append(k) or walk_key(tensor, order, k, path)
+    )
     return pairs
 
 
-def test_valuation_leaf_pass_hands_a_pair_with_two_leaves_within_its_bound_to_the_walk(monkeypatch):
-    # two distinct leaf values of this pair are at most its demand bound, and
-    # only the walk's order picks between them
-    recs = {r.label: r for r in gen_preset("3x6", 1007)}
-    pair = [recs["attr_d5_004"], recs["iid_exp_035"]]
-    walks = _record_walks(monkeypatch)
-    got = pairwise_distances(pair, "valuation").values[0, 1]
-    assert walks == [0]
-    u1, u2 = (r.matrix for r in pair)
-    assert got.tobytes() == np.float64(oracle_search(u1, u2, demand_distance(u1, u2))).tobytes()
+def test_valuation_leaf_pass_decides_pairs_by_walk_order(monkeypatch):
+    # two distinct leaf values of each of these pairs are at most its demand
+    # bound, and only the walk's order picks between them. In the second the
+    # first leaf in walk order is not the least one, and in the second and
+    # third it is not the first by partner agents alone.
+    for seed, a, b in [
+        (1007, "attr_d5_004", "iid_exp_035"),
+        (5007, "attr_d2_008", "attr_d5_014"),
+        (7007, "attr_d2_014", "attr_d5_004"),
+    ]:
+        recs = {r.label: r for r in gen_preset("3x6", seed)}
+        keys = _record_walk_keys(monkeypatch)
+        got = pairwise_distances([recs[a], recs[b]], "valuation").values[0, 1]
+        monkeypatch.undo()
+        assert keys and set(keys) == {0}, (a, b, keys)
+        u1, u2 = recs[a].matrix, recs[b].matrix
+        want = oracle_search(u1, u2, demand_distance(u1, u2))
+        assert got.tobytes() == np.float64(want).tobytes(), (a, b)
 
 
 @pytest.mark.parametrize("n,m", [(3, 6), (5, 5)])
-def test_valuation_walk_alone_matches_search_oracle_bitwise(monkeypatch, n, m):
-    # the leaf pass leaves the walk almost no pair, so here it leaves every
-    # pair above its bound to the walk, which must then take every decision
-    # of the per-pair search itself
-    monkeypatch.setattr(distance, "_settle", lambda tensor, order, live, best, lbs: live)
-
+def test_valuation_first_leaf_in_walk_order_matches_search_oracle_bitwise(n, m):
+    # The search stops at the first leaf it reaches within its root bound,
+    # and _walk_key must order the leaves as its depth-first walk reaches
+    # them. Tied weights, and pairs of relabeled copies, tie many leaves.
+    # Besides the demand bound, a drawn leaf value serves as the root bound,
+    # so that leaves of distinct values lie within it. A leaf's goods costs
+    # are summed in matching order, as the search sums them.
     @settings(max_examples=10, deadline=None, derandomize=True)
-    @given(_instances(n, m, 4))
-    def check(instances):
-        recs = [record(f"r{i}", u) for i, u in enumerate(instances)]
-        got = pairwise_distances(recs, "valuation").values
-        for i, j in itertools.combinations(range(len(recs)), 2):
-            u1, u2 = instances[i], instances[j]
-            want = oracle_search(u1, u2, demand_distance(u1, u2))
-            assert got[i, j].tobytes() == np.float64(want).tobytes(), (i, j)
+    @given(
+        hnp.arrays(np.int64, (2, n, m), elements=st.integers(0, 3), fill=st.nothing()),
+        st.none() | st.tuples(st.permutations(range(n)), st.permutations(range(m))),
+        st.integers(0, math.factorial(n) - 1),
+    )
+    def check(weights, copy, rank):
+        assume(weights.sum(axis=2).all())
+        u1, u2 = (normalize_rows(w) for w in weights)
+        if copy is not None:
+            u2 = relabel(u1, *copy)
+        a1, a2 = u1.values, u2.values
+        tensor = np.abs(a1[None, :, None, :, None] - a2[None, None, :, None, :])
+        order = np.argsort(-a1.var(axis=1), kind="stable")
+        ident = np.arange(n)
+        first = oracles._goods_matched_l1(a1, a2, tensor[0, ident, ident].sum(axis=0))
+        leaves = []
+        for path in itertools.permutations(range(n)):
+            assign = np.empty(n, dtype=np.intp)
+            assign[order] = path
+            cost = np.zeros((m, m))
+            for s, partner in enumerate(path):
+                cost = cost + tensor[0, order[s], partner]
+            leaves.append((oracles._goods_matched_l1(a1, a2[assign], cost), list(path)))
+        leaves.sort(key=lambda leaf: distance._walk_key(tensor, order, 0, leaf[1]))
+        values = sorted(value for value, _ in leaves)
+        for bound in (demand_distance(u1, u2), values[rank]):
+            below = [value for value, _ in leaves if value <= bound]
+            if first > bound and below:
+                want = oracle_search(u1, u2, bound)
+                assert np.float64(below[0]).tobytes() == np.float64(want).tobytes(), bound
 
     check()
 
 
 def test_valuation_leaf_pass_settles_every_preset_pair_without_the_walk(monkeypatch):
-    walks = _record_walks(monkeypatch)
+    # no two leaves of distinct value lie within a pair's demand bound here,
+    # so no leaf needs its place in walk order
+    keys = _record_walk_keys(monkeypatch)
     pairwise_distances(gen_preset("3x6", 7)[::28], "valuation")
-    assert walks == []
+    assert keys == []
 
 
 def test_valuation_leaf_pass_solves_under_half_of_the_preset_leaves(monkeypatch):
@@ -475,7 +510,7 @@ def test_reduced_bound_never_exceeds_the_assignment_total(m):
 
 def test_valuation_leaf_pass_sums_leaf_costs_in_matching_order():
     # each of these preset pairs has goods matchings that tie in exact cost,
-    # and summing a leaf's costs in another agent order than the walk's makes
+    # and summing a leaf's costs in another agent order than the search's makes
     # the solver pick one whose canonical value is 1 ulp off
     recs = {r.label: r for r in gen_preset("3x6", 7)}
     for a, b in [
@@ -542,9 +577,8 @@ class _RecordingPool:
 
     workers: list[int] = []
 
-    def __init__(self, max_workers, initializer, initargs):
+    def __init__(self, max_workers):
         self.workers.append(max_workers)
-        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -560,7 +594,6 @@ class _RecordingPool:
 def test_pairwise_pool_has_at_most_one_worker_per_row(monkeypatch, threads, workers):
     monkeypatch.setattr(_RecordingPool, "workers", [])
     monkeypatch.setattr(distance, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(distance, "_POOL_STATE", {})
     recs = [record(f"r{i}", random_instance(3, 4, i + 1800)) for i in range(10)]
     got = pairwise_distances(recs, "demand", threads=threads)
     assert _RecordingPool.workers == [workers]
@@ -609,8 +642,8 @@ def test_demand_at_most_valuation_within_ulps(n, m):
 def test_leaves_never_fall_below_an_ancestors_relaxation(n, m):
     # the leaf pass rests on this: a leaf lies at most a few ulps below the
     # relaxation of any node above it (worst seen -4.4e-16), so a subtree the
-    # walk prunes at its incumbent plus _PRUNE_SLACK holds no leaf it needs.
-    # Costs are summed along each path in matching order, as the walk sums
+    # search prunes at its incumbent plus _PRUNE_SLACK holds no leaf it needs.
+    # Costs are summed along each path in matching order, as the search sums
     # them.
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(_instances(n, m, 2))

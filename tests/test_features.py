@@ -109,8 +109,8 @@ def assert_matches_oracle(got, u):
 def test_walk_with_two_leading_goods_matches_oracle_bitwise(monkeypatch):
     # 4^7 owner vectors come in 16 chunks, each fixing the owners of the
     # first 2 goods; the other cases walk 0 or 1 leading goods. The shares
-    # settle in the 4 chunks where agent 0 owns good 0, and only those may
-    # be walked again.
+    # settle in the 4 chunks where agent 0 owns good 0, and only the first 3
+    # of those may be walked again.
     ties = weights_matrix([[3, 0, 1, 1, 2, 0, 3], [1, 1, 1, 1, 1, 1, 1],
                            [0, 2, 2, 0, 1, 3, 1], [0, 0, 0, 0, 0, 0, 0]])
     for u in (ties, gen_iid(4, 7, "uniform01", seed=47)):
@@ -118,21 +118,53 @@ def test_walk_with_two_leading_goods_matches_oracle_bitwise(monkeypatch):
         assert chunks == [(4, 4, 4**5)] * 16
         walks = count_walks(monkeypatch)
         got = allocation_features(u, EXACT_ORACLE_FEATURES + ("ef_exists", "mms_shares"), quad_cap=4**7)
-        assert walks[0] == 16 and len(walks) <= 2 and sum(walks[1:]) <= 4, walks
+        assert walks[0] == 16 and len(walks) <= 2 and sum(walks[1:]) <= 3, walks
         monkeypatch.undo()
         assert_matches_oracle(got, u)
 
 
+@pytest.mark.parametrize("n,m,chunks", [(3, 6, 1), (3, 7, 3)])
+def test_mms_ok_walks_once_where_at_most_one_good_leads(monkeypatch, n, m, chunks):
+    # the shares settle in chunk 0, from which mms_ok is checked, so no
+    # chunk is walked again
+    for seed in range(3):
+        u = gen_iid(n, m, "uniform01", seed=seed)
+        walks = count_walks(monkeypatch)
+        got = allocation_features(u, ["mms_ok"])["mms_ok"]
+        assert walks == [chunks], walks
+        monkeypatch.undo()
+        assert got is oracle_features(u)["mms_ok"]
+
+
 def test_mms_ok_decided_by_the_walk_again_over_the_first_chunks(monkeypatch):
-    # Agents 1 and 2 need two of the six goods that all value alike, and
-    # agent 0 needs three of them or good 0, so every maximin-share
-    # allocation gives good 0 to agent 0: the first 3 of the 9 chunks.
-    u = weights_matrix([[6, 1, 1, 0, 1, 1, 1, 1], [0, 1, 1, 0, 1, 1, 1, 1],
-                        [0, 1, 1, 0, 1, 1, 1, 1]])
+    # 2^15 owner vectors come in 8 chunks, each fixing the owners of goods
+    # 0-2; the shares settle in the first 4, and mms_ok is checked from the
+    # last of those on. Agent 1 needs good 2, or goods 1 and 11; agent 0
+    # needs 5 of its 11, so good 0 and one of goods 1 and 2. Every
+    # maximin-share allocation thus lies in chunk 1 or 2, and only the walk
+    # again over chunks 0-2 finds one.
+    weights = np.zeros((2, 15))
+    weights[:, [0, 1, 2, 11]] = [[3, 3, 4, 1], [0, 1, 4, 1]]
+    u = weights_matrix(weights)
     walks = count_walks(monkeypatch)
-    got = allocation_features(u, EXACT_ORACLE_FEATURES + ("ef_exists", "mms_shares"))
+    got = allocation_features(u, EXACT_ORACLE_FEATURES + ("ef_exists", "mms_shares"), quad_cap=2**15)
     assert got["mms_ok"] is True
-    assert walks[0] == 9 and 1 <= walks[1] <= 3 and len(walks) == 2, walks
+    assert walks == [8, 2], walks
+    assert_matches_oracle(got, u)
+
+
+def test_mms_ok_checked_from_the_last_chunk_of_the_shares(monkeypatch):
+    # 8 chunks as above, the shares settle in the first 4. Agent 0 needs
+    # good 0, or goods 1, 2 and 10; agent 1 needs goods 1 and 2, or good 0
+    # and one more. Every maximin-share allocation thus lies in chunk 3, the
+    # last of the shares, and the one walk finds it.
+    weights = np.zeros((2, 15))
+    weights[:, [0, 1, 2, 10]] = [[5, 2, 1, 2], [7, 3, 5, 1]]
+    u = weights_matrix(weights)
+    walks = count_walks(monkeypatch)
+    got = allocation_features(u, EXACT_ORACLE_FEATURES + ("ef_exists", "mms_shares"), quad_cap=2**15)
+    assert got["mms_ok"] is True
+    assert walks == [8], walks
     assert_matches_oracle(got, u)
 
 

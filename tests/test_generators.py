@@ -208,6 +208,11 @@ def test_dataset_same_prefix_counter_continues():
     ]
 
 
+def test_dataset_refuses_an_unknown_model():
+    with pytest.raises(ValueError, match="unknown generator model 'bogus'"):
+        gen_dataset([GeneratorSpec("iid", 1, {"dist": "uniform01"}), GeneratorSpec("bogus", 1)], 3, 6, seed=0)
+
+
 def test_preset_sizes_and_shapes():
     for name, total, shape in (("3x6", 165, (3, 6)), ("5x5", 165, (5, 5)), ("10x20", 171, (10, 20))):
         records = gen_preset(name, seed=0)

@@ -17,7 +17,7 @@ from allocmap.core import InstanceRecord, Source, ValidationError, normalize_row
 from allocmap.dataio import ParseError, fmt17
 from allocmap.distance import DistanceMatrix, pairwise_distances
 from allocmap.embedding import Embedding, mds_embed
-from allocmap.features import ALLOCATION_FEATURES, FeatureTable, feature_table
+from allocmap.features import ALLOCATION_FEATURES, FeatureTable, UnknownFeature, feature_table
 from allocmap.generators import (
     MODEL_PARAMS,
     GeneratorSpec,
@@ -636,6 +636,22 @@ def test_cli_render_features_missing_a_label_exits_2(tmp_path, capsys):
     code = run_cli("render", pts, "--features-csv", feats, "--color", "max_demand", "-o", out)
     assert code == 2
     assert "labels missing from features table: ['b']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_render_color_outside_the_features_table_exits_2(tmp_path, capsys):
+    table = FeatureTable(
+        columns=["max_demand"], labels=["a", "b"], rows=[{"max_demand": 0.5}, {"max_demand": 0.7}], reasons=[]
+    )
+    out = tmp_path / "m.svg"
+    with pytest.raises(UnknownFeature, match="unknown feature 'pickiness'"):
+        render_svg(out, ["a", "b"], np.array([[0.0, 0.0], [1.0, 1.0]]), features=table, color="pickiness")
+    pts = tmp_path / "p.csv"
+    pts.write_text("label,x,y\na,0,0\nb,1,1\n")
+    feats = tmp_path / "f.csv"
+    feats.write_text("label,max_demand\na,0.5\nb,0.7\n")
+    assert run_cli("render", pts, "--features-csv", feats, "--color", "pickiness", "-o", out) == 2
+    assert "unknown feature 'pickiness'" in capsys.readouterr().err
     assert not out.exists()
 
 

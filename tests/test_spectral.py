@@ -10,6 +10,8 @@ from allocmap import spectral
 from allocmap.core import BadDimensions, InstanceRecord, Source, validate
 from allocmap.generators import gen_attributes, gen_characteristic, gen_iid, gen_preset, gen_resampling
 from allocmap.spectral import (
+    BOUNDARY_TOL,
+    _east_block_certificate,
     _jacobi_eigenvalues,
     boundary_interpolation,
     boundary_report,
@@ -339,6 +341,23 @@ def test_east_certificate_detects_duplicated_blocks():
     arr[0, 0] = arr[1, 1] = arr[2, 2] = arr[3, 3] = 1.0
     rep = boundary_report(validate(arr))
     assert rep.east.tight and rep.east.certificate is True
+
+
+def test_east_certificate_false_for_top_blocks_of_unequal_shape():
+    # a 1x1 block and a rank-one 2x2 block both have sigma1 = 1, so the
+    # instance is east-tight, but no two of its blocks are isomorphic
+    arr = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
+    rep = boundary_report(validate(arr))
+    assert rep.east.tight and rep.east.certificate is False
+
+
+def test_east_certificate_false_for_a_connected_instance():
+    # one component has no second block; by Perron-Frobenius its sigma1 is
+    # simple, so boundary_report never asks for the certificate here
+    u = gen_iid(3, 4, "uniform01", seed=3)
+    assert (u.values > 0).all()
+    assert _east_block_certificate(u.values, BOUNDARY_TOL) is False
+    assert not boundary_report(u).east.tight
 
 
 def test_east_certificate_none_for_large_components():
