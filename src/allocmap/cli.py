@@ -9,12 +9,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from . import dataio
-from .core import CapError, ValidationError
-from .distance import EXACT_SEARCH_CAP, METRICS, check_threads, pairwise_distances
-from .embedding import SMACOF_MAX_ITERS, SMACOF_TOL, check_smacof, mds_embed
-from .features import ALL_FEATURES, ALLOC_CAP, EFPO_QUAD_CAP, _columns, feature_table
+from .core import CapError, ParseError, ValidationError
+from .distance import METRICS, check_threads, pairwise_distances
+from .embedding import check_smacof, mds_embed
+from .features import ALL_FEATURES, _columns, feature_table
 from .generators import (
     CHARACTERISTIC_KINDS,
     IID_DISTS,
@@ -28,6 +29,9 @@ from .generators import (
 from .pipeline import PipelineConfig, PipelineError, run_pipeline
 from .render import render_svg
 from .spectral import explicit_coords
+
+# Each pipeline option is named after its PipelineConfig field and takes its default.
+_DEFAULTS = {f.name: f.default for f in fields(PipelineConfig)}
 
 
 def _outpath(args, name: str) -> str:
@@ -75,7 +79,7 @@ def _cmd_ingest(args) -> None:
 
 def _cmd_distance(args) -> None:
     records, _ = dataio.read_dataset(args.dataset)
-    dm = pairwise_distances(records, args.metric, threads=args.threads, cap=args.cap)
+    dm = pairwise_distances(records, args.metric, threads=args.threads, cap=args.valuation_cap)
     dataio.write_distance_csv(_outpath(args, f"distances_{args.metric}.csv"), dm)
 
 
@@ -96,16 +100,8 @@ def _cmd_explicit(args) -> None:
     )
 
 
-def _feature_names(args) -> list[str] | None:
-    """The --features list, None without the flag; an empty one is kept
-    empty, for features._columns to refuse."""
-    if args.features is None:
-        return None
-    return args.features.split(",") if args.features else []
-
-
 def _cmd_features(args) -> None:
-    columns = _columns(_feature_names(args))
+    columns = _columns(args.features)
     records, _ = dataio.read_dataset(args.dataset)
     table = feature_table(records, columns, cap=args.alloc_cap, quad_cap=args.quad_cap)
     dataio.write_features_csv(_outpath(args, "features.csv"), table, args.reasons)
@@ -127,22 +123,7 @@ def _cmd_render(args) -> None:
 
 
 def _cmd_pipeline(args) -> None:
-    config = PipelineConfig(
-        out_dir=args.out_dir,
-        preset=args.preset,
-        dataset_path=args.dataset,
-        seed=args.seed,
-        metric=args.metric,
-        threads=args.threads,
-        max_iters=args.max_iters,
-        tol=args.tol,
-        restarts=args.restarts,
-        features=_feature_names(args),
-        color_feature=args.color,
-        valuation_cap=args.cap,
-        alloc_cap=args.alloc_cap,
-        quad_cap=args.quad_cap,
-    )
+    config = PipelineConfig(**{f.name: getattr(args, f.name) for f in fields(PipelineConfig)})
     outputs = run_pipeline(config)
     for stage in outputs:
         for path in outputs[stage]:
@@ -154,8 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="allocmap",
         description="Generate, compare, map, and annotate fair-division instances.",
     )
-    p.add_argument("--seed", type=int, default=0, help="root RNG seed")
-    p.add_argument("--threads", type=int, default=1, help="worker processes for pair grids")
+    p.add_argument("--seed", type=int, default=_DEFAULTS["seed"], help="root RNG seed")
+    p.add_argument("--threads", type=int, default=_DEFAULTS["threads"], help="worker processes for pair grids")
     p.add_argument("--out-dir", default=".", help="directory for default output paths")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -165,16 +146,22 @@ def build_parser() -> argparse.ArgumentParser:
     preset = argparse.ArgumentParser(add_help=False)
     preset.add_argument("--preset", choices=PRESET_SHAPES)
     distances = argparse.ArgumentParser(add_help=False)
-    distances.add_argument("--metric", choices=METRICS, default="demand")
-    distances.add_argument("--cap", type=int, default=EXACT_SEARCH_CAP, help="max n for exact valuation search")
+    distances.add_argument("--metric", choices=METRICS, default=_DEFAULTS["metric"])
+    distances.add_argument(
+        "--cap", dest="valuation_cap", metavar="CAP", type=int, default=_DEFAULTS["valuation_cap"],
+        help="max n for exact valuation search",
+    )
     smacof = argparse.ArgumentParser(add_help=False)
-    smacof.add_argument("--max-iters", type=int, default=SMACOF_MAX_ITERS)
-    smacof.add_argument("--tol", type=float, default=SMACOF_TOL)
-    smacof.add_argument("--restarts", type=int, default=1, help="best-of-R seeded restarts")
+    smacof.add_argument("--max-iters", type=int, default=_DEFAULTS["max_iters"])
+    smacof.add_argument("--tol", type=float, default=_DEFAULTS["tol"])
+    smacof.add_argument("--restarts", type=int, default=_DEFAULTS["restarts"], help="best-of-R seeded restarts")
     features = argparse.ArgumentParser(add_help=False)
-    features.add_argument("--features", help=f"comma list from: {','.join(ALL_FEATURES)}")
-    features.add_argument("--alloc-cap", type=int, default=ALLOC_CAP, help="max n^m for exhaustive features")
-    features.add_argument("--quad-cap", type=int, default=EFPO_QUAD_CAP, help="max n^m for the EF+PO check")
+    # an empty list is kept empty, for features._columns to refuse
+    features.add_argument(
+        "--features", type=lambda s: s.split(",") if s else [], help=f"comma list from: {','.join(ALL_FEATURES)}"
+    )
+    features.add_argument("--alloc-cap", type=int, default=_DEFAULTS["alloc_cap"], help="max n^m for exhaustive features")
+    features.add_argument("--quad-cap", type=int, default=_DEFAULTS["quad_cap"], help="max n^m for the EF+PO check")
 
     g = sub.add_parser("generate", parents=[preset, output], help="write a dataset from a preset or one generator")
     g.add_argument("--model", choices=(*MODELS, "characteristic"))
@@ -231,8 +218,13 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[preset, distances, smacof, features],
         help="dataset -> distances -> maps -> features -> SVGs",
     )
-    pl.add_argument("--dataset", help="existing dataset or instance file instead of a preset")
-    pl.add_argument("--color", default="max_demand", help="feature for the colored renders")
+    pl.add_argument(
+        "--dataset", dest="dataset_path", metavar="DATASET", help="existing dataset or instance file instead of a preset"
+    )
+    pl.add_argument(
+        "--color", dest="color_feature", metavar="COLOR", default=_DEFAULTS["color_feature"],
+        help="feature for the colored renders",
+    )
     pl.set_defaults(func=_cmd_pipeline)
     return p
 
@@ -242,7 +234,7 @@ def _exit_code(exc: BaseException) -> int:
         return _exit_code(exc.cause)
     if isinstance(exc, CapError):
         return 3
-    if isinstance(exc, (dataio.ParseError, OSError)):
+    if isinstance(exc, (ParseError, OSError)):
         return 4
     if isinstance(exc, (ValidationError, ValueError)):
         return 2
@@ -256,7 +248,7 @@ def main(argv=None) -> int:
         # refused before any command reads a file, whether it uses workers or not
         check_threads(args.threads)
         args.func(args)
-    except (PipelineError, CapError, dataio.ParseError, OSError, ValueError) as exc:
+    except (PipelineError, CapError, ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)
     return 0

@@ -1,7 +1,9 @@
 """Row-stochastic utility matrices: the instance type everything else consumes.
 
 An instance is an n x m matrix with n >= 2 agents (rows), m >= n goods
-(columns), nonnegative entries, and every row summing to 1.
+(columns), nonnegative entries, and every row summing to 1. Each instance of
+a dataset carries a label that every file writes as a CSV cell, so labels
+follow one rule, ``check_labels``, wherever they are made, written or read.
 """
 
 from __future__ import annotations
@@ -64,6 +66,14 @@ class ShapeMismatch(ValidationError):
 
 class CapError(RuntimeError):
     """Base for every explicit computation cap."""
+
+
+class ParseError(Exception):
+    """A malformed file, at the file line that shows the fault."""
+
+    def __init__(self, line: int, message: str):
+        self.line = line
+        super().__init__(f"line {line}: {message}")
 
 
 @dataclass(frozen=True)
@@ -159,3 +169,25 @@ class InstanceRecord:
     source: Source
     seed: int | None
     matrix: UtilityMatrix
+
+
+def check_labels(labels: list[str], lines: list[int] | None = None) -> None:
+    """The label rule of every file and generated dataset, which keeps a label one
+    CSV cell: not blank, no leading '#' (a comment line), no comma, no line boundary
+    of ``str.splitlines``, none twice. A fault is a ValidationError or, given lines, a ParseError."""
+    seen = set()
+    for k, lab in enumerate(labels):
+        if not lab.strip():
+            fault = f"label {lab!r} is blank"
+        elif "," in lab or lab.splitlines() != [lab]:
+            fault = f"label {lab!r} cannot contain commas or line breaks"
+        elif lab.startswith("#"):
+            fault = f"label {lab!r} cannot start with '#'"
+        elif lab in seen:
+            fault = f"label {lab!r} appears twice"
+        else:
+            seen.add(lab)
+            continue
+        if lines is None:
+            raise ValidationError(fault)
+        raise ParseError(lines[k], fault)

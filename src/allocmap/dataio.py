@@ -4,6 +4,8 @@ Floats are serialized with 17 significant digits everywhere, which
 round-trips 64-bit values exactly; reading back a written file reproduces
 matrices bit for bit. Matrix rows inside the dataset JSON use the same
 space-separated row syntax as the single-instance text format.
+Every label follows ``core.check_labels``: writing one that breaks the rule
+is a ValidationError, reading one a ParseError that names its line.
 """
 
 from __future__ import annotations
@@ -14,18 +16,12 @@ import os
 
 import numpy as np
 
-from .core import InstanceRecord, Source, ValidationError, normalize_rows, validate
+from .core import InstanceRecord, ParseError, Source, ValidationError, check_labels, normalize_rows, validate
 from .distance import DistanceMatrix
 from .embedding import Embedding
 from .features import FeatureTable
 
 DATASET_FORMAT = "allocmap-dataset"
-
-
-class ParseError(Exception):
-    def __init__(self, line: int, message: str):
-        self.line = line
-        super().__init__(f"line {line}: {message}")
 
 
 def fmt17(x: float) -> str:
@@ -125,7 +121,7 @@ def _seed(obj: dict, where: str) -> int | None:
 
 
 def write_dataset(path, records: list[InstanceRecord], seed: int | None = None) -> None:
-    _check_labels([r.label for r in records])
+    check_labels([r.label for r in records])
     doc = {
         "format": DATASET_FORMAT,
         "version": 1,
@@ -185,7 +181,7 @@ def _parse_dataset(text: str) -> tuple[list[InstanceRecord], dict]:
             )
         )
     # like every structural fault of the document, reported at line 1
-    _check_labels([rec.label for rec in records], [1] * len(records))
+    check_labels([rec.label for rec in records], [1] * len(records))
     meta = {"seed": _seed(doc, "dataset"), "version": doc.get("version")}
     if nonfinite:
         raise ParseError(1, f"not a finite number: {nonfinite[0]!r}")
@@ -273,26 +269,8 @@ def _subsample(
 # ---------------------------------------------------------------- CSV surfaces
 
 
-def _check_labels(labels: list[str], lines: list[int] | None = None) -> None:
-    """The label rule of every file and generated dataset: no label holds a
-    comma or a newline, and no label appears twice. A fault is a ValidationError or, given the file
-    line of each label, a ParseError naming the line."""
-    seen = set()
-    for k, lab in enumerate(labels):
-        if "," in lab or "\n" in lab:
-            fault = f"label {lab!r} cannot contain commas or newlines"
-        elif lab in seen:
-            fault = f"label {lab!r} appears twice"
-        else:
-            seen.add(lab)
-            continue
-        if lines is None:
-            raise ValidationError(fault)
-        raise ParseError(lines[k], fault)
-
-
 def write_distance_csv(path, dm: DistanceMatrix) -> None:
-    _check_labels(dm.labels)
+    check_labels(dm.labels)
     # "%.17g" % x is fmt17(x) and, on the Python floats of tolist(), faster
     rows = [",".join(["%.17g" % v for v in row.tolist()]) for row in dm.values]
     _write_text(path, [f"# metric={dm.metric}", ",".join(dm.labels), *rows])
@@ -327,7 +305,7 @@ def _read_csv(path) -> tuple[dict, tuple[int, list[str]], list[tuple[int, list[s
 
 def read_distance_csv(path) -> tuple[list[str], np.ndarray, dict]:
     meta, (header_line, labels), rows = _read_csv(path)
-    _check_labels(labels, [header_line] * len(labels))
+    check_labels(labels, [header_line] * len(labels))
     if len(rows) != len(labels):
         raise ParseError(
             rows[-1][0] if rows else header_line, f"expected {len(labels)} data rows, found {len(rows)}"
@@ -338,7 +316,9 @@ def read_distance_csv(path) -> tuple[list[str], np.ndarray, dict]:
 
 def _write_points(path, labels: list[str], points, what: str, header: list[str]) -> None:
     """A 'label,<x>,<y>' CSV of k x 2 points; the ``header`` lines come first."""
-    _check_labels(labels)
+    check_labels(labels)
+    if not labels:
+        raise ValidationError("need at least one instance, got none")
     if len(labels) != points.shape[0]:
         raise ValidationError(f"label count does not match {what} count")
     rows = [f"{lab},{fmt17(x)},{fmt17(y)}" for lab, (x, y) in zip(labels, points)]
@@ -366,14 +346,14 @@ def read_points_csv(path) -> tuple[list[str], np.ndarray, dict, list[str]]:
     if not rows:
         raise ParseError(header_line, "no data rows")
     labels = [fields[0] for _, fields in rows]
-    _check_labels(labels, [i for i, _ in rows])
+    check_labels(labels, [i for i, _ in rows])
     pts = [_parse_floats(fields[1:], i) for i, fields in rows]
     return labels, np.array(pts, dtype=np.float64), meta, header
 
 
 def write_features_csv(path, table: FeatureTable, reasons_path=None) -> None:
     """Feature table CSV plus the sidecar reasons file for absent cells."""
-    _check_labels(table.labels)
+    check_labels(table.labels)
     lines = ["# sum_max_envies=min-over-allocations", "label," + ",".join(table.columns)]
     for lab, row in zip(table.labels, table.rows):
         cells = ["" if row[name] is None else fmt17(row[name]) for name in table.columns]
@@ -402,7 +382,7 @@ def read_features_csv(path) -> FeatureTable:
         if name in header[: k + 1]:
             raise ParseError(header_line, f"column {name!r} appears twice")
     labels = [fields[0] for _, fields in rows]
-    _check_labels(labels, [i for i, _ in rows])
+    check_labels(labels, [i for i, _ in rows])
     values = [
         {
             name: None if cell == "" else _parse_floats([cell], i)[0]

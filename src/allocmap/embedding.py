@@ -124,13 +124,17 @@ def mds_embed(
     An all-zero matrix is degenerate: every point sits at the origin with
     stress 0 and the result is flagged instead of iterated. With restarts > 1
     the run r uses the child seed SeedSequence(seed, spawn_key=(r,)) and the
-    lowest-stress result wins (first such on ties).
+    lowest-stress result wins (first such on ties). A matrix whose squared entries
+    overflow in sum is refused before any iteration: below it, stress stays finite.
     """
     check_smacof(max_iters, tol, restarts)
     d = check_distances(getattr(dist, "values", dist))
     k = d.shape[0]
     if k < 2:
         raise ValidationError("need at least 2 points to embed")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.square(d).sum()):
+            raise ValidationError("distances too large to embed: the sum of their squares overflows")
     if not d.any():
         return Embedding(
             points=np.zeros((k, 2)),

@@ -18,11 +18,11 @@ from .core import (
     Source,
     UtilityMatrix,
     _child_seed,
+    check_labels,
     check_shape,
     normalize_rows,
     validate,
 )
-from .dataio import _check_labels
 
 CHARACTERISTIC_KINDS = ("IND", "SEP", "CON", "WSEP", "WSEPf", "BIC")
 
@@ -201,7 +201,7 @@ def gen_dataset(specs: list[GeneratorSpec], n: int, m: int, seed: int) -> list[I
             )
             index += 1
         counters[prefix] = start + spec.count
-    _check_labels([r.label for r in records])
+    check_labels([r.label for r in records])
     return records
 
 

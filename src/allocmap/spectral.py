@@ -29,6 +29,7 @@ from .generators import gen_characteristic
 
 JACOBI_OFF_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 60
+# The tolerance of every tightness test and certificate in boundary_report.
 BOUNDARY_TOL = 1e-7
 # Rows per stacked eigenvalue call in dirichlet_duplicated_sample: bounds the
 # Gram stack at a few hundred KiB whatever the sample count.
@@ -172,25 +173,16 @@ class BoundaryReport:
     east: SideReport
 
 
-def _rows_identical(arr: np.ndarray, tol: float) -> bool:
-    return bool(np.abs(arr - arr[0]).max() <= tol)
-
-
-def _column_sums_flat(arr: np.ndarray, tol: float) -> bool:
-    n, m = arr.shape
-    return bool(np.abs(arr.sum(axis=0) - n / m).max() <= tol)
-
-
-def _single_minded_two_goods(arr: np.ndarray, tol: float) -> bool:
+def _single_minded_two_goods(arr: np.ndarray) -> bool:
     row_max = arr.max(axis=1)
-    if (row_max < 1.0 - tol).any():
+    if (row_max < 1.0 - BOUNDARY_TOL).any():
         return False
-    valued = np.nonzero(arr.max(axis=0) > tol)[0]
+    valued = np.nonzero(arr.max(axis=0) > BOUNDARY_TOL)[0]
     return valued.size <= 2
 
 
-def _blocks_isomorphic(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    """Exact (within tol) equality of small matrices up to row and column
+def _blocks_isomorphic(a: np.ndarray, b: np.ndarray) -> bool:
+    """Exact (within BOUNDARY_TOL) equality of small matrices up to row and column
     permutation. For a fixed row order, columns may be sorted canonically,
     so only row permutations are enumerated."""
     if a.shape != b.shape:
@@ -202,18 +194,18 @@ def _blocks_isomorphic(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
 
     cb = canon(b)
     for perm in itertools.permutations(range(a.shape[0])):
-        if np.abs(canon(a[list(perm)]) - cb).max() <= tol:
+        if np.abs(canon(a[list(perm)]) - cb).max() <= BOUNDARY_TOL:
             return True
     return False
 
 
-def _east_block_certificate(arr: np.ndarray, tol: float) -> bool | None:
+def _east_block_certificate(arr: np.ndarray) -> bool | None:
     """Advisory witness for east tightness: the agent-good bipartite graph
     splits into components, two of which are isomorphic and attain the
     largest component sigma1 (a duplicated top block forces sigma1 = sigma2)."""
     n, m = arr.shape
     graph = np.zeros((n + m, n + m))
-    graph[:n, n:] = arr > tol
+    graph[:n, n:] = arr > BOUNDARY_TOL
     _, comp = connected_components(graph, directed=False)
     blocks = []
     for c in np.unique(comp[:n]):
@@ -226,14 +218,14 @@ def _east_block_certificate(arr: np.ndarray, tol: float) -> bool | None:
         return None
     tops = [float(singular_values([b])[0, 0]) for b in blocks]
     peak = max(tops)
-    peak_idx = [i for i, t in enumerate(tops) if t >= peak - tol]
+    peak_idx = [i for i, t in enumerate(tops) if t >= peak - BOUNDARY_TOL]
     for i, j in itertools.combinations(peak_idx, 2):
-        if _blocks_isomorphic(blocks[i], blocks[j], tol):
+        if _blocks_isomorphic(blocks[i], blocks[j]):
             return True
     return False
 
 
-def boundary_report(matrix: UtilityMatrix, tol: float = BOUNDARY_TOL) -> BoundaryReport:
+def boundary_report(matrix: UtilityMatrix) -> BoundaryReport:
     arr = matrix.values
     n, m = arr.shape
     s1, s2 = singular_values([arr])[0, :2].tolist()
@@ -243,14 +235,13 @@ def boundary_report(matrix: UtilityMatrix, tol: float = BOUNDARY_TOL) -> Boundar
     north_res = n - (s1 * s1 + s2 * s2)
     east_res = s1 - s2
 
-    west_cert = _rows_identical(arr, tol)
-    south_cert = _column_sums_flat(arr, tol)
-    north_cert = _single_minded_two_goods(arr, tol)
-    east_tight = east_res <= tol
-    east_cert = _east_block_certificate(arr, tol) if east_tight else None
+    west_cert = bool(np.abs(arr - arr[0]).max() <= BOUNDARY_TOL)
+    south_cert = bool(np.abs(arr.sum(axis=0) - n / m).max() <= BOUNDARY_TOL)
+    north_cert = _single_minded_two_goods(arr)
+    east_cert = _east_block_certificate(arr) if east_res <= BOUNDARY_TOL else None
 
     def side(res: float, cert, advisory: bool = False) -> SideReport:
-        tight = res <= tol
+        tight = res <= BOUNDARY_TOL
         agrees = None if (advisory or cert is None) else (tight == cert)
         return SideReport(residual=float(res), tight=bool(tight), certificate=cert, agrees=agrees)
 

@@ -181,6 +181,13 @@ MUTANTS = [
         ("tests/test_spectral.py::test_jacobi_stack_matches_one_matrix_at_a_time_bitwise",),
     ),
     Mutant(
+        "label rule without the '#' check",
+        "src/allocmap/core.py",
+        "        elif lab.startswith(\"#\"):\n            fault = f\"label {lab!r} cannot start with '#'\"\n",
+        "",
+        ("tests/test_io.py::test_labels_at_the_edges_of_the_rule_round_trip_through_every_csv",),
+    ),
+    Mutant(
         "reasons file written by a direct open",
         "src/allocmap/dataio.py",
         "    _write_text(_reasons_path(path) if reasons_path is None else reasons_path, reasons)\n",

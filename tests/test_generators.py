@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import allocmap
 from allocmap.core import BadDimensions
 from allocmap.generators import (
     CHARACTERISTIC_KINDS,
@@ -243,3 +249,11 @@ def test_preset_composition_10x20():
 def test_preset_specs_rejects_unknown():
     with pytest.raises(ValueError):
         preset_specs("7x7")
+
+
+def test_importing_generators_loads_neither_the_file_layer_nor_scipy_optimize():
+    # a fresh interpreter, since this one has imported every module already
+    code = "import sys, allocmap.generators; print([m for m in ('allocmap.dataio', 'scipy.optimize') if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(Path(allocmap.__file__).parent.parent))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from allocmap import cli, dataio, pipeline
 from allocmap.cli import build_parser, main
-from allocmap.core import InstanceRecord, Source, ValidationError, normalize_rows, validate
+from allocmap.core import InstanceRecord, Source, ValidationError, check_labels, normalize_rows, validate
 from allocmap.dataio import ParseError, fmt17
 from allocmap.distance import DistanceMatrix, pairwise_distances
 from allocmap.embedding import Embedding, mds_embed
@@ -77,7 +78,15 @@ def test_distance_csv_row_format_is_fmt17(tmp_path):
 
 # --------------------------------------------------------------- dataset
 
-_LABELS = st.text(st.characters(blacklist_characters=",\n\r"), min_size=1, max_size=8)
+def _admitted(label):
+    try:
+        check_labels([label])
+    except ValidationError:
+        return False
+    return True
+
+
+_LABELS = st.text(min_size=1, max_size=8).filter(_admitted)
 _PARAMS = st.dictionaries(
     st.text(max_size=5),
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=5),
@@ -590,6 +599,18 @@ BAD_INPUT_FILES = {
         "render points.csv --features-csv", b"label,max_demand,max_demand\na,0.5,0.25\n", 4,
         "line 1: column 'max_demand' appears twice",
     ),
+    "blank_distance_label": ("embed", b" ,b\n0,1\n1,0\n", 4, "line 1: label ' ' is blank"),
+    "blank_points_label": ("render", b"label,x,y\na,0,0\n ,1,1\n", 4, "line 3: label ' ' is blank"),
+    "blank_features_label": (
+        "render points.csv --features-csv", b"label,max_demand\n\t,0.5\n", 4, "line 2: label '\\t' is blank",
+    ),
+    # the squares of 1e200 overflow, so no stress of these points is finite
+    "overflowing_distances": (
+        "embed", b"a,b,c\n0,1e200,1e200\n1e200,0,1e200\n1e200,1e200,0\n", 2, "distances too large to embed",
+    ),
+    "empty_dataset_explicit": (
+        "explicit", b'{"format": "allocmap-dataset", "instances": []}', 2, "need at least one instance, got none",
+    ),
 }
 
 
@@ -738,6 +759,9 @@ MALFORMED_DATASETS = {
     "ragged_rows": _dataset_doc(matrix=["0.5 0.5 0", "1"]),
     "non_numeric_cell": _dataset_doc(matrix=["0.5 0.5 0", "0 x 0.5"]),
     "label_with_comma": _dataset_doc(label="a,b"),
+    "label_with_form_feed": _dataset_doc(label="a\x0cb"),
+    "label_starting_with_hash": _dataset_doc(label="#a"),
+    "blank_label": _dataset_doc(label=" "),
     "repeated_label": {"format": "allocmap-dataset", "instances": _dataset_doc()["instances"] * 2},
     "nan_param": _dataset_doc(source={"model": "resampling", "params": {"p": float("nan")}}),
     "infinite_version": {**_dataset_doc(), "version": -float("inf")},
@@ -1004,26 +1028,75 @@ def test_write_dataset_rejects_labels_with_commas(tmp_path):
     assert not (tmp_path / "i.json").exists()
 
 
-# pipeline flag -> (PipelineConfig field, stage command sharing the flag)
+# labels just outside the rule, with the fault each is refused for (a comma: the test above)
+REFUSED_LABELS = {
+    " ": "is blank",
+    "\t": "is blank",
+    "\xa0": "is blank",
+    "#a": "cannot start with '#'",
+    "#": "cannot start with '#'",
+    **{f"a{c}b": "cannot contain commas or line breaks" for c in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"},
+}
+# labels just inside it: each ends up one cell of every CSV
+KEPT_LABELS = [" #a", "a#", "\ta", "a ", "\xa0a", "a\tb", "a;b", '"a"', "a=b", "é"]
+
+
+@pytest.mark.parametrize("label", sorted(REFUSED_LABELS))
+def test_label_outside_the_rule_is_refused_on_write_and_ingest(tmp_path, capsys, label):
+    fault = f"label {label!r} {REFUSED_LABELS[label]}"
+    with pytest.raises(ValidationError, match=re.escape(fault)):
+        dataio.write_dataset(tmp_path / "w.json", [record(label, gen_iid(2, 3, "uniform01", seed=1))])
+    assert not (tmp_path / "w.json").exists()
+    # an instance file's stem becomes its label
+    inst = tmp_path / f"{label}.txt"
+    inst.write_text("2 3\n0.5 0.25 0.25\n0.25 0.25 0.5\n")
+    assert run_cli("ingest", inst, "-o", tmp_path / "i.json") == 2
+    assert capsys.readouterr().err == f"error: {fault}\n"
+    assert not (tmp_path / "i.json").exists()
+
+
+def test_labels_at_the_edges_of_the_rule_round_trip_through_every_csv(tmp_path):
+    for label in REFUSED_LABELS:
+        with pytest.raises(ValidationError):
+            dataio.write_explicit_csv(tmp_path / "x.csv", [label], np.zeros((1, 2)))
+    recs = [record(label, gen_iid(2, 3, "uniform01", seed=k)) for k, label in enumerate(KEPT_LABELS)]
+    dataio.write_dataset(tmp_path / "d.json", recs)
+    assert [r.label for r in dataio.read_dataset(tmp_path / "d.json")[0]] == KEPT_LABELS
+    dm = pairwise_distances(recs, "demand")
+    dataio.write_distance_csv(tmp_path / "d.csv", dm)
+    labels, values, _ = dataio.read_distance_csv(tmp_path / "d.csv")
+    assert labels == KEPT_LABELS and np.array_equal(values, dm.values)
+    emb = mds_embed(dm, seed=0)
+    dataio.write_embedding_csv(tmp_path / "e.csv", KEPT_LABELS, emb)
+    coords = np.arange(2.0 * len(recs)).reshape(-1, 2)
+    dataio.write_explicit_csv(tmp_path / "x.csv", KEPT_LABELS, coords)
+    for name, points in (("e.csv", emb.points), ("x.csv", coords)):
+        labels, pts, _, _ = dataio.read_points_csv(tmp_path / name)
+        assert labels == KEPT_LABELS and np.array_equal(pts, points)
+    table = feature_table(recs, ["max_demand"])
+    dataio.write_features_csv(tmp_path / "f.csv", table)
+    assert dataio.read_features_csv(tmp_path / "f.csv").labels == KEPT_LABELS
+
+
+# PipelineConfig field, which names the pipeline's flag -> stage command sharing the flag
 SHARED_FLAGS = {
-    "preset": ("preset", ["generate"]),
-    "metric": ("metric", ["distance", "d.json"]),
-    "cap": ("valuation_cap", ["distance", "d.json"]),
-    "max_iters": ("max_iters", ["embed", "d.csv"]),
-    "tol": ("tol", ["embed", "d.csv"]),
-    "restarts": ("restarts", ["embed", "d.csv"]),
-    "features": ("features", ["features", "d.json"]),
-    "alloc_cap": ("alloc_cap", ["features", "d.json"]),
-    "quad_cap": ("quad_cap", ["features", "d.json"]),
+    "preset": ["generate"],
+    "metric": ["distance", "d.json"],
+    "valuation_cap": ["distance", "d.json"],
+    "max_iters": ["embed", "d.csv"],
+    "tol": ["embed", "d.csv"],
+    "restarts": ["embed", "d.csv"],
+    "features": ["features", "d.json"],
+    "alloc_cap": ["features", "d.json"],
+    "quad_cap": ["features", "d.json"],
 }
 
 
-@pytest.mark.parametrize("dest", sorted(SHARED_FLAGS))
-def test_pipeline_flag_defaults_match_config_and_stage(dest):
-    field, stage = SHARED_FLAGS[dest]
-    default = getattr(build_parser().parse_args(["pipeline"]), dest)
+@pytest.mark.parametrize("field", sorted(SHARED_FLAGS))
+def test_pipeline_flag_defaults_match_config_and_stage(field):
+    default = getattr(build_parser().parse_args(["pipeline"]), field)
     assert default == getattr(PipelineConfig(out_dir="."), field)
-    assert default == getattr(build_parser().parse_args(stage), dest)
+    assert default == getattr(build_parser().parse_args(SHARED_FLAGS[field]), field)
 
 
 # ------------------------------------------------------------- pipeline

@@ -10,7 +10,6 @@ from allocmap import spectral
 from allocmap.core import BadDimensions, InstanceRecord, Source, validate
 from allocmap.generators import gen_attributes, gen_characteristic, gen_iid, gen_preset, gen_resampling
 from allocmap.spectral import (
-    BOUNDARY_TOL,
     _east_block_certificate,
     _jacobi_eigenvalues,
     boundary_interpolation,
@@ -356,7 +355,7 @@ def test_east_certificate_false_for_a_connected_instance():
     # simple, so boundary_report never asks for the certificate here
     u = gen_iid(3, 4, "uniform01", seed=3)
     assert (u.values > 0).all()
-    assert _east_block_certificate(u.values, BOUNDARY_TOL) is False
+    assert _east_block_certificate(u.values) is False
     assert not boundary_report(u).east.tight
 
 
