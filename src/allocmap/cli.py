@@ -34,12 +34,16 @@ from .spectral import explicit_coords
 _DEFAULTS = {f.name: f.default for f in fields(PipelineConfig)}
 
 
-def _outpath(args, name: str) -> str:
-    path = args.output if getattr(args, "output", None) else os.path.join(args.out_dir, name)
+def _with_parent(path: str) -> str:
+    """``path``, once its parent directory exists."""
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     return path
+
+
+def _outpath(args, name: str) -> str:
+    return _with_parent(args.output if getattr(args, "output", None) else os.path.join(args.out_dir, name))
 
 
 def _cmd_generate(args) -> None:
@@ -104,7 +108,8 @@ def _cmd_features(args) -> None:
     columns = _columns(args.features)
     records, _ = dataio.read_dataset(args.dataset)
     table = feature_table(records, columns, cap=args.alloc_cap, quad_cap=args.quad_cap)
-    dataio.write_features_csv(_outpath(args, "features.csv"), table, args.reasons)
+    reasons = _with_parent(args.reasons) if args.reasons else None
+    dataio.write_features_csv(_outpath(args, "features.csv"), table, reasons)
 
 
 def _cmd_render(args) -> None:

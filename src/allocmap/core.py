@@ -8,12 +8,17 @@ follow one rule, ``check_labels``, wherever they are made, written or read.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
 ROW_SUM_TOL = 1e-9
+
+# A character outside XML 1.0 ``Char``, which no SVG can carry: a C0 control
+# other than tab, newline and carriage return, a lone surrogate, U+FFFE or U+FFFF.
+NON_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 def _child_seed(seed: int, index: int) -> int:
@@ -173,14 +178,17 @@ class InstanceRecord:
 
 def check_labels(labels: list[str], lines: list[int] | None = None) -> None:
     """The label rule of every file and generated dataset, which keeps a label one
-    CSV cell: not blank, no leading '#' (a comment line), no comma, no line boundary
-    of ``str.splitlines``, none twice. A fault is a ValidationError or, given lines, a ParseError."""
+    CSV cell and one SVG tooltip: not blank, no leading '#' (a comment line), no comma,
+    no line boundary of ``str.splitlines``, no ``NON_XML_CHAR``, none twice. A fault is
+    a ValidationError or, given lines, a ParseError."""
     seen = set()
     for k, lab in enumerate(labels):
         if not lab.strip():
             fault = f"label {lab!r} is blank"
         elif "," in lab or lab.splitlines() != [lab]:
             fault = f"label {lab!r} cannot contain commas or line breaks"
+        elif NON_XML_CHAR.search(lab):
+            fault = f"label {lab!r} cannot contain characters XML 1.0 forbids"
         elif lab.startswith("#"):
             fault = f"label {lab!r} cannot start with '#'"
         elif lab in seen:

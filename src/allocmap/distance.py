@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import CapError, ShapeMismatch, UtilityMatrix, ValidationError
 
@@ -80,6 +79,9 @@ _BLOCK_ENTRIES = 1 << 16
 def _assign(costs) -> np.ndarray:
     """The goods column of each row in one min-cost assignment per (m, m)
     cost of ``costs``."""
+    # deferred so that importing allocmap never loads SciPy; once per block
+    from scipy.optimize import linear_sum_assignment
+
     return np.array([linear_sum_assignment(cost)[1] for cost in costs])
 
 
@@ -320,6 +322,9 @@ def pairwise_distances(
     if threads > 1 and k > 2:
         # the pool has k - 1 rows to hand out, and it starts every worker at once
         workers = min(threads, k - 1)
+        # forked workers inherit the solver instead of each importing SciPy
+        import scipy.optimize  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = pool.map(partial(_rows, values, metric), _spans(k, 4 * workers))
             rows = [row for block in blocks for row in block]

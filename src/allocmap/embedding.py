@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .core import ValidationError, _child_seed
 from .distance import check_distances
@@ -44,6 +43,9 @@ def _canonicalize(x: np.ndarray) -> np.ndarray:
 
 
 def _run_once(d: np.ndarray, seed, max_iters: int, tol: float) -> Embedding:
+    # deferred so that importing allocmap never loads SciPy; once per run
+    from scipy.spatial.distance import cdist
+
     k = d.shape[0]
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, (k, 2))

@@ -14,7 +14,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 
 from . import dataio
-from .core import ValidationError
+from .core import NON_XML_CHAR, ValidationError, check_labels
 from .features import FeatureTable, UnknownFeature
 
 _VIRIDIS = [
@@ -124,8 +124,12 @@ def render_svg(
     and, with ``by_source``, a category per generator. ``features`` is a
     table with every label present: ``color`` picks the column of the color
     ramp and an ``ef_exists`` column marks crosses. A ``color`` without
-    ``features``, or ``by_source`` without ``records``, is an error.
+    ``features``, ``by_source`` without ``records``, labels outside
+    ``check_labels`` or a ``title`` with a ``NON_XML_CHAR`` is an error.
     """
+    check_labels(labels)
+    if title and NON_XML_CHAR.search(title):
+        raise ValidationError(f"title {title!r} cannot contain characters XML 1.0 forbids")
     if color is not None and features is None:
         raise ValidationError(f"coloring by {color!r} needs a features table")
     if by_source and records is None:

@@ -22,7 +22,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .core import UtilityMatrix, check_shape, validate
 from .generators import gen_characteristic
@@ -203,6 +202,9 @@ def _east_block_certificate(arr: np.ndarray) -> bool | None:
     """Advisory witness for east tightness: the agent-good bipartite graph
     splits into components, two of which are isomorphic and attain the
     largest component sigma1 (a duplicated top block forces sigma1 = sigma2)."""
+    # deferred so that importing allocmap never loads SciPy; only boundary_report gets here
+    from scipy.sparse.csgraph import connected_components
+
     n, m = arr.shape
     graph = np.zeros((n + m, n + m))
     graph[:n, n:] = arr > BOUNDARY_TOL

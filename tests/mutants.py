@@ -96,6 +96,14 @@ MUTANTS = [
         ("tests/test_distance.py::test_pairwise_thread_count_irrelevant",),
     ),
     Mutant(
+        "pool built before the parent imports the solver",
+        DISTANCE,
+        "        # forked workers inherit the solver instead of each importing SciPy\n"
+        "        import scipy.optimize  # noqa: F401\n",
+        "",
+        ("tests/test_distance.py::test_pool_workers_inherit_the_solver_from_the_parent",),
+    ),
+    Mutant(
         "demand costs replaced by a fixed matrix",
         DISTANCE,
         "costs = np.abs(d1[None, :, None, :] - rest[:, None, :, :]).sum(axis=3)",

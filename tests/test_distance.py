@@ -1,6 +1,9 @@
 import ast
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -599,6 +602,28 @@ def test_pairwise_pool_has_at_most_one_worker_per_row(monkeypatch, threads, work
     assert _RecordingPool.workers == [workers]
     monkeypatch.undo()
     assert got.values.tobytes() == pairwise_distances(recs, "demand").values.tobytes()
+
+
+def test_pool_workers_inherit_the_solver_from_the_parent():
+    # a fresh interpreter, since this one has imported SciPy already; the
+    # stand-in pool prints whether the solver is loaded when it is built, and
+    # ends the run there
+    code = (
+        "import sys\n"
+        "from allocmap import distance\n"
+        "from allocmap.generators import gen_preset\n"
+        "def pool(max_workers):\n"
+        "    print('scipy.optimize' in sys.modules)\n"
+        "    sys.exit()\n"
+        "distance.ProcessPoolExecutor = pool\n"
+        "records = gen_preset('3x6', seed=0)[:4]\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "distance.pairwise_distances(records, 'demand', threads=2)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\nTrue\n"
 
 
 def _instances(n, m, count):

@@ -2,6 +2,8 @@ import ast
 import json
 import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from types import SimpleNamespace
@@ -490,6 +492,31 @@ def test_render_svg_category_colors(tmp_path):
     assert fills[0] == fills[2] != fills[1]
 
 
+def test_render_refuses_labels_and_titles_an_svg_cannot_carry(tmp_path, capsys):
+    out = tmp_path / "m.svg"
+    with pytest.raises(ValidationError, match=re.escape("label 'a\\x1bb' cannot contain characters XML 1.0 forbids")):
+        render_svg(out, ["a\x1bb", "c"], [[0.0, 0.0], [1.0, 1.0]])
+    assert not out.exists()
+    dataio.write_explicit_csv(tmp_path / "x.csv", ["a", "c"], np.eye(2))
+    assert run_cli("render", tmp_path / "x.csv", "--title", "x\x1by", "-o", out) == 2
+    assert capsys.readouterr().err == "error: title 'x\\x1by' cannot contain characters XML 1.0 forbids\n"
+    assert not out.exists()
+
+
+def test_every_admitted_label_renders_to_a_parseable_svg(tmp_path):
+    path = tmp_path / "m.svg"
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.text(st.characters(exclude_categories=()), min_size=1, max_size=8).filter(_admitted))
+    def check(label):
+        render_svg(path, [label], [[0.0, 0.0]], title=label)
+        root = ET.parse(path).getroot()
+        assert [el.text for el in root.iter("{http://www.w3.org/2000/svg}title")] == [label]
+        assert [el.text for el in root.iter("{http://www.w3.org/2000/svg}text") if el.get("font-size") == "15"] == [label]
+
+    check()
+
+
 # ------------------------------------------------------------------ CLI
 
 
@@ -846,6 +873,55 @@ def test_cli_features_alloc_cap(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_cli_features_makes_the_reasons_parent_directory(tmp_path):
+    ds = make_input_dataset(tmp_path)
+    flags = ("features", ds, "--alloc-cap", 80)
+    assert run_cli(*flags, "-o", tmp_path / "nd1" / "f.csv", "--reasons", tmp_path / "nd2" / "r.csv") == 0
+    assert run_cli(*flags, "-o", tmp_path / "g.csv") == 0
+    assert (tmp_path / "nd1" / "f.csv").read_bytes() == (tmp_path / "g.csv").read_bytes()
+    assert (tmp_path / "nd2" / "r.csv").read_bytes() == (tmp_path / "g_reasons.csv").read_bytes()
+
+
+# Commands that need no SciPy, run in the files test_fresh_interpreter_loads_no_scipy makes.
+_NO_SCIPY_COMMANDS = {
+    "--help": ["--help"],
+    "usage error": ["generate", "--bogus"],
+    "generate": ["--seed", "7", "generate", "--preset", "3x6", "-o", "g.json"],
+    "ingest": ["ingest", "input.json", "-o", "i.json"],
+    "explicit": ["explicit", "input.json", "-o", "x.csv"],
+    "features": ["features", "input.json", "-o", "f.csv"],
+    "render": ["render", "p.csv", "--title", "t", "-o", "m.svg"],
+}
+# Each row is a statement and the modules besides SciPy's that it must not load.
+_FRESH_ROWS = {
+    **{
+        f"import {m}": (f"import {m}", ())
+        for m in ("allocmap" + ("" if p.stem == "__init__" else f".{p.stem}") for p in Path(cli.__file__).parent.glob("*.py"))
+    },
+    "import allocmap.generators": ("import allocmap.generators", ("allocmap.dataio",)),
+    **{
+        f"allocmap {name}": (f"from allocmap import cli; sys.exit(cli.main({argv!r}))", ())
+        for name, argv in _NO_SCIPY_COMMANDS.items()
+    },
+}
+
+
+@pytest.mark.parametrize("row", sorted(_FRESH_ROWS))
+def test_fresh_interpreter_loads_no_scipy(tmp_path, row):
+    # a fresh interpreter, since this one has imported SciPy already
+    statement, watched = _FRESH_ROWS[row]
+    make_input_dataset(tmp_path)
+    dataio.write_explicit_csv(tmp_path / "p.csv", ["a", "b"], np.eye(2))
+    code = (
+        f"import sys\ntry:\n    {statement}\nfinally:\n"
+        f"    print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy' or m in {watched!r}))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert run.returncode == (2 if row == "allocmap usage error" else 0), run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize(
     "names, message",
     [("max_demand,max_demand", "feature 'max_demand' requested twice"), ("", "no features requested")],
@@ -1036,9 +1112,10 @@ REFUSED_LABELS = {
     "#a": "cannot start with '#'",
     "#": "cannot start with '#'",
     **{f"a{c}b": "cannot contain commas or line breaks" for c in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"},
+    **{f"a{c}b": "cannot contain characters XML 1.0 forbids" for c in "\x01\x08\x0e\x1b\x1f\ufffe\uffff"},
 }
 # labels just inside it: each ends up one cell of every CSV
-KEPT_LABELS = [" #a", "a#", "\ta", "a ", "\xa0a", "a\tb", "a;b", '"a"', "a=b", "é"]
+KEPT_LABELS = [" #a", "a#", "\ta", "a ", "\xa0a", "a\tb", "a;b", '"a"', "a=b", "é", "a\x7fb", "\ufffd", "\U0010ffff"]
 
 
 @pytest.mark.parametrize("label", sorted(REFUSED_LABELS))
@@ -1053,6 +1130,20 @@ def test_label_outside_the_rule_is_refused_on_write_and_ingest(tmp_path, capsys,
     assert run_cli("ingest", inst, "-o", tmp_path / "i.json") == 2
     assert capsys.readouterr().err == f"error: {fault}\n"
     assert not (tmp_path / "i.json").exists()
+
+
+@pytest.mark.parametrize("label", ["a\x00b", "a\ud800b", "\udfff"])
+def test_label_no_file_name_can_hold_is_refused_on_write_and_read(tmp_path, label):
+    fault = f"label {label!r} cannot contain characters XML 1.0 forbids"
+    with pytest.raises(ValidationError, match=re.escape(fault)):
+        dataio.write_dataset(tmp_path / "w.json", [record(label, gen_iid(2, 3, "uniform01", seed=1))])
+    assert not (tmp_path / "w.json").exists()
+    dataio.write_dataset(tmp_path / "d.json", [record("a", gen_iid(2, 3, "uniform01", seed=1))])
+    doc = json.loads((tmp_path / "d.json").read_text())
+    doc["instances"][0]["label"] = label
+    (tmp_path / "d.json").write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=re.escape(f"line 1: {fault}")):
+        dataio.read_dataset(tmp_path / "d.json")
 
 
 def test_labels_at_the_edges_of_the_rule_round_trip_through_every_csv(tmp_path):
