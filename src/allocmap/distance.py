@@ -14,6 +14,7 @@ at scale and the search's stopping bound.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -34,7 +35,9 @@ METRICS = ("demand", "valuation")
 # depending on which one the solver happened to return. All reported
 # distances therefore go through one canonical evaluation: the correctly
 # rounded exact sum (fsum) of the elementary |x - y| terms, which is
-# order-free and monotone in the true cost.
+# order-free and monotone in the true cost. The canonical sums are taken per
+# group of pairs, by one call of ``_fsum_rows``, which returns math.fsum's
+# bits for a whole array of rows.
 
 
 class ExactSearchCapExceeded(CapError):
@@ -45,22 +48,92 @@ class ExactSearchCapExceeded(CapError):
         )
 
 
+# Below this many terms in all, one math.fsum per row costs less than the
+# fixed number of array passes of the certificate in ``_fsum_rows``: the
+# measured crossover is about 110 rows of 18 terms, 75 rows of 25, and
+# under 16 rows of 200.
+_KERNEL_ENTRIES = 2048
+
+
+def _two_sum(a, b):
+    """a + b rounded, and its exact rounding error (Knuth's TwoSum):
+    (a - (s - z)) + (b - z), with z = s - a, in place."""
+    s = a + b
+    z = s - a
+    e = s - z
+    np.subtract(a, e, out=e)
+    np.subtract(b, z, out=z)
+    e += z
+    return s, e
+
+
+def _cascade(x):
+    """The float sum of the rows of x, added pairwise by TwoSum down to one
+    row, and the rounding errors of those additions, stacked: the sum plus
+    the errors is exactly the sum of the rows."""
+    errors, done = np.empty((len(x) - 1, x.shape[1])), 0
+    while len(x) > 1:
+        h = len(x) // 2
+        s, errors[done : done + h] = _two_sum(x[:h], x[h : 2 * h])
+        done += h
+        x = np.concatenate([s, x[2 * h :]]) if len(x) % 2 else s
+    return x[0], errors
+
+
+def _fsum_rows(terms: np.ndarray) -> np.ndarray:
+    """``[math.fsum(row) for row in terms]`` of an (L, N) float64 array, bit
+    for bit.
+
+    The rows' terms are summed by a cascade of TwoSums, and their errors by
+    a second one, so each row's exact sum is hi + lo + sum(f), where f are
+    the second cascade's errors (Ogita, Rump and Oishi, *Accurate Sum and
+    Dot Product*, 2005). Let r be hi + lo rounded and d its rounding error.
+    r is the correctly rounded sum, which fsum returns (Shewchuk 1997),
+    where every f is zero, since IEEE addition rounds the exact hi + lo
+    with ties to even as fsum does, or where |d| + 2 tail lies below half
+    the smaller gap between r and its neighbours, tail being the float sum
+    of |f|, which is within a factor 2 of the exact one. Terms may have
+    either sign. Every other row, every zero sum (whose sign is fsum's to
+    choose), rows of fewer than two terms and batches of fewer than
+    ``_KERNEL_ENTRIES`` terms go to math.fsum.
+    """
+    if terms.size < _KERNEL_ENTRIES or terms.shape[1] < 2:
+        return np.array([math.fsum(row) for row in terms.tolist()])
+    hi, e = _cascade(np.ascontiguousarray(terms.T))
+    lo, f = _cascade(e)
+    tail = np.abs(f, out=f).sum(axis=0)
+    r, d = _two_sum(hi, lo)
+    size = np.abs(r)
+    gap = size - np.nextafter(size, 0.0)
+    certain = (r != 0.0) & ((tail == 0.0) | (2.0 * (np.abs(d) + 2.0 * tail) < gap))
+    rest = np.flatnonzero(~certain)
+    r[rest] = [math.fsum(row) for row in terms[rest].tolist()]
+    return r
+
+
 def _demand_stack(values: np.ndarray) -> np.ndarray:
     """(k, m, n) C-contiguous demand vectors of the stacked (k, n, m) values
     of k instances, sorted in one call."""
-    return np.ascontiguousarray(np.sort(values, axis=1)[:, ::-1].transpose(0, 2, 1))
+    vectors = values.transpose(0, 2, 1).copy()
+    vectors.sort(axis=2)
+    return vectors[:, :, ::-1].copy()
 
 
-def _demand_row(vectors: np.ndarray, i: int) -> list[float]:
-    """Demand distances from instance i to every later one, given the stacked
-    (k, m, n) demand vectors. One broadcast prices every pair's goods, summing
-    over the same contiguous length-n axis a single (m, m) cost would, so each
-    pair's assignment and canonical fsum see the same numbers either way."""
-    d1, rest = vectors[i], vectors[i + 1 :]
-    costs = np.abs(d1[None, :, None, :] - rest[:, None, :, :]).sum(axis=3)
-    matched = rest[np.arange(len(rest))[:, None], _assign(costs)]
-    terms = np.abs(d1 - matched).reshape(len(rest), -1).tolist()
-    return [math.fsum(t) for t in terms]
+def _demand_rows(vectors: np.ndarray, group: range) -> np.ndarray:
+    """Demand distances from each instance i of ``group`` to every later
+    one, flat in row order, given the stacked (k, m, n) demand vectors. One
+    broadcast per row prices every pair's goods, summing over the same
+    contiguous length-n axis a single (m, m) cost would, so each pair's
+    assignment and canonical sum see the same numbers either way. The
+    group's canonical sums are one ``_fsum_rows`` call."""
+    terms = []
+    for i in group:
+        d1, rest = vectors[i], vectors[i + 1 :]
+        costs = np.abs(d1[None, :, None, :] - rest[:, None, :, :]).sum(axis=3)
+        matched = rest[np.arange(len(rest))[:, None], _assign(costs)]
+        terms.append(np.abs(d1 - matched).reshape(len(rest), -1))
+    terms = np.concatenate(terms)  # frees the rows' parts before the sums
+    return _fsum_rows(terms)
 
 
 # Slack for pruning, for the leaf pass's reduced-cost bounds and for its
@@ -75,6 +148,27 @@ _PRUNE_SLACK = 1e-12
 # goods costs in chunks of at most this many entries.
 _BLOCK_ENTRIES = 1 << 16
 
+# Rows go in groups whose pairs have at most this many l1 terms in all (or
+# one row). A group's canonical sums, with its leaves', and the temporaries
+# of ``_fsum_rows`` are a few times this many float64 entries.
+_GROUP_TERMS = 1 << 14
+
+
+def _groups(k: int, terms: int, span: tuple[int, int]) -> list[range]:
+    """Consecutive nonempty row ranges that cover ``range(*span)`` in order,
+    each as long as its pairs' ``terms`` l1 terms per pair fit in
+    ``_GROUP_TERMS`` entries (row i has k - 1 - i pairs)."""
+    lo, hi = span
+    groups = []
+    while lo < hi:
+        end, size = lo + 1, (k - 1 - lo) * terms
+        while end < hi and size + (k - 1 - end) * terms <= _GROUP_TERMS:
+            size += (k - 1 - end) * terms
+            end += 1
+        groups.append(range(lo, end))
+        lo = end
+    return groups
+
 
 def _assign(costs) -> np.ndarray:
     """The goods column of each row in one min-cost assignment per (m, m)
@@ -82,16 +176,20 @@ def _assign(costs) -> np.ndarray:
     # deferred so that importing allocmap never loads SciPy; once per block
     from scipy.optimize import linear_sum_assignment
 
-    return np.array([linear_sum_assignment(cost)[1] for cost in costs])
+    cols = np.empty(costs.shape[:2], dtype=np.intp)
+    for t, cost in enumerate(costs):
+        cols[t] = linear_sum_assignment(cost)[1]
+    return cols
 
 
-def _matched_l1(tensor, pairs, rows, paths, cols) -> list[float]:
-    """Canonical l1 of N matchings. Matching t pairs instance i with block
-    partner ``pairs[t]``, matches agent ``rows[s]`` of i to agent
-    ``paths[t, s]`` of the partner and good g to good ``cols[t, g]``."""
+def _matched_terms(tensor, pairs, rows, paths, cols) -> np.ndarray:
+    """The l1 terms of N matchings, one row each. Matching t pairs instance
+    i with block partner ``pairs[t]``, matches agent ``rows[s]`` of i to
+    agent ``paths[t, s]`` of the partner (``paths`` may be one row for all)
+    and good g to good ``cols[t, g]``."""
     goods = np.arange(cols.shape[-1])
     terms = tensor[pairs[:, None, None], rows[:, None], paths[:, :, None], goods, cols[:, None]]
-    return [math.fsum(t) for t in terms.reshape(len(cols), rows.size * goods.size).tolist()]
+    return terms.reshape(len(cols), rows.size * goods.size)
 
 
 def _reduced_bound(costs) -> np.ndarray:
@@ -107,10 +205,12 @@ def _reduced_bound(costs) -> np.ndarray:
     return np.maximum(by_rows, by_cols)
 
 
-def _settle(tensor, order, live, best, lbs) -> None:
-    """Leaf pass over the block pairs ``live``: bound all n! agent matchings
-    of each, solve those the bound cannot rule out and settle ``best[k]``
-    with the value a branch-and-bound walk would return.
+def _settle(tensor, order, live, bounds, perms):
+    """Leaf pass over the block pairs ``live``, whose identity values lie
+    above their demand ``bounds``: bound all n! agent matchings ``perms`` of
+    each, solve those the bound cannot rule out, and return for each chunk
+    of leaves the block pairs, rows of ``perms`` and l1 terms of its leaves
+    whose canonical values can decide what a branch-and-bound walk returns.
 
     That walk matches agent ``order[s]`` of instance i at step s, prices a
     node by the goods-assignment relaxation of its costs summed from zero in
@@ -123,23 +223,21 @@ def _settle(tensor, order, live, best, lbs) -> None:
     least reduced-cost bound of each of its pairs, which sets the pair's
     least total, then every other leaf whose bound is within
     ``_PRUNE_SLACK`` of the pair's demand bound or least total. Only leaves
-    whose plain total is within the same slack get a canonical value. A
-    leaf's bound lies at most a few ulps above its total, and its total
-    within a few ulps of its canonical value, so a leaf left out either way
-    can neither be the least leaf nor lie within the demand bound.
+    whose plain total is within the same slack are returned. A leaf's bound
+    lies at most a few ulps above its total, and its total within a few ulps
+    of its canonical value, so a leaf left out either way can neither be the
+    least leaf nor lie within the demand bound.
 
     A leaf never falls below an ancestor's relaxation by more than a few
     ulps, so no leaf the walk skips could lower the minimum or stop the
     walk. With no leaf within the bound the walk returns the least leaf or
-    the incumbent; with leaves within it the walk stops at the first it
-    reaches, the least by ``_walk_key`` where their values differ.
+    the identity incumbent; with leaves within it the walk stops at the
+    first it reaches, the least by ``_walk_key`` where their values differ.
     """
-    n, m = order.size, tensor.shape[-1]
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    f, live = len(perms), np.array(live, dtype=np.intp)
-    bounds, least = np.array(lbs), np.full(len(lbs), np.inf)
-    leaves = {k: [] for k in live.tolist()}
+    n, m, f = order.size, tensor.shape[-1], len(perms)
+    least = np.full(len(bounds), np.inf)
     goods, step = np.arange(m), max(1, _BLOCK_ENTRIES // (m * m))
+    kept = []
     for lo in range(0, len(live) * f, step):
         t = np.arange(lo, min(lo + step, len(live) * f))
         pairs, paths = live[t // f], perms[t % f]
@@ -162,14 +260,8 @@ def _settle(tensor, order, live, best, lbs) -> None:
         if rest.size:
             solve(rest)
         keep = totals <= np.maximum(bounds, least)[pairs] + _PRUNE_SLACK
-        values = _matched_l1(tensor, pairs[keep], order, paths[keep], cols[keep])
-        for k, leaf in zip(pairs[keep].tolist(), zip(values, (t % f)[keep].tolist())):
-            leaves[k].append(leaf)
-    for k, found in leaves.items():
-        below = [leaf for leaf in found if leaf[0] <= lbs[k]]
-        if len({value for value, _ in below}) > 1:
-            below.sort(key=lambda leaf: _walk_key(tensor, order, k, perms[leaf[1]]))
-        best[k] = below[0][0] if below else min(best[k], *(value for value, _ in found))
+        kept.append((pairs[keep], (t % f)[keep], _matched_terms(tensor, pairs[keep], order, paths[keep], cols[keep])))
+    return kept
 
 
 def _walk_key(tensor, order, k, path) -> list:
@@ -182,36 +274,87 @@ def _walk_key(tensor, order, k, path) -> list:
     cost, key = np.zeros((m, m)), []
     for s, a in enumerate(path[:-1]):
         cost = cost + tensor[k, order[s], a]
-        key += [cost[np.arange(m), _assign([cost])[0]].sum(), a]
+        key += [cost[np.arange(m), _assign(cost[None])[0]].sum(), a]
     return key
 
 
-def _valuation_row(values: np.ndarray, i: int, demand: list[float]) -> list[float]:
-    """Valuation distances from instance i to every later instance of the
-    stacked (k, n, m) ``values``, with the demand row as root bounds.
+def _pair_tensor(a1, rest):
+    """The agent-to-agent goods-cost tensor of instance ``a1`` and each
+    instance of the stack ``rest``: entry [b, x, y, g, h] is
+    |a1[x, g] - rest[b, y, h]|."""
+    return np.abs(a1[None, :, None, :, None] - rest[:, None, :, None, :])
+
+
+def _order(a1):
+    """The order in which the walk matches the agents of ``a1``: by
+    decreasing variance of their values. The variance is ``a1.var(axis=1)``
+    spelled out, the same operations without its argument handling, and
+    divided by -m to negate it exactly."""
+    dev = a1 - np.add.reduce(a1, axis=1, keepdims=True) / a1.shape[1]
+    return np.argsort(np.add.reduce(dev * dev, axis=1) / -a1.shape[1], kind="stable")
+
+
+def _valuation_rows(values: np.ndarray, group: range, demand: np.ndarray) -> np.ndarray:
+    """Valuation distances from each instance i of ``group`` to every later
+    instance of the stacked (k, n, m) ``values``, flat in row order, with
+    the demand distances of the same pairs as root bounds.
 
     Pairs go in blocks. One broadcast builds each block's agent-to-agent
     goods-cost tensor; the identity matchings (costs summed in agent order)
-    give every pair's first incumbent. ``_settle`` prices the leaves of the
-    pairs still above their bounds and settles each of them.
+    give every pair's first incumbent. A pair whose plain identity total
+    lies above its bound by more than ``_PRUNE_SLACK`` is open, one below it
+    by more is settled, and one in between is decided at once by its
+    canonical value. ``_settle`` picks the leaves of the open pairs that can
+    decide them. The other canonical values wait for one ``_fsum_rows`` call
+    at the end of the group. Then each pair takes the least of its identity
+    and leaf values, unless leaves of distinct values lie within its bound:
+    then it takes the first of them in walk order.
     """
-    a1 = values[i]
-    n, m = a1.shape
-    order = np.argsort(-a1.var(axis=1), kind="stable")
+    k, n, m = values.shape
+    ident, perms = np.arange(n), np.array(list(itertools.permutations(range(n))), dtype=np.intp)
     step = max(1, _BLOCK_ENTRIES // (n * n * m * m))
-    ident = np.arange(n)
-    out = []
-    for lo in range(i + 1, len(values), step):
-        rest = values[lo : lo + step]
-        lbs = demand[lo - i - 1 : lo - i - 1 + len(rest)]
-        tensor = np.abs(a1[None, :, None, :, None] - rest[:, None, :, None, :])
-        best = _matched_l1(
-            tensor, np.arange(len(rest)), ident, np.tile(ident, (len(rest), 1)),
-            _assign(tensor[:, ident, ident].sum(axis=1)),
-        )
-        _settle(tensor, order, [k for k in range(len(rest)) if best[k] > lbs[k]], best, lbs)
-        out += best
-    return out
+    starts = list(itertools.accumulate((k - 1 - i for i in group), initial=0))
+    idents, leaves = [], []  # leaves: (pair, row of perms, l1 terms) of each leaf chunk
+    for i, start in zip(group, starts):
+        order = _order(values[i])
+        for lo in range(i + 1, k, step):
+            tensor = _pair_tensor(values[i], values[lo : lo + step])
+            first = start + lo - i - 1
+            bounds = demand[first : first + len(tensor)]
+            cols = _assign(tensor[:, ident, ident].sum(axis=1))
+            idents.append(_matched_terms(tensor, np.arange(len(tensor)), ident, ident[None], cols))
+            over = idents[-1].sum(axis=1) - bounds
+            live = over > _PRUNE_SLACK
+            band = np.abs(over) <= _PRUNE_SLACK
+            if band.any():
+                live[band] = _fsum_rows(idents[-1][band]) > bounds[band]
+            live = np.flatnonzero(live)
+            if live.size:
+                chunks = _settle(tensor, order, live, bounds, perms)
+                leaves += [(first + b, path, terms) for b, path, terms in chunks]
+    sums = _fsum_rows(np.concatenate(idents + [terms for _, _, terms in leaves]))
+    best, found = sums[: starts[-1]], sums[starts[-1] :]
+    if not leaves:
+        return best
+    owner = np.concatenate([pairs for pairs, _, _ in leaves])
+    np.minimum.at(best, owner, found)
+    # an open pair's identity value lies above its bound, and a settled pair
+    # has no leaves, so only leaves can lie within a bound beside another,
+    # and only leaves of distinct values there need the walk order
+    within = np.flatnonzero(found <= demand[owner])
+    if within.size < 2 or (found[within] == found[within[0]]).all():
+        return best
+    paths = perms[np.concatenate([path for _, path, _ in leaves])]
+    low, high = np.full(len(best), np.inf), np.full(len(best), -np.inf)
+    np.minimum.at(low, owner[within], found[within])
+    np.maximum.at(high, owner[within], found[within])
+    for p in np.flatnonzero(low < high).tolist():
+        row = bisect.bisect_right(starts, p) - 1
+        i, j = group[row], group[row] + 1 + p - starts[row]
+        tensor, order = _pair_tensor(values[i], values[j : j + 1]), _order(values[i])
+        cands = within[owner[within] == p].tolist()
+        best[p] = found[min(cands, key=lambda c: _walk_key(tensor, order, 0, paths[c]))]
+    return best
 
 
 def check_threads(threads: int) -> None:
@@ -281,14 +424,21 @@ def check_distances(values) -> np.ndarray:
 
 def _rows(values: np.ndarray, metric: str, span: tuple[int, int]) -> list[list[float]]:
     """Distances from each instance i in ``range(*span)`` to every later
-    instance of the stacked (k, n, m) ``values``. A demand row is also the
-    valuation search's root bounds. Callers check shapes and the cap with
-    ``_check_matrices``."""
+    instance of the stacked (k, n, m) ``values``. Rows go in ``_groups``; a
+    group's demand distances are also its valuation search's root bounds.
+    Callers check shapes and the cap with ``_check_matrices``."""
+    k, n, m = values.shape
     vectors = _demand_stack(values)
-    rows = [_demand_row(vectors, i) for i in range(*span)]
-    if metric == "demand":
-        return rows
-    return [_valuation_row(values, i, row) for i, row in zip(range(*span), rows)]
+    rows = []
+    for group in _groups(k, n * m, span):
+        sums = _demand_rows(vectors, group)
+        if metric == "valuation":
+            sums = _valuation_rows(values, group, sums)
+        sums, at = sums.tolist(), 0
+        for i in group:
+            rows.append(sums[at : at + k - 1 - i])
+            at += k - 1 - i
+    return rows
 
 
 def _spans(k: int, count: int) -> list[tuple[int, int]]:

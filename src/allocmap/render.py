@@ -125,7 +125,8 @@ def render_svg(
     table with every label present: ``color`` picks the column of the color
     ramp and an ``ef_exists`` column marks crosses. A ``color`` without
     ``features``, ``by_source`` without ``records``, labels outside
-    ``check_labels`` or a ``title`` with a ``NON_XML_CHAR`` is an error.
+    ``check_labels``, a ``title`` with a ``NON_XML_CHAR``, or points that are
+    not a finite k x 2 array with one label per point is an error.
     """
     check_labels(labels)
     if title and NON_XML_CHAR.search(title):
@@ -134,7 +135,16 @@ def render_svg(
         raise ValidationError(f"coloring by {color!r} needs a features table")
     if by_source and records is None:
         raise ValidationError("coloring by source needs the dataset")
-    points = np.asarray(points, dtype=np.float64)
+    try:
+        points = np.asarray(points, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"points must be a k x 2 array of numbers: {exc}") from None
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValidationError(f"points must be a k x 2 array, got shape {points.shape}")
+    if len(points) != len(labels):
+        raise ValidationError("label count does not match point count")
+    if not np.isfinite(points).all():
+        raise ValidationError("points have NaN or infinite coordinates")
     if explicit:
         xs, ys, x_label, y_label = points[:, 1], points[:, 0], "sigma2", "sigma1"
     else:

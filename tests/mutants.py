@@ -37,6 +37,10 @@ WALK_ORDER = (
     "tests/test_distance.py::test_valuation_leaf_pass_decides_pairs_by_walk_order",
     "tests/test_distance.py::test_valuation_first_leaf_in_walk_order_matches_search_oracle_bitwise",
 )
+FSUM_ROWS = (
+    "tests/test_distance.py::test_fsum_rows_returns_the_bits_of_math_fsum",
+    "tests/test_distance.py::test_fsum_rows_sends_only_uncertified_rows_to_math_fsum",
+)
 FEATURES = "src/allocmap/features.py"
 FEATURE_ORACLE = "tests/test_features.py::test_feature_table_matches_oracle_bitwise"
 TWO_LEADING = "tests/test_features.py::test_walk_with_two_leading_goods_matches_oracle_bitwise"
@@ -56,23 +60,37 @@ MUTANTS = [
     Mutant(
         "distinct leaves within the bound settled by the least one",
         DISTANCE,
-        "below.sort(key=lambda leaf: _walk_key(tensor, order, k, perms[leaf[1]]))",
-        "below.sort()",
+        "key=lambda c: _walk_key(tensor, order, 0, paths[c])",
+        "key=found.__getitem__",
         WALK_ORDER,
     ),
     Mutant(
         "distinct leaves within the bound settled by the last in walk order",
         DISTANCE,
-        "best[k] = below[0][0] if below else",
-        "best[k] = below[-1][0] if below else",
+        "best[p] = found[min(cands,",
+        "best[p] = found[max(cands,",
         WALK_ORDER,
     ),
     Mutant(
         "walk order keyed by partner agents only",
         DISTANCE,
-        "key += [cost[np.arange(m), _assign([cost])[0]].sum(), a]",
+        "key += [cost[np.arange(m), _assign(cost[None])[0]].sum(), a]",
         "key += [a]",
         WALK_ORDER,
+    ),
+    Mutant(
+        "canonical sums without the math.fsum fallback",
+        DISTANCE,
+        "    r[rest] = [math.fsum(row) for row in terms[rest].tolist()]\n",
+        "",
+        FSUM_ROWS,
+    ),
+    Mutant(
+        "canonical sum certificate widened to the whole gap",
+        DISTANCE,
+        "(2.0 * (np.abs(d) + 2.0 * tail) < gap)",
+        "(np.abs(d) + 2.0 * tail < gap)",
+        FSUM_ROWS,
     ),
     Mutant(
         "leaf candidates without the slack",

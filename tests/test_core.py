@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from allocmap.core import (
+    NON_XML_CHAR,
     BadDimensions,
     NegativeEntry,
     RowSumViolation,
@@ -78,3 +79,15 @@ def test_normalize_rows_rejects_negatives():
 def test_shape_mismatch_message():
     err = ShapeMismatch((2, 3), (3, 3))
     assert "(2, 3)" in str(err) and "(3, 3)" in str(err)
+
+
+def test_non_xml_char_matches_every_code_point_outside_xml_char():
+    # XML 1.0 Char: #x9 | #xA | #xD | [#x20-#xD7FF] | [#xE000-#xFFFD] |
+    # [#x10000-#x10FFFF]
+    char = [(0x9, 0x9), (0xA, 0xA), (0xD, 0xD), (0x20, 0xD7FF), (0xE000, 0xFFFD), (0x10000, 0x10FFFF)]
+    allowed = np.zeros(0x110000, dtype=bool)
+    for lo, hi in char:
+        allowed[lo : hi + 1] = True
+    text = "".join(map(chr, range(0x110000)))
+    matched = [m.start() for m in NON_XML_CHAR.finditer(text)]
+    assert matched == np.flatnonzero(~allowed).tolist()

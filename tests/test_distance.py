@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import itertools
 import math
 import os
@@ -8,7 +9,7 @@ import sys
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import assume, given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.internal.conjecture import providers
 
@@ -337,10 +338,12 @@ def test_pairwise_valuation_matches_search_oracle_bitwise(monkeypatch, n, m, ent
     # copy of it: many of that pair's leaves then tie at its bound.
     # By default a leaf chunk can split a pair from n = 6. One entry per block
     # puts each pair in a block of its own and each leaf in a chunk of its
-    # own, so a pair's least total is known only after its last chunk. The
-    # pool inherits the patch by forking.
+    # own, so a pair's least total is known only after its last chunk, and
+    # one term per group puts each row in a group of its own. The pool
+    # inherits the patch by forking.
     if entries is not None:
         monkeypatch.setattr(distance, "_BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(distance, "_GROUP_TERMS", entries)
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(
@@ -469,11 +472,11 @@ def test_valuation_leaf_pass_solves_under_half_of_the_preset_leaves(monkeypatch)
     # whose identity incumbent lies above the demand bound) without solving them
     open_pairs, solved, settle, assign = [], [], distance._settle, distance._assign
 
-    def settle_counted(tensor, order, live, best, lbs):
+    def settle_counted(tensor, order, live, *rest):
         open_pairs.append(len(live))
         monkeypatch.setattr(distance, "_assign", lambda costs: solved.append(len(costs)) or assign(costs))
         try:
-            return settle(tensor, order, live, best, lbs)
+            return settle(tensor, order, live, *rest)
         finally:
             monkeypatch.setattr(distance, "_assign", assign)
 
@@ -481,6 +484,106 @@ def test_valuation_leaf_pass_solves_under_half_of_the_preset_leaves(monkeypatch)
     pairwise_distances(gen_preset("3x6", 7)[::28], "valuation")
     assert sum(open_pairs) > 0
     assert sum(solved) < math.factorial(3) * sum(open_pairs) / 2
+
+
+def test_valuation_matrix_makes_the_pinned_number_of_assignment_solves(monkeypatch):
+    # every goods assignment the seed-7 3x6 valuation matrix solves: one per
+    # demand pair, one per identity matching and one per leaf the reduced
+    # bound cannot rule out. Batching the canonical sums must not change
+    # which leaves are solved
+    solved, assign = [], distance._assign
+    monkeypatch.setattr(distance, "_assign", lambda costs: solved.append(len(costs)) or assign(costs))
+    pairwise_distances(gen_preset("3x6", 7), "valuation")
+    assert sum(solved) == 54_671
+
+
+# sha256 of the float64 bytes of whole preset matrices. The distance layer
+# calls no BLAS routine, so these hold on any platform.
+PRESET_DIGESTS = [
+    ("3x6", 7, "valuation", "35ff49d20e9a7a9e6b12f7c75d42fd3bed51af2a5dd35adde522caaecdcc6782"),
+    ("3x6", 1007, "valuation", "4368b3b08fc44161bf2077e98ce7bec36855e34f849756fa98f007766534cfd2"),
+    ("3x6", 7, "demand", "14ffc9265ce462bce6eb2e480ef9abe5749a562077f79803acd7ac55d94ca070"),
+    ("5x5", 7, "demand", "dff34683a5e44a65dda3a87dfbb9b1b95e9a286daed01d58a14e9286a462a1fd"),
+]
+
+
+@pytest.mark.parametrize("preset, seed_, metric, digest", PRESET_DIGESTS)
+def test_preset_matrices_keep_their_bytes_at_any_thread_count(preset, seed_, metric, digest):
+    # the seed-1007 matrix has pairs that only the walk order settles
+    recs = gen_preset(preset, seed_)
+    for threads in (1, 2, 4):
+        got = pairwise_distances(recs, metric, threads=threads).values
+        assert hashlib.sha256(got.tobytes()).hexdigest() == digest, threads
+
+
+@pytest.mark.parametrize("k", [2, 3, 12, 165])
+@pytest.mark.parametrize("terms", [1, 18, 25, 200, 1 << 16])
+def test_row_groups_cover_each_span_in_order_within_their_term_budget(k, terms):
+    for span in distance._spans(k, 3):
+        groups = distance._groups(k, terms, span)
+        assert [i for g in groups for i in g] == list(range(*span))
+        for g in groups:
+            size = sum(k - 1 - i for i in g) * terms
+            assert len(g) == 1 or size <= distance._GROUP_TERMS, (span, g)
+        # a group ends only where the next row would not fit
+        for g, after in zip(groups, groups[1:]):
+            assert sum(k - 1 - i for i in range(g.start, after.start + 1)) * terms > distance._GROUP_TERMS
+
+
+# In each row hi + lo lands exactly on a rounding midpoint, and only the
+# tiny last term, which the cascades leave in the second-level errors,
+# decides which way the exact sum rounds.
+_MIDPOINT_ROWS = [
+    [1.5, 2.0**-53, 2.0**-170],
+    [1.5, 2.0**-53, -(2.0**-170)],
+    [1.5 + 2.0**-52, 2.0**-53, 2.0**-170, 0.0],
+    [-1.5, -(2.0**-53), -(2.0**-170)],
+]
+
+
+def _terms():
+    # zeros of either sign, subnormals, exponents from -1100 to 900 and
+    # exact midpoints, all signed; a row's sum cannot overflow
+    return st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1.0, -1.0, 1.5, 2.0**-53, 2.0**-60]),
+        st.floats(-4.0, 4.0),
+        st.builds(lambda m, e: m * 2.0**e, st.integers(-(2**53), 2**53), st.integers(-1100, 900)),
+    )
+
+
+@pytest.mark.parametrize("kernel_entries", [1, None], ids=["every_batch", "default"])
+def test_fsum_rows_returns_the_bits_of_math_fsum(monkeypatch, kernel_entries):
+    # with one term per batch enough, every batch of two or more terms per
+    # row goes through the certificate
+    if kernel_entries is not None:
+        monkeypatch.setattr(distance, "_KERNEL_ENTRIES", kernel_entries)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(0, 30).flatmap(lambda n: st.lists(st.lists(_terms(), min_size=n, max_size=n), min_size=1, max_size=8)))
+    @example([[1.0, 2.0**-53]])
+    @example([[1.0, 2.0**-53, 2.0**-60]])
+    @example(_MIDPOINT_ROWS[:1])
+    def check(rows):
+        terms = np.array(rows, dtype=np.float64).reshape(len(rows), -1)
+        got = distance._fsum_rows(terms)
+        assert got.tobytes() == np.array([math.fsum(row) for row in rows]).tobytes(), rows
+
+    check()
+
+
+def test_fsum_rows_sends_only_uncertified_rows_to_math_fsum(monkeypatch):
+    # these random 18-term rows are all certified; the midpoint rows are
+    # not, and the first and last of them round the other way from hi + lo
+    rows = np.random.default_rng(5).random((distance._KERNEL_ENTRIES // 18 + 1, 18))
+    rows = [*rows.tolist(), *_MIDPOINT_ROWS]
+    terms = np.array([row + [0.0] * (18 - len(row)) for row in rows])
+    called, fsum = [], math.fsum
+    monkeypatch.setattr(math, "fsum", lambda row: called.append(row) or fsum(row))
+    got = distance._fsum_rows(terms)
+    monkeypatch.undo()
+    assert got.tobytes() == np.array([math.fsum(row) for row in rows]).tobytes()
+    assert called == terms[-len(_MIDPOINT_ROWS) :].tolist()
+    assert got[-4:].tolist() == [1.5 + 2.0**-52, 1.5, 1.5 + 2.0**-51, -1.5 - 2.0**-52]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 6])

@@ -503,6 +503,25 @@ def test_render_refuses_labels_and_titles_an_svg_cannot_carry(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "labels, points, message",
+    [
+        (["a", "b", "c"], [[0.0, 0.0], [1.0, 1.0]], "label count does not match point count"),
+        (["a"], [[0.0, 0.0], [1.0, 1.0]], "label count does not match point count"),
+        (["a", "b"], [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], "points must be a k x 2 array, got shape (2, 3)"),
+        (["a", "b"], [[0.0, 0.0], [1.0, float("nan")]], "points have NaN or infinite coordinates"),
+        (["a", "b"], [0.0, 1.0], "points must be a k x 2 array, got shape (2,)"),
+        (["a", "b"], [[0.0, 0.0], [1.0]], "points must be a k x 2 array of numbers"),
+    ],
+    ids=["more_labels", "fewer_labels", "three_columns", "nan_coordinate", "one_dimensional", "ragged"],
+)
+def test_render_refuses_points_that_are_not_one_finite_xy_per_label(tmp_path, labels, points, message):
+    out = tmp_path / "m.svg"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        render_svg(out, labels, points)
+    assert not out.exists()
+
+
 def test_every_admitted_label_renders_to_a_parseable_svg(tmp_path):
     path = tmp_path / "m.svg"
 
