@@ -10,11 +10,17 @@ branch-and-bound walk would reach first. The demand distance compares the
 multiset of sorted demand columns and needs one polynomial matching; it
 never exceeds the valuation distance, which makes it both a cheap stand-in
 at scale and the search's stopping bound.
+
+The pairs i < j of a matrix are numbered once, in row order, as
+``np.triu_indices`` gives them, and every cut of the work is a slice of that
+order: the pool's slices, the groups whose canonical sums are one batch, and
+the valuation search's blocks, which may hold pairs of several rows. Each
+demand group prices its goods in one temporary, made absolute in place,
+since a second one of that size made glibc trim and re-fault the heap.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -119,21 +125,18 @@ def _demand_stack(values: np.ndarray) -> np.ndarray:
     return vectors[:, :, ::-1].copy()
 
 
-def _demand_rows(vectors: np.ndarray, group: range) -> np.ndarray:
-    """Demand distances from each instance i of ``group`` to every later
-    one, flat in row order, given the stacked (k, m, n) demand vectors. One
-    broadcast per row prices every pair's goods, summing over the same
-    contiguous length-n axis a single (m, m) cost would, so each pair's
-    assignment and canonical sum see the same numbers either way. The
-    group's canonical sums are one ``_fsum_rows`` call."""
-    terms = []
-    for i in group:
-        d1, rest = vectors[i], vectors[i + 1 :]
-        costs = np.abs(d1[None, :, None, :] - rest[:, None, :, :]).sum(axis=3)
-        matched = rest[np.arange(len(rest))[:, None], _assign(costs)]
-        terms.append(np.abs(d1 - matched).reshape(len(rest), -1))
-    terms = np.concatenate(terms)  # frees the rows' parts before the sums
-    return _fsum_rows(terms)
+def _demand_pairs(vectors: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Demand distances of the pairs (a[p], b[p]), given the stacked (k, m,
+    n) demand vectors. One broadcast prices every pair's goods, summing over
+    the same contiguous length-n axis a single (m, m) cost would, so each
+    pair's assignment and canonical sum see the same numbers either way.
+    The canonical sums are one ``_fsum_rows`` call."""
+    d1, d2 = vectors.take(a, axis=0), vectors.take(b, axis=0)
+    # one temporary, absolute in place: a second made glibc trim and re-fault the heap
+    costs = d1[:, :, None, :] - d2[:, None, :, :]
+    costs = np.abs(costs, out=costs).sum(axis=3)
+    matched = d2[np.arange(len(d2))[:, None], _assign(costs)]
+    return _fsum_rows(np.abs(d1 - matched).reshape(len(d1), -1))
 
 
 # Slack for pruning, for the leaf pass's reduced-cost bounds and for its
@@ -143,31 +146,15 @@ def _demand_rows(vectors: np.ndarray, group: range) -> np.ndarray:
 # Values here are at most 2n, so a few ulps is well under 1e-12.
 _PRUNE_SLACK = 1e-12
 
-# Pairs of a row go in blocks of at most this many float64 entries of the
+# A group's pairs go in blocks of at most this many float64 entries of the
 # agent-to-agent goods-cost tensor, and the leaf pass builds its leaves'
 # goods costs in chunks of at most this many entries.
 _BLOCK_ENTRIES = 1 << 16
 
-# Rows go in groups whose pairs have at most this many l1 terms in all (or
-# one row). A group's canonical sums, with its leaves', and the temporaries
-# of ``_fsum_rows`` are a few times this many float64 entries.
+# Pairs go in groups of at most this many l1 terms in all (or one pair). A
+# group's canonical sums, with its leaves', and the temporaries of
+# ``_fsum_rows`` are a few times this many float64 entries.
 _GROUP_TERMS = 1 << 14
-
-
-def _groups(k: int, terms: int, span: tuple[int, int]) -> list[range]:
-    """Consecutive nonempty row ranges that cover ``range(*span)`` in order,
-    each as long as its pairs' ``terms`` l1 terms per pair fit in
-    ``_GROUP_TERMS`` entries (row i has k - 1 - i pairs)."""
-    lo, hi = span
-    groups = []
-    while lo < hi:
-        end, size = lo + 1, (k - 1 - lo) * terms
-        while end < hi and size + (k - 1 - end) * terms <= _GROUP_TERMS:
-            size += (k - 1 - end) * terms
-            end += 1
-        groups.append(range(lo, end))
-        lo = end
-    return groups
 
 
 def _assign(costs) -> np.ndarray:
@@ -183,13 +170,13 @@ def _assign(costs) -> np.ndarray:
 
 
 def _matched_terms(tensor, pairs, rows, paths, cols) -> np.ndarray:
-    """The l1 terms of N matchings, one row each. Matching t pairs instance
-    i with block partner ``pairs[t]``, matches agent ``rows[s]`` of i to
-    agent ``paths[t, s]`` of the partner (``paths`` may be one row for all)
-    and good g to good ``cols[t, g]``."""
+    """The l1 terms of N matchings, one row each. Matching t takes block
+    pair ``pairs[t]``, matches agent ``rows[t, s]`` of its first instance to
+    agent ``paths[t, s]`` of its second (``rows`` and ``paths`` may be one
+    row for all) and good g to good ``cols[t, g]``."""
     goods = np.arange(cols.shape[-1])
-    terms = tensor[pairs[:, None, None], rows[:, None], paths[:, :, None], goods, cols[:, None]]
-    return terms.reshape(len(cols), rows.size * goods.size)
+    terms = tensor[pairs[:, None, None], rows[:, :, None], paths[:, :, None], goods, cols[:, None]]
+    return terms.reshape(len(cols), rows.shape[-1] * goods.size)
 
 
 def _reduced_bound(costs) -> np.ndarray:
@@ -205,18 +192,19 @@ def _reduced_bound(costs) -> np.ndarray:
     return np.maximum(by_rows, by_cols)
 
 
-def _settle(tensor, order, live, bounds, perms):
+def _settle(tensor, orders, live, bounds, perms):
     """Leaf pass over the block pairs ``live``, whose identity values lie
     above their demand ``bounds``: bound all n! agent matchings ``perms`` of
     each, solve those the bound cannot rule out, and return for each chunk
     of leaves the block pairs, rows of ``perms`` and l1 terms of its leaves
     whose canonical values can decide what a branch-and-bound walk returns.
 
-    That walk matches agent ``order[s]`` of instance i at step s, prices a
-    node by the goods-assignment relaxation of its costs summed from zero in
-    matching order, visits children in increasing relaxation, skips a child
-    whose relaxation is at least the incumbent plus ``_PRUNE_SLACK`` and
-    stops at the first incumbent within the demand bound.
+    The walk of block pair p matches agent ``orders[p, s]`` of its first
+    instance at step s, prices a node by the goods-assignment relaxation of
+    its costs summed from zero in matching order, visits children in
+    increasing relaxation, skips a child whose relaxation is at least the
+    incumbent plus ``_PRUNE_SLACK`` and stops at the first incumbent within
+    the demand bound.
 
     A leaf's goods costs are summed the same way, so the solver matches its
     goods as the walk would. Each chunk of leaves first solves the leaf of
@@ -234,16 +222,17 @@ def _settle(tensor, order, live, bounds, perms):
     the identity incumbent; with leaves within it the walk stops at the
     first it reaches, the least by ``_walk_key`` where their values differ.
     """
-    n, m, f = order.size, tensor.shape[-1], len(perms)
+    n, m, f = orders.shape[1], tensor.shape[-1], len(perms)
     least = np.full(len(bounds), np.inf)
     goods, step = np.arange(m), max(1, _BLOCK_ENTRIES // (m * m))
     kept = []
     for lo in range(0, len(live) * f, step):
         t = np.arange(lo, min(lo + step, len(live) * f))
         pairs, paths = live[t // f], perms[t % f]
+        rows = orders[pairs]
         costs = np.zeros((len(t), m, m))
         for s in range(n):
-            costs += tensor[pairs, order[s], paths[:, s]]
+            costs += tensor[pairs, rows[:, s], paths[:, s]]
         lower = _reduced_bound(costs)
         cols = np.zeros((len(t), m), dtype=np.intp)
         totals = np.full(len(t), np.inf)  # until the leaf is solved
@@ -260,7 +249,7 @@ def _settle(tensor, order, live, bounds, perms):
         if rest.size:
             solve(rest)
         keep = totals <= np.maximum(bounds, least)[pairs] + _PRUNE_SLACK
-        kept.append((pairs[keep], (t % f)[keep], _matched_terms(tensor, pairs[keep], order, paths[keep], cols[keep])))
+        kept.append((pairs[keep], (t % f)[keep], _matched_terms(tensor, pairs[keep], rows[keep], paths[keep], cols[keep])))
     return kept
 
 
@@ -278,62 +267,61 @@ def _walk_key(tensor, order, k, path) -> list:
     return key
 
 
-def _pair_tensor(a1, rest):
-    """The agent-to-agent goods-cost tensor of instance ``a1`` and each
-    instance of the stack ``rest``: entry [b, x, y, g, h] is
-    |a1[x, g] - rest[b, y, h]|."""
-    return np.abs(a1[None, :, None, :, None] - rest[:, None, :, None, :])
+def _pair_tensor(first, second):
+    """The agent-to-agent goods-cost tensor of the stacked pairs (first[p],
+    second[p]): entry [p, x, y, g, h] is |first[p, x, g] - second[p, y, h]|."""
+    return np.abs(first[:, :, None, :, None] - second[:, None, :, None, :])
 
 
-def _order(a1):
-    """The order in which the walk matches the agents of ``a1``: by
-    decreasing variance of their values. The variance is ``a1.var(axis=1)``
-    spelled out, the same operations without its argument handling, and
-    divided by -m to negate it exactly."""
-    dev = a1 - np.add.reduce(a1, axis=1, keepdims=True) / a1.shape[1]
-    return np.argsort(np.add.reduce(dev * dev, axis=1) / -a1.shape[1], kind="stable")
+def _orders(values):
+    """The order in which the walk matches the agents of each instance of
+    the stacked ``values``: by decreasing variance of their values. The
+    variance is ``values.var(axis=2)`` spelled out, the same operations
+    without its argument handling, and divided by -m to negate it exactly."""
+    m = values.shape[2]
+    dev = values - np.add.reduce(values, axis=2, keepdims=True) / m
+    return np.argsort(np.add.reduce(dev * dev, axis=2) / -m, axis=1, kind="stable")
 
 
-def _valuation_rows(values: np.ndarray, group: range, demand: np.ndarray) -> np.ndarray:
-    """Valuation distances from each instance i of ``group`` to every later
-    instance of the stacked (k, n, m) ``values``, flat in row order, with
-    the demand distances of the same pairs as root bounds.
+def _valuation_pairs(values: np.ndarray, a: np.ndarray, b: np.ndarray, demand: np.ndarray) -> np.ndarray:
+    """Valuation distances of the pairs (a[p], b[p]) of the stacked (k, n,
+    m) ``values``, with their demand distances as root bounds.
 
-    Pairs go in blocks. One broadcast builds each block's agent-to-agent
-    goods-cost tensor; the identity matchings (costs summed in agent order)
-    give every pair's first incumbent. A pair whose plain identity total
-    lies above its bound by more than ``_PRUNE_SLACK`` is open, one below it
-    by more is settled, and one in between is decided at once by its
-    canonical value. ``_settle`` picks the leaves of the open pairs that can
-    decide them. The other canonical values wait for one ``_fsum_rows`` call
-    at the end of the group. Then each pair takes the least of its identity
-    and leaf values, unless leaves of distinct values lie within its bound:
-    then it takes the first of them in walk order.
+    Pairs go in blocks, which may hold pairs of several first instances.
+    One broadcast builds each block's agent-to-agent goods-cost tensor; the
+    identity matchings (costs summed in agent order) give every pair's first
+    incumbent. A pair whose plain identity total lies above its bound by
+    more than ``_PRUNE_SLACK`` is open, one below it by more is settled, and
+    one in between is decided at once by its canonical value. ``_settle``
+    picks the leaves of the open pairs that can decide them, each pair
+    walking the agents of its first instance in the order ``_orders`` gives.
+    The other canonical values wait for one ``_fsum_rows`` call at the end.
+    Then each pair takes the least of its identity and leaf values, unless
+    leaves of distinct values lie within its bound: then it takes the first
+    of them in walk order.
     """
-    k, n, m = values.shape
+    n, m = values.shape[1:]
     ident, perms = np.arange(n), np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    orders = _orders(values)
     step = max(1, _BLOCK_ENTRIES // (n * n * m * m))
-    starts = list(itertools.accumulate((k - 1 - i for i in group), initial=0))
     idents, leaves = [], []  # leaves: (pair, row of perms, l1 terms) of each leaf chunk
-    for i, start in zip(group, starts):
-        order = _order(values[i])
-        for lo in range(i + 1, k, step):
-            tensor = _pair_tensor(values[i], values[lo : lo + step])
-            first = start + lo - i - 1
-            bounds = demand[first : first + len(tensor)]
-            cols = _assign(tensor[:, ident, ident].sum(axis=1))
-            idents.append(_matched_terms(tensor, np.arange(len(tensor)), ident, ident[None], cols))
-            over = idents[-1].sum(axis=1) - bounds
-            live = over > _PRUNE_SLACK
-            band = np.abs(over) <= _PRUNE_SLACK
-            if band.any():
-                live[band] = _fsum_rows(idents[-1][band]) > bounds[band]
-            live = np.flatnonzero(live)
-            if live.size:
-                chunks = _settle(tensor, order, live, bounds, perms)
-                leaves += [(first + b, path, terms) for b, path, terms in chunks]
+    for lo in range(0, len(a), step):
+        block = slice(lo, lo + step)
+        tensor = _pair_tensor(values.take(a[block], axis=0), values.take(b[block], axis=0))
+        bounds = demand[block]
+        cols = _assign(tensor[:, ident, ident].sum(axis=1))
+        idents.append(_matched_terms(tensor, np.arange(len(tensor)), ident[None], ident[None], cols))
+        over = idents[-1].sum(axis=1) - bounds
+        live = over > _PRUNE_SLACK
+        band = np.abs(over) <= _PRUNE_SLACK
+        if band.any():
+            live[band] = _fsum_rows(idents[-1][band]) > bounds[band]
+        live = np.flatnonzero(live)
+        if live.size:
+            chunks = _settle(tensor, orders[a[block]], live, bounds, perms)
+            leaves += [(lo + p, path, terms) for p, path, terms in chunks]
     sums = _fsum_rows(np.concatenate(idents + [terms for _, _, terms in leaves]))
-    best, found = sums[: starts[-1]], sums[starts[-1] :]
+    best, found = sums[: len(a)], sums[len(a) :]
     if not leaves:
         return best
     owner = np.concatenate([pairs for pairs, _, _ in leaves])
@@ -349,9 +337,7 @@ def _valuation_rows(values: np.ndarray, group: range, demand: np.ndarray) -> np.
     np.minimum.at(low, owner[within], found[within])
     np.maximum.at(high, owner[within], found[within])
     for p in np.flatnonzero(low < high).tolist():
-        row = bisect.bisect_right(starts, p) - 1
-        i, j = group[row], group[row] + 1 + p - starts[row]
-        tensor, order = _pair_tensor(values[i], values[j : j + 1]), _order(values[i])
+        tensor, order = _pair_tensor(values[a[p : p + 1]], values[b[p : p + 1]]), orders[a[p]]
         cands = within[owner[within] == p].tolist()
         best[p] = found[min(cands, key=lambda c: _walk_key(tensor, order, 0, paths[c]))]
     return best
@@ -377,7 +363,7 @@ def _check_matrices(matrices, metric: str, cap: int) -> None:
 def demand_distance(u1: UtilityMatrix, u2: UtilityMatrix) -> float:
     """Min-cost matching of demand vectors (anonymous per-good demand)."""
     _check_matrices((u1, u2), "demand", EXACT_SEARCH_CAP)
-    return _rows(np.array([u1.values, u2.values]), "demand", (0, 1))[0][0]
+    return _pairs(np.array([u1.values, u2.values]), "demand", np.zeros(1, np.intp), np.ones(1, np.intp)).item()
 
 
 def valuation_distance(
@@ -386,7 +372,7 @@ def valuation_distance(
     """Exact min over all agent and good relabelings of the entrywise l1
     difference. Exponential in n; refuses n > cap."""
     _check_matrices((u1, u2), "valuation", cap)
-    return _rows(np.array([u1.values, u2.values]), "valuation", (0, 1))[0][0]
+    return _pairs(np.array([u1.values, u2.values]), "valuation", np.zeros(1, np.intp), np.ones(1, np.intp)).item()
 
 
 @dataclass
@@ -422,32 +408,22 @@ def check_distances(values) -> np.ndarray:
     return d
 
 
-def _rows(values: np.ndarray, metric: str, span: tuple[int, int]) -> list[list[float]]:
-    """Distances from each instance i in ``range(*span)`` to every later
-    instance of the stacked (k, n, m) ``values``. Rows go in ``_groups``; a
-    group's demand distances are also its valuation search's root bounds.
-    Callers check shapes and the cap with ``_check_matrices``."""
-    k, n, m = values.shape
+def _pairs(values: np.ndarray, metric: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distances of the pairs (a[p], b[p]) of the stacked (k, n, m)
+    ``values``, in order. Pairs go in groups of consecutive pairs; a group's
+    demand distances are also its valuation search's root bounds. Callers
+    check shapes and the cap with ``_check_matrices``."""
+    n, m = values.shape[1:]
     vectors = _demand_stack(values)
-    rows = []
-    for group in _groups(k, n * m, span):
-        sums = _demand_rows(vectors, group)
+    out = np.empty(len(a))
+    step = max(1, _GROUP_TERMS // (n * m))
+    for lo in range(0, len(a), step):
+        group = slice(lo, lo + step)
+        sums = _demand_pairs(vectors, a[group], b[group])
         if metric == "valuation":
-            sums = _valuation_rows(values, group, sums)
-        sums, at = sums.tolist(), 0
-        for i in group:
-            rows.append(sums[at : at + k - 1 - i])
-            at += k - 1 - i
-    return rows
-
-
-def _spans(k: int, count: int) -> list[tuple[int, int]]:
-    """At most ``count`` contiguous, nonempty row ranges (lo, hi) that cover
-    rows 0..k-2 in order, with about equal pair counts (row i has k-1-i)."""
-    done = np.cumsum(np.arange(k - 1, 0, -1))
-    cuts = np.searchsorted(done, done[-1] * np.arange(1, count) / count) + 1
-    edges = np.unique(np.r_[0, cuts, k - 1]).tolist()
-    return list(zip(edges[:-1], edges[1:]))
+            sums = _valuation_pairs(values, a[group], b[group], sums)
+        out[group] = sums
+    return out
 
 
 def pairwise_distances(
@@ -455,10 +431,11 @@ def pairwise_distances(
 ) -> DistanceMatrix:
     """All-pairs distance matrix over a dataset (instances must share n, m).
 
-    With threads > 1 a process pool computes the rows in about four spans
-    per worker, each span a contiguous range of rows with about equal pair
-    counts, since every pair costs about the same at a given shape. Rows are
-    assembled in order, so the result is identical for any thread count.
+    The pairs i < j are numbered once, in row order. With threads > 1 a
+    process pool computes them in about four slices of that order per
+    worker, of near-equal length, since every pair costs about the same at
+    a given shape. The slices are assembled in order, so the result is
+    identical for any thread count.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
@@ -469,19 +446,18 @@ def pairwise_distances(
     _check_matrices(matrices, metric, cap)
     values = np.array([u.values for u in matrices])
     k = len(records)
+    a, b = np.triu_indices(k, 1)
     if threads > 1 and k > 2:
-        # the pool has k - 1 rows to hand out, and it starts every worker at once
+        # the pool starts every worker at once, so small matrices get fewer
         workers = min(threads, k - 1)
         # forked workers inherit the solver instead of each importing SciPy
         import scipy.optimize  # noqa: F401
 
+        slices = [(x, y) for x, y in zip(np.array_split(a, 4 * workers), np.array_split(b, 4 * workers)) if x.size]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = pool.map(partial(_rows, values, metric), _spans(k, 4 * workers))
-            rows = [row for block in blocks for row in block]
+            flat = np.concatenate(list(pool.map(partial(_pairs, values, metric), *zip(*slices))))
     else:
-        rows = _rows(values, metric, (0, k - 1))
+        flat = _pairs(values, metric, a, b)
     dist = np.zeros((k, k))
-    for i, row in enumerate(rows):
-        dist[i, i + 1 :] = row
-        dist[i + 1 :, i] = row
+    dist[a, b] = dist[b, a] = flat
     return DistanceMatrix(labels=[rec.label for rec in records], values=dist, metric=metric)

@@ -53,8 +53,8 @@ MUTANTS = [
     Mutant(
         "leaf costs summed in reversed agent order",
         DISTANCE,
-        "for s in range(n):\n            costs += tensor[pairs, order[s], paths[:, s]]",
-        "for s in reversed(range(n)):\n            costs += tensor[pairs, order[s], paths[:, s]]",
+        "for s in range(n):\n            costs += tensor[pairs, rows[:, s], paths[:, s]]",
+        "for s in reversed(range(n)):\n            costs += tensor[pairs, rows[:, s], paths[:, s]]",
         ("tests/test_distance.py::test_valuation_leaf_pass_sums_leaf_costs_in_matching_order",),
     ),
     Mutant(
@@ -70,6 +70,13 @@ MUTANTS = [
         "best[p] = found[min(cands,",
         "best[p] = found[max(cands,",
         WALK_ORDER,
+    ),
+    Mutant(
+        "every pair of a block walked in its first pair's agent order",
+        DISTANCE,
+        "_settle(tensor, orders[a[block]], live",
+        "_settle(tensor, orders[a[lo]][None].repeat(len(tensor), axis=0), live",
+        ("tests/test_distance.py::test_preset_matrices_keep_their_bytes_at_any_thread_count",),
     ),
     Mutant(
         "walk order keyed by partner agents only",
@@ -107,10 +114,10 @@ MUTANTS = [
         ("tests/test_distance.py::test_pairwise_valuation_matches_search_oracle_bitwise",),
     ),
     Mutant(
-        "pool spans without the first row",
+        "pool without the first pair slice",
         DISTANCE,
-        "np.unique(np.r_[0, cuts, k - 1])",
-        "np.unique(np.r_[cuts, k - 1])",
+        "*zip(*slices)",
+        "*zip(*slices[1:])",
         ("tests/test_distance.py::test_pairwise_thread_count_irrelevant",),
     ),
     Mutant(
@@ -124,8 +131,8 @@ MUTANTS = [
     Mutant(
         "demand costs replaced by a fixed matrix",
         DISTANCE,
-        "costs = np.abs(d1[None, :, None, :] - rest[:, None, :, :]).sum(axis=3)",
-        "costs = np.ones((len(rest), len(d1), len(d1)))",
+        "costs = np.abs(costs, out=costs).sum(axis=3)",
+        "costs = np.ones(costs.shape[:3])",
         ("tests/test_distance.py::test_pairwise_demand_matches_oracle_bitwise",),
     ),
     Mutant(

@@ -259,8 +259,8 @@ def test_pairwise_characteristic_trio():
 
 
 def test_pairwise_thread_count_irrelevant():
-    # six instances have five rows, fewer than the spans two or four workers
-    # ask for; a tenth of the 3x6 preset has more
+    # six instances have 15 pairs, fewer than the 16 slices four workers ask
+    # for; a tenth of the 3x6 preset has more
     small = [record(f"r{i}", random_instance(4, 5, i + 1500)) for i in range(6)]
     for recs in (small, gen_preset("3x6", 7)[::14]):
         for metric in ("demand", "valuation"):
@@ -271,7 +271,7 @@ def test_pairwise_thread_count_irrelevant():
 
 
 def test_pairwise_valuation_matches_per_pair_search():
-    # the matrix takes its root bounds from the batched demand row, the
+    # the matrix takes its root bounds from the batched demand group, the
     # single-pair API from the one-partner call: both must give the same search
     recs = gen_preset("3x6", 7)[::28]
     want = np.zeros((len(recs), len(recs)))
@@ -327,7 +327,11 @@ def _weights(shape):
     )
 
 
-@pytest.mark.parametrize("entries", [None, 1], ids=["default", "one_leaf_chunks"])
+@pytest.mark.parametrize(
+    "entries",
+    [None, lambda n, m: (1, 1), lambda n, m: (3 * n * n * m * m, 7 * n * m)],
+    ids=["default", "one_leaf_chunks", "blocks_straddle_rows"],
+)
 @pytest.mark.parametrize("n,m", [(2, 2), (2, 5), (3, 6), (4, 5), (5, 5), (6, 6), (6, 8)])
 def test_pairwise_valuation_matches_search_oracle_bitwise(monkeypatch, n, m, entries):
     # given the same root bound, the leaf pass must take every decision of
@@ -339,11 +343,14 @@ def test_pairwise_valuation_matches_search_oracle_bitwise(monkeypatch, n, m, ent
     # By default a leaf chunk can split a pair from n = 6. One entry per block
     # puts each pair in a block of its own and each leaf in a chunk of its
     # own, so a pair's least total is known only after its last chunk, and
-    # one term per group puts each row in a group of its own. The pool
-    # inherits the patch by forking.
+    # one term per group puts each pair in a group of its own. Groups of 7
+    # pairs and blocks of 3 straddle rows: of the 10 pairs, pairs 3 to 5
+    # share a block and 0 to 6 a group, with first instances 0 and 1, whose
+    # walk orders can differ. The pool inherits the patch by forking.
     if entries is not None:
-        monkeypatch.setattr(distance, "_BLOCK_ENTRIES", entries)
-        monkeypatch.setattr(distance, "_GROUP_TERMS", entries)
+        block, group = entries(n, m)
+        monkeypatch.setattr(distance, "_BLOCK_ENTRIES", block)
+        monkeypatch.setattr(distance, "_GROUP_TERMS", group)
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(
@@ -472,11 +479,11 @@ def test_valuation_leaf_pass_solves_under_half_of_the_preset_leaves(monkeypatch)
     # whose identity incumbent lies above the demand bound) without solving them
     open_pairs, solved, settle, assign = [], [], distance._settle, distance._assign
 
-    def settle_counted(tensor, order, live, *rest):
+    def settle_counted(tensor, orders, live, *rest):
         open_pairs.append(len(live))
         monkeypatch.setattr(distance, "_assign", lambda costs: solved.append(len(costs)) or assign(costs))
         try:
-            return settle(tensor, order, live, *rest)
+            return settle(tensor, orders, live, *rest)
         finally:
             monkeypatch.setattr(distance, "_assign", assign)
 
@@ -498,12 +505,15 @@ def test_valuation_matrix_makes_the_pinned_number_of_assignment_solves(monkeypat
 
 
 # sha256 of the float64 bytes of whole preset matrices. The distance layer
-# calls no BLAS routine, so these hold on any platform.
+# calls no BLAS routine, so these hold on any platform. 10x20 is the only
+# preset whose demand costs sum more than 8 terms per cell, where NumPy's
+# contiguous summation takes its unrolled path.
 PRESET_DIGESTS = [
     ("3x6", 7, "valuation", "35ff49d20e9a7a9e6b12f7c75d42fd3bed51af2a5dd35adde522caaecdcc6782"),
     ("3x6", 1007, "valuation", "4368b3b08fc44161bf2077e98ce7bec36855e34f849756fa98f007766534cfd2"),
     ("3x6", 7, "demand", "14ffc9265ce462bce6eb2e480ef9abe5749a562077f79803acd7ac55d94ca070"),
     ("5x5", 7, "demand", "dff34683a5e44a65dda3a87dfbb9b1b95e9a286daed01d58a14e9286a462a1fd"),
+    ("10x20", 7, "demand", "eda5a6ca8a815ba15268e05964274f05415952e09380f259dd642dce76d0461f"),
 ]
 
 
@@ -518,16 +528,24 @@ def test_preset_matrices_keep_their_bytes_at_any_thread_count(preset, seed_, met
 
 @pytest.mark.parametrize("k", [2, 3, 12, 165])
 @pytest.mark.parametrize("terms", [1, 18, 25, 200, 1 << 16])
-def test_row_groups_cover_each_span_in_order_within_their_term_budget(k, terms):
-    for span in distance._spans(k, 3):
-        groups = distance._groups(k, terms, span)
-        assert [i for g in groups for i in g] == list(range(*span))
-        for g in groups:
-            size = sum(k - 1 - i for i in g) * terms
-            assert len(g) == 1 or size <= distance._GROUP_TERMS, (span, g)
-        # a group ends only where the next row would not fit
-        for g, after in zip(groups, groups[1:]):
-            assert sum(k - 1 - i for i in range(g.start, after.start + 1)) * terms > distance._GROUP_TERMS
+def test_row_groups_cover_each_span_in_order_within_their_term_budget(monkeypatch, k, terms):
+    # _pairs cuts each of three slices of the row-ordered pairs into groups:
+    # consecutive slices of it, each within the term budget or of one pair,
+    # each ending only where the next pair would not fit. The demand layer
+    # is stubbed, so values of any width cost nothing
+    groups = []
+    monkeypatch.setattr(distance, "_demand_stack", lambda values: values)
+    monkeypatch.setattr(distance, "_demand_pairs", lambda vectors, a, b: groups.append((a, b)) or np.zeros(len(a)))
+    a, b = np.triu_indices(k, 1)
+    values = np.broadcast_to(0.0, (k, 1, terms))
+    for span in np.array_split(np.arange(len(a)), 3):
+        groups.clear()
+        distance._pairs(values, "demand", a[span], b[span])
+        assert np.concatenate([g for g, _ in groups] or [[]]).tolist() == a[span].tolist()
+        assert np.concatenate([g for _, g in groups] or [[]]).tolist() == b[span].tolist()
+        sizes = [len(g) for g, _ in groups]
+        assert all(size == 1 or size * terms <= distance._GROUP_TERMS for size in sizes), sizes
+        assert all((size + 1) * terms > distance._GROUP_TERMS for size in sizes[:-1]), sizes
 
 
 # In each row hi + lo lands exactly on a rounding midpoint, and only the
@@ -665,23 +683,12 @@ def test_every_mutant_test_is_a_function_of_its_file():
             assert name in {f.name for f in tree.body if isinstance(f, ast.FunctionDef)}, (mutant.name, test)
 
 
-@pytest.mark.parametrize("k", [2, 3, 6, 12, 165])
-@pytest.mark.parametrize("count", [1, 2, 8, 16])
-def test_pool_spans_cover_every_row_once_in_order(k, count):
-    spans = distance._spans(k, count)
-    assert [i for lo, hi in spans for i in range(lo, hi)] == list(range(k - 1))
-    assert 0 < len(spans) <= count
-    assert all(lo < hi for lo, hi in spans)
-    # about equal pair counts: a span ends at the first row past its share
-    pairs = k * (k - 1) // 2
-    assert all(sum(k - 1 - i for i in range(lo, hi)) <= pairs / count + k for lo, hi in spans)
-
-
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and maps in
-    this process."""
+    """Stands in for ProcessPoolExecutor: records max_workers and the index
+    slices it is given, and maps in this process."""
 
     workers: list[int] = []
+    slices: list[tuple[np.ndarray, np.ndarray]] = []
 
     def __init__(self, max_workers):
         self.workers.append(max_workers)
@@ -692,13 +699,43 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def map(self, fn, firsts, seconds):
+        self.slices.extend(zip(firsts, seconds))
+        return map(fn, firsts, seconds)
+
+
+@pytest.mark.parametrize("k", [2, 3, 6, 12, 165])
+@pytest.mark.parametrize("threads", [1, 2, 8, 16])
+def test_pool_spans_cover_every_row_once_in_order(monkeypatch, k, threads):
+    # the pool's spans are slices of the pairs numbered in row order: they
+    # cover every pair once, in order, in at most four nonempty slices per
+    # worker whose lengths differ by at most one. One thread or one pair
+    # builds no pool
+    monkeypatch.setattr(_RecordingPool, "workers", [])
+    monkeypatch.setattr(_RecordingPool, "slices", [])
+    monkeypatch.setattr(distance, "ProcessPoolExecutor", _RecordingPool)
+    recs = [record(f"r{i}", random_instance(2, 2, i + 1900)) for i in range(k)]
+    got = pairwise_distances(recs, "demand", threads=threads)
+    if threads == 1 or k == 2:
+        assert _RecordingPool.workers == [] and _RecordingPool.slices == []
+    else:
+        (workers,) = _RecordingPool.workers
+        firsts, seconds = zip(*_RecordingPool.slices)
+        want = np.triu_indices(k, 1)
+        assert np.concatenate(firsts).tolist() == want[0].tolist()
+        assert np.concatenate(seconds).tolist() == want[1].tolist()
+        lengths = [len(x) for x in firsts]
+        assert [len(y) for y in seconds] == lengths
+        assert 0 < len(lengths) <= 4 * workers
+        assert min(lengths) > 0 and max(lengths) - min(lengths) <= 1, lengths
+    monkeypatch.undo()
+    assert got.values.tobytes() == pairwise_distances(recs, "demand").values.tobytes()
 
 
 @pytest.mark.parametrize("threads, workers", [(64, 9), (2, 2)])
 def test_pairwise_pool_has_at_most_one_worker_per_row(monkeypatch, threads, workers):
     monkeypatch.setattr(_RecordingPool, "workers", [])
+    monkeypatch.setattr(_RecordingPool, "slices", [])
     monkeypatch.setattr(distance, "ProcessPoolExecutor", _RecordingPool)
     recs = [record(f"r{i}", random_instance(3, 4, i + 1800)) for i in range(10)]
     got = pairwise_distances(recs, "demand", threads=threads)
