@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-from .core import InstanceRecord, ParseError, Source, ValidationError, check_labels, normalize_rows, validate
+from .core import InstanceRecord, ParseError, Source, ValidationError, check_labels, check_shape, normalize_rows, validate
 from .distance import DistanceMatrix
 from .embedding import Embedding
 from .features import FeatureTable
@@ -231,6 +231,7 @@ def _subsample(
     table: np.ndarray, stem: str, shape: tuple[int, int, int], seed: int
 ) -> list[InstanceRecord]:
     n, m, k = shape
+    check_shape(n, m)
     if k < 1:
         raise ValueError(f"count must be >= 1, got {k}")
     rows, cols = table.shape

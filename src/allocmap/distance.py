@@ -4,12 +4,14 @@ Two instances are compared entrywise (l1) after optimally relabeling agents
 and goods. The full valuation distance minimizes over both labelings and is
 exact but exponential in n: a leaf pass bounds all n! agent matchings by the
 reduced costs of their goods assignment problems, matches the goods of only
-those the bound cannot rule out by one assignment each, and where leaves of
-distinct value lie within the demand bound takes the one a depth-first
-branch-and-bound walk would reach first. The demand distance compares the
-multiset of sorted demand columns and needs one polynomial matching; it
-never exceeds the valuation distance, which makes it both a cheap stand-in
-at scale and the search's stopping bound.
+those the bound cannot rule out by one assignment each, and keeps each leaf
+that can decide its pair with the pair and the agent matching. Where leaves
+of distinct value lie within the demand bound, the pair takes the one a
+depth-first branch-and-bound walk would reach first, an order priced from
+the two instances' rows. The demand distance compares the multiset of
+sorted demand columns and needs one polynomial matching; it never exceeds
+the valuation distance, which makes it both a cheap stand-in at scale and
+the search's stopping bound.
 
 The pairs i < j of a matrix are numbered once, in row order, as
 ``np.triu_indices`` gives them, and every cut of the work is a slice of that
@@ -195,9 +197,10 @@ def _reduced_bound(costs) -> np.ndarray:
 def _settle(tensor, orders, live, bounds, perms):
     """Leaf pass over the block pairs ``live``, whose identity values lie
     above their demand ``bounds``: bound all n! agent matchings ``perms`` of
-    each, solve those the bound cannot rule out, and return for each chunk
-    of leaves the block pairs, rows of ``perms`` and l1 terms of its leaves
-    whose canonical values can decide what a branch-and-bound walk returns.
+    each, solve those the bound cannot rule out, and return the leaves whose
+    canonical values can decide what a branch-and-bound walk returns, as
+    three arrays with one row per leaf: its block pair, its agent matching
+    (a row of ``perms``) and its l1 terms. They are empty if ``live`` is.
 
     The walk of block pair p matches agent ``orders[p, s]`` of its first
     instance at step s, prices a node by the goods-assignment relaxation of
@@ -225,7 +228,7 @@ def _settle(tensor, orders, live, bounds, perms):
     n, m, f = orders.shape[1], tensor.shape[-1], len(perms)
     least = np.full(len(bounds), np.inf)
     goods, step = np.arange(m), max(1, _BLOCK_ENTRIES // (m * m))
-    kept = []
+    kept = [(live[:0], perms[:0], np.empty((0, n * m)))]
     for lo in range(0, len(live) * f, step):
         t = np.arange(lo, min(lo + step, len(live) * f))
         pairs, paths = live[t // f], perms[t % f]
@@ -249,38 +252,29 @@ def _settle(tensor, orders, live, bounds, perms):
         if rest.size:
             solve(rest)
         keep = totals <= np.maximum(bounds, least)[pairs] + _PRUNE_SLACK
-        kept.append((pairs[keep], (t % f)[keep], _matched_terms(tensor, pairs[keep], rows[keep], paths[keep], cols[keep])))
-    return kept
+        kept.append((pairs[keep], paths[keep], _matched_terms(tensor, pairs[keep], rows[keep], paths[keep], cols[keep])))
+    return [np.concatenate(leaves) for leaves in zip(*kept)]
 
 
-def _walk_key(tensor, order, k, path) -> list:
-    """Where the leaf ``path`` of block pair k comes in the walk of
-    ``_settle``: that walk reaches leaves in increasing order of
-    [t_1, a_1, ..., t_{n-1}, a_{n-1}], where a_s is the partner agent
-    matched at step s and t_s the relaxation of the first s steps, since
-    ties between siblings go to the lower partner agent."""
-    m = tensor.shape[-1]
+def _walk_key(first, second, order, path) -> list:
+    """Where the leaf ``path`` of the pair of instance rows ``first`` and
+    ``second`` comes in the walk of ``_settle``: that walk reaches leaves in
+    increasing order of [t_1, a_1, ..., t_{n-1}, a_{n-1}], where a_s is the
+    partner agent matched at step s and t_s the relaxation of the first s
+    steps, since ties between siblings go to the lower partner agent. Each
+    step's goods costs are the pair's tensor entries, taken from the rows."""
+    m = first.shape[-1]
     cost, key = np.zeros((m, m)), []
     for s, a in enumerate(path[:-1]):
-        cost = cost + tensor[k, order[s], a]
+        cost = cost + np.abs(first[order[s], :, None] - second[a, None, :])
         key += [cost[np.arange(m), _assign(cost[None])[0]].sum(), a]
     return key
 
 
-def _pair_tensor(first, second):
-    """The agent-to-agent goods-cost tensor of the stacked pairs (first[p],
-    second[p]): entry [p, x, y, g, h] is |first[p, x, g] - second[p, y, h]|."""
-    return np.abs(first[:, :, None, :, None] - second[:, None, :, None, :])
-
-
 def _orders(values):
     """The order in which the walk matches the agents of each instance of
-    the stacked ``values``: by decreasing variance of their values. The
-    variance is ``values.var(axis=2)`` spelled out, the same operations
-    without its argument handling, and divided by -m to negate it exactly."""
-    m = values.shape[2]
-    dev = values - np.add.reduce(values, axis=2, keepdims=True) / m
-    return np.argsort(np.add.reduce(dev * dev, axis=2) / -m, axis=1, kind="stable")
+    the stacked ``values``: by decreasing variance of their values."""
+    return np.argsort(-values.var(axis=2), axis=1, kind="stable")
 
 
 def _valuation_pairs(values: np.ndarray, a: np.ndarray, b: np.ndarray, demand: np.ndarray) -> np.ndarray:
@@ -294,52 +288,47 @@ def _valuation_pairs(values: np.ndarray, a: np.ndarray, b: np.ndarray, demand: n
     more than ``_PRUNE_SLACK`` is open, one below it by more is settled, and
     one in between is decided at once by its canonical value. ``_settle``
     picks the leaves of the open pairs that can decide them, each pair
-    walking the agents of its first instance in the order ``_orders`` gives.
-    The other canonical values wait for one ``_fsum_rows`` call at the end.
-    Then each pair takes the least of its identity and leaf values, unless
-    leaves of distinct values lie within its bound: then it takes the first
-    of them in walk order.
+    walking the agents of its first instance in the order ``_orders`` gives,
+    and returns each with its pair and agent matching. The other canonical
+    values wait for one ``_fsum_rows`` call at the end. Then each pair takes
+    the least of its identity and leaf values, unless leaves of distinct
+    values lie within its bound: then it takes the first of them in walk
+    order, keyed from the pair's instance rows.
     """
     n, m = values.shape[1:]
     ident, perms = np.arange(n), np.array(list(itertools.permutations(range(n))), dtype=np.intp)
     orders = _orders(values)
     step = max(1, _BLOCK_ENTRIES // (n * n * m * m))
-    idents, leaves = [], []  # leaves: (pair, row of perms, l1 terms) of each leaf chunk
+    idents, leaves = [], []  # leaves: (pairs, agent matchings, l1 terms) of each block
     for lo in range(0, len(a), step):
         block = slice(lo, lo + step)
-        tensor = _pair_tensor(values.take(a[block], axis=0), values.take(b[block], axis=0))
+        first, second = values.take(a[block], axis=0), values.take(b[block], axis=0)
+        # entry [p, x, y, g, h] is |first[p, x, g] - second[p, y, h]|
+        tensor = np.abs(first[:, :, None, :, None] - second[:, None, :, None, :])
         bounds = demand[block]
         cols = _assign(tensor[:, ident, ident].sum(axis=1))
         idents.append(_matched_terms(tensor, np.arange(len(tensor)), ident[None], ident[None], cols))
         over = idents[-1].sum(axis=1) - bounds
         live = over > _PRUNE_SLACK
         band = np.abs(over) <= _PRUNE_SLACK
-        if band.any():
-            live[band] = _fsum_rows(idents[-1][band]) > bounds[band]
-        live = np.flatnonzero(live)
-        if live.size:
-            chunks = _settle(tensor, orders[a[block]], live, bounds, perms)
-            leaves += [(lo + p, path, terms) for p, path, terms in chunks]
-    sums = _fsum_rows(np.concatenate(idents + [terms for _, _, terms in leaves]))
+        live[band] = _fsum_rows(idents[-1][band]) > bounds[band]
+        pairs, paths, terms = _settle(tensor, orders[a[block]], np.flatnonzero(live), bounds, perms)
+        leaves.append((lo + pairs, paths, terms))
+    owner, paths, terms = (np.concatenate(part) for part in zip(*leaves))
+    sums = _fsum_rows(np.concatenate(idents + [terms]))
     best, found = sums[: len(a)], sums[len(a) :]
-    if not leaves:
-        return best
-    owner = np.concatenate([pairs for pairs, _, _ in leaves])
     np.minimum.at(best, owner, found)
     # an open pair's identity value lies above its bound, and a settled pair
     # has no leaves, so only leaves can lie within a bound beside another,
     # and only leaves of distinct values there need the walk order
     within = np.flatnonzero(found <= demand[owner])
-    if within.size < 2 or (found[within] == found[within[0]]).all():
-        return best
-    paths = perms[np.concatenate([path for _, path, _ in leaves])]
     low, high = np.full(len(best), np.inf), np.full(len(best), -np.inf)
     np.minimum.at(low, owner[within], found[within])
     np.maximum.at(high, owner[within], found[within])
     for p in np.flatnonzero(low < high).tolist():
-        tensor, order = _pair_tensor(values[a[p : p + 1]], values[b[p : p + 1]]), orders[a[p]]
+        first, second, order = values[a[p]], values[b[p]], orders[a[p]]
         cands = within[owner[within] == p].tolist()
-        best[p] = found[min(cands, key=lambda c: _walk_key(tensor, order, 0, paths[c]))]
+        best[p] = found[min(cands, key=lambda c: _walk_key(first, second, order, paths[c]))]
     return best
 
 

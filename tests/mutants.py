@@ -60,7 +60,7 @@ MUTANTS = [
     Mutant(
         "distinct leaves within the bound settled by the least one",
         DISTANCE,
-        "key=lambda c: _walk_key(tensor, order, 0, paths[c])",
+        "key=lambda c: _walk_key(first, second, order, paths[c])",
         "key=found.__getitem__",
         WALK_ORDER,
     ),
@@ -74,9 +74,12 @@ MUTANTS = [
     Mutant(
         "every pair of a block walked in its first pair's agent order",
         DISTANCE,
-        "_settle(tensor, orders[a[block]], live",
-        "_settle(tensor, orders[a[lo]][None].repeat(len(tensor), axis=0), live",
-        ("tests/test_distance.py::test_preset_matrices_keep_their_bytes_at_any_thread_count",),
+        "_settle(tensor, orders[a[block]],",
+        "_settle(tensor, orders[a[lo]][None].repeat(len(tensor), axis=0),",
+        (
+            "tests/test_distance.py::test_valuation_block_pairs_walk_their_own_first_instances_agents",
+            "tests/test_distance.py::test_preset_matrices_keep_their_bytes_at_any_thread_count",
+        ),
     ),
     Mutant(
         "walk order keyed by partner agents only",

@@ -394,12 +394,17 @@ def test_valuation_preset_pair_keeps_the_search_stop():
     assert np.float64(valuation_distance(u1, u2)).tobytes() == np.float64(want).tobytes()
 
 
-def _record_walk_keys(monkeypatch):
-    """The block pair of each ``_walk_key`` call, in call order."""
+def _record_walk_keys(monkeypatch, recs):
+    """The pair of ``recs``, numbered in row order, whose instance rows each
+    ``_walk_key`` call reads, in call order."""
+    rows = [(u.matrix.values.tobytes(), v.matrix.values.tobytes()) for u, v in itertools.combinations(recs, 2)]
     pairs, walk_key = [], distance._walk_key
-    monkeypatch.setattr(
-        distance, "_walk_key", lambda tensor, order, k, path: pairs.append(k) or walk_key(tensor, order, k, path)
-    )
+
+    def spy(first, second, order, path):
+        pairs.append(rows.index((first.tobytes(), second.tobytes())))
+        return walk_key(first, second, order, path)
+
+    monkeypatch.setattr(distance, "_walk_key", spy)
     return pairs
 
 
@@ -414,13 +419,26 @@ def test_valuation_leaf_pass_decides_pairs_by_walk_order(monkeypatch):
         (7007, "attr_d2_014", "attr_d5_004"),
     ]:
         recs = {r.label: r for r in gen_preset("3x6", seed)}
-        keys = _record_walk_keys(monkeypatch)
+        keys = _record_walk_keys(monkeypatch, [recs[a], recs[b]])
         got = pairwise_distances([recs[a], recs[b]], "valuation").values[0, 1]
         monkeypatch.undo()
         assert keys and set(keys) == {0}, (a, b, keys)
         u1, u2 = recs[a].matrix, recs[b].matrix
         want = oracle_search(u1, u2, demand_distance(u1, u2))
         assert got.tobytes() == np.float64(want).tobytes(), (a, b)
+
+
+def test_valuation_block_pairs_walk_their_own_first_instances_agents():
+    # the three pairs of these records share one block, whose first pair's
+    # first instance is attr_d2_000. Pair (1, 2) must walk the agents of
+    # attr_d2_001 in that instance's order, [0, 1, 2]: in attr_d2_000's,
+    # [0, 2, 1], the cell lands 1 ulp higher
+    recs = {r.label: r for r in gen_preset("3x6", 7)}
+    trio = [recs["attr_d2_000"], recs["attr_d2_001"], recs["attr_d5_005"]]
+    got = pairwise_distances(trio, "valuation").values[1, 2]
+    want = valuation_distance(trio[1].matrix, trio[2].matrix)
+    assert want == 0.8928335725255929
+    assert got.tobytes() == np.float64(want).tobytes()
 
 
 @pytest.mark.parametrize("n,m", [(3, 6), (5, 5)])
@@ -455,7 +473,7 @@ def test_valuation_first_leaf_in_walk_order_matches_search_oracle_bitwise(n, m):
             for s, partner in enumerate(path):
                 cost = cost + tensor[0, order[s], partner]
             leaves.append((oracles._goods_matched_l1(a1, a2[assign], cost), list(path)))
-        leaves.sort(key=lambda leaf: distance._walk_key(tensor, order, 0, leaf[1]))
+        leaves.sort(key=lambda leaf: distance._walk_key(a1, a2, order, leaf[1]))
         values = sorted(value for value, _ in leaves)
         for bound in (demand_distance(u1, u2), values[rank]):
             below = [value for value, _ in leaves if value <= bound]
@@ -469,8 +487,9 @@ def test_valuation_first_leaf_in_walk_order_matches_search_oracle_bitwise(n, m):
 def test_valuation_leaf_pass_settles_every_preset_pair_without_the_walk(monkeypatch):
     # no two leaves of distinct value lie within a pair's demand bound here,
     # so no leaf needs its place in walk order
-    keys = _record_walk_keys(monkeypatch)
-    pairwise_distances(gen_preset("3x6", 7)[::28], "valuation")
+    recs = gen_preset("3x6", 7)[::28]
+    keys = _record_walk_keys(monkeypatch, recs)
+    pairwise_distances(recs, "valuation")
     assert keys == []
 
 
@@ -524,6 +543,30 @@ def test_preset_matrices_keep_their_bytes_at_any_thread_count(preset, seed_, met
     for threads in (1, 2, 4):
         got = pairwise_distances(recs, metric, threads=threads).values
         assert hashlib.sha256(got.tobytes()).hexdigest() == digest, threads
+
+
+@pytest.mark.parametrize(
+    "preset, seed_, metric, size",
+    [
+        ("3x6", 7, "demand", None),
+        ("3x6", 7, "valuation", None),
+        ("3x6", 1007, "demand", None),
+        ("3x6", 1007, "valuation", None),
+        ("5x5", 7, "demand", None),
+        ("5x5", 7, "valuation", 40),
+    ],
+)
+def test_appending_an_instance_keeps_every_cell_of_the_matrix(preset, seed_, metric, size):
+    # appending one instance renumbers every pair after the first row, so
+    # pool slices, groups, blocks and leaf chunks hold other pairs than
+    # before; each pair's arithmetic must not depend on its neighbours. The
+    # records are shuffled so that neighbours mix generators
+    recs = gen_preset(preset, seed_)
+    recs = [recs[i] for i in np.random.default_rng(seed_).permutation(len(recs))][:size]
+    for threads in (1, 2):
+        before = pairwise_distances(recs[:-1], metric, threads=threads).values
+        after = pairwise_distances(recs, metric, threads=threads).values
+        assert after[:-1, :-1].tobytes() == before.tobytes(), threads
 
 
 @pytest.mark.parametrize("k", [2, 3, 12, 165])

@@ -278,6 +278,10 @@ def test_ingest_subsample(tmp_path, capsys):
         dataio.ingest(p, subsample=(7, 4, 1), seed=1)
     assert run_cli("ingest", p, "--subsample", 3, 10, 1, "-o", out) == 2
     assert "cannot draw 3x10 instances from a 6x9 table" in capsys.readouterr().err
+    # the shape rule is checked before any draw
+    for n, m in [(2, 0), (-1, 2)]:
+        assert run_cli("ingest", p, "--subsample", n, m, 1, "-o", out) == 2
+        assert f"need n >= 2 agents and m >= n goods, got n={n}, m={m}" in capsys.readouterr().err
     # two of any three rows include a zero row, so no draw normalizes
     sparse = tmp_path / "sparse.txt"
     sparse.write_text("3 2\n0 0\n0 0\n1 1\n")

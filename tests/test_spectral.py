@@ -344,10 +344,15 @@ def test_east_certificate_detects_duplicated_blocks():
 
 def test_east_certificate_false_for_top_blocks_of_unequal_shape():
     # a 1x1 block and a rank-one 2x2 block both have sigma1 = 1, so the
-    # instance is east-tight, but no two of its blocks are isomorphic
-    arr = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
-    rep = boundary_report(validate(arr))
-    assert rep.east.tight and rep.east.certificate is False
+    # instance is east-tight, but no two of its blocks are isomorphic. So
+    # are the two 1x3 blocks of the second instance, both of sigma1 0.6124,
+    # whose shapes are equal but whose values differ
+    for arr in (
+        np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]]),
+        np.array([[0.5, 0.25, 0.25, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 5 / 12, 5 / 12, 1 / 6]]),
+    ):
+        rep = boundary_report(validate(arr))
+        assert rep.east.tight and rep.east.certificate is False
 
 
 def test_east_certificate_false_for_a_connected_instance():
