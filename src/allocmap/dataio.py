@@ -29,7 +29,9 @@ def fmt17(x: float) -> str:
 
 
 def _matrix_to_rows(arr: np.ndarray) -> list[str]:
-    return [" ".join(fmt17(v) for v in row) for row in arr]
+    # one "%" per row; "%.17g" % x is fmt17(x) on the Python floats of tolist()
+    line = " ".join(["%.17g"] * arr.shape[1])
+    return [line % tuple(row) for row in arr.tolist()]
 
 
 def _parse_floats(tokens: list[str], line_no: int, context: str = "") -> list[float]:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -441,6 +440,8 @@ def pairwise_distances(
         workers = min(threads, k - 1)
         # forked workers inherit the solver instead of each importing SciPy
         import scipy.optimize  # noqa: F401
+        # serial runs never load the process-pool stack, only pooled ones
+        from concurrent.futures import ProcessPoolExecutor
 
         slices = [(x, y) for x, y in zip(np.array_split(a, 4 * workers), np.array_split(b, 4 * workers)) if x.size]
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -132,6 +132,13 @@ MUTANTS = [
         ("tests/test_distance.py::test_pool_workers_inherit_the_solver_from_the_parent",),
     ),
     Mutant(
+        "process-pool stack imported with the distance module",
+        DISTANCE,
+        "from functools import partial\n",
+        "from concurrent.futures import ProcessPoolExecutor\nfrom functools import partial\n",
+        ("tests/test_io.py::test_fresh_interpreter_loads_the_pool_stack_only_for_a_pool",),
+    ),
+    Mutant(
         "demand costs replaced by a fixed matrix",
         DISTANCE,
         "costs = np.abs(costs, out=costs).sum(axis=3)",

@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import hashlib
 import itertools
 import math
@@ -756,7 +757,7 @@ def test_pool_spans_cover_every_row_once_in_order(monkeypatch, k, threads):
     # builds no pool
     monkeypatch.setattr(_RecordingPool, "workers", [])
     monkeypatch.setattr(_RecordingPool, "slices", [])
-    monkeypatch.setattr(distance, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     recs = [record(f"r{i}", random_instance(2, 2, i + 1900)) for i in range(k)]
     got = pairwise_distances(recs, "demand", threads=threads)
     if threads == 1 or k == 2:
@@ -779,7 +780,7 @@ def test_pool_spans_cover_every_row_once_in_order(monkeypatch, k, threads):
 def test_pairwise_pool_has_at_most_one_worker_per_row(monkeypatch, threads, workers):
     monkeypatch.setattr(_RecordingPool, "workers", [])
     monkeypatch.setattr(_RecordingPool, "slices", [])
-    monkeypatch.setattr(distance, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     recs = [record(f"r{i}", random_instance(3, 4, i + 1800)) for i in range(10)]
     got = pairwise_distances(recs, "demand", threads=threads)
     assert _RecordingPool.workers == [workers]
@@ -793,12 +794,13 @@ def test_pool_workers_inherit_the_solver_from_the_parent():
     # ends the run there
     code = (
         "import sys\n"
+        "import concurrent.futures\n"
         "from allocmap import distance\n"
         "from allocmap.generators import gen_preset\n"
         "def pool(max_workers):\n"
         "    print('scipy.optimize' in sys.modules)\n"
         "    sys.exit()\n"
-        "distance.ProcessPoolExecutor = pool\n"
+        "concurrent.futures.ProcessPoolExecutor = pool\n"
         "records = gen_preset('3x6', seed=0)[:4]\n"
         "print('scipy.optimize' in sys.modules)\n"
         "distance.pairwise_distances(records, 'demand', threads=2)\n"

@@ -78,6 +78,22 @@ def test_distance_csv_row_format_is_fmt17(tmp_path):
     check()
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(2, 4), st.integers(2, 6)),
+        elements=st.floats(0.0, 2.0) | st.sampled_from([-0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0]),
+    )
+)
+def test_instance_rows_are_fmt17_by_bytes(arr):
+    # the dataset writer formats each instance row with one "%", which must
+    # give fmt17's bytes for every cell, with repeated values, subnormals and
+    # signed zeros
+    want = "\n".join(" ".join(fmt17(v) for v in row) for row in arr)
+    assert "\n".join(dataio._matrix_to_rows(arr)).encode() == want.encode()
+
+
 # --------------------------------------------------------------- dataset
 
 def _admitted(label):
@@ -943,6 +959,33 @@ def test_fresh_interpreter_loads_no_scipy(tmp_path, row):
     run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
     assert run.returncode == (2 if row == "allocmap usage error" else 0), run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
+
+
+# Each row is a statement and whether it opens a process pool.
+_POOL_ROWS = {
+    "import allocmap.cli": ("import allocmap.cli", False),
+    **{
+        f"allocmap {' '.join(argv)}": (f"from allocmap import cli; sys.exit(cli.main({argv!r}))", pooled)
+        for argv, pooled in [
+            (["distance", "input.json", "-o", "d.csv"], False),
+            (["--seed", "7", "pipeline", "--preset", "3x6"], False),
+            (["--threads", "2", "distance", "input.json", "-o", "d.csv"], True),
+        ]
+    },
+}
+
+
+@pytest.mark.parametrize("row", sorted(_POOL_ROWS))
+def test_fresh_interpreter_loads_the_pool_stack_only_for_a_pool(tmp_path, row):
+    # a fresh interpreter, since this one may have imported the pool stack
+    statement, pooled = _POOL_ROWS[row]
+    make_input_dataset(tmp_path)
+    watched = ("multiprocessing", "concurrent.futures.process")
+    code = f"import sys\ntry:\n    {statement}\nfinally:\n    print(sorted(m for m in sys.modules if m in {watched!r}))"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == str(sorted(watched) if pooled else [])
 
 
 @pytest.mark.parametrize(
