@@ -2,8 +2,11 @@
 
 Floats are serialized with 17 significant digits everywhere, which
 round-trips 64-bit values exactly; reading back a written file reproduces
-matrices bit for bit. Matrix rows inside the dataset JSON use the same
-space-separated row syntax as the single-instance text format.
+matrices bit for bit. Every numeric table row (an instance row of the
+dataset JSON, a distance CSV row, the coordinates of a point CSV row) is
+formatted by ``_float_rows``; ``fmt17`` formats single values. Matrix rows
+inside the dataset JSON use the same space-separated row syntax as the
+single-instance text format.
 Every label follows ``core.check_labels``: writing one that breaks the rule
 is a ValidationError, reading one a ParseError that names its line.
 """
@@ -28,10 +31,11 @@ def fmt17(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _matrix_to_rows(arr: np.ndarray) -> list[str]:
+def _float_rows(arr: np.ndarray, sep: str) -> list[str]:
+    """Each row of a 2-D array as its cells in fmt17's text, joined by ``sep``."""
     # one "%" per row; "%.17g" % x is fmt17(x) on the Python floats of tolist()
-    line = " ".join(["%.17g"] * arr.shape[1])
-    return [line % tuple(row) for row in arr.tolist()]
+    line = sep.join(["%.17g"] * arr.shape[1])
+    return [line % tuple(row.tolist()) for row in arr]
 
 
 def _parse_floats(tokens: list[str], line_no: int, context: str = "") -> list[float]:
@@ -133,7 +137,7 @@ def write_dataset(path, records: list[InstanceRecord], seed: int | None = None) 
                 "label": rec.label,
                 "source": {"model": rec.source.model, "params": rec.source.params},
                 "seed": rec.seed,
-                "matrix": _matrix_to_rows(rec.matrix.values),
+                "matrix": _float_rows(rec.matrix.values, " "),
             }
             for rec in records
         ],
@@ -274,9 +278,7 @@ def _subsample(
 
 def write_distance_csv(path, dm: DistanceMatrix) -> None:
     check_labels(dm.labels)
-    # "%.17g" % x is fmt17(x) and, on the Python floats of tolist(), faster
-    rows = [",".join(["%.17g" % v for v in row.tolist()]) for row in dm.values]
-    _write_text(path, [f"# metric={dm.metric}", ",".join(dm.labels), *rows])
+    _write_text(path, [f"# metric={dm.metric}", ",".join(dm.labels), *_float_rows(dm.values, ",")])
 
 
 def _read_csv(path) -> tuple[dict, tuple[int, list[str]], list[tuple[int, list[str]]]]:
@@ -324,7 +326,7 @@ def _write_points(path, labels: list[str], points, what: str, header: list[str])
         raise ValidationError("need at least one instance, got none")
     if len(labels) != points.shape[0]:
         raise ValidationError(f"label count does not match {what} count")
-    rows = [f"{lab},{fmt17(x)},{fmt17(y)}" for lab, (x, y) in zip(labels, points)]
+    rows = [f"{lab},{row}" for lab, row in zip(labels, _float_rows(points, ","))]
     _write_text(path, header + rows)
 
 

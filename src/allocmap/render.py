@@ -74,7 +74,6 @@ def _text(parent, x, y, s, size=11, anchor="start", **extra):
         },
     )
     el.text = s
-    return el
 
 
 def _star_d(px: float, py: float, r_out: float = 6.5, r_in: float = 2.6) -> str:
@@ -96,6 +95,14 @@ def _boundary_path(n: int, m: int) -> list[tuple[float, float]]:
         pts.append((np.sqrt(n) * np.sin(t), np.sqrt(n) * np.cos(t)))
     pts.append((0.0, s_floor))
     return pts
+
+
+def _padded(values) -> tuple[float, float]:
+    """The range of ``values`` widened by 5 % of its span on each side, or by
+    0.5 when the span is 0."""
+    lo, hi = float(values.min()), float(values.max())
+    pad = 0.05 * (hi - lo) or 0.5
+    return lo - pad, hi + pad
 
 
 def _check_labels_present(labels, table, what: str) -> None:
@@ -123,14 +130,17 @@ def render_svg(
     order, every label present) give the stars for characteristic instances
     and, with ``by_source``, a category per generator. ``features`` is a
     table with every label present: ``color`` picks the column of the color
-    ramp and an ``ef_exists`` column marks crosses. A ``color`` without
-    ``features``, ``by_source`` without ``records``, labels outside
-    ``check_labels``, a ``title`` with a ``NON_XML_CHAR``, or points that are
-    not a finite k x 2 array with one label per point is an error.
+    ramp and an ``ef_exists`` column marks crosses. ``by_source`` together
+    with a ``color``, a ``color`` without ``features``, ``by_source``
+    without ``records``, labels outside ``check_labels``, a ``title`` with a
+    ``NON_XML_CHAR``, or points that are not a finite k x 2 array with one
+    label per point is an error.
     """
     check_labels(labels)
     if title and NON_XML_CHAR.search(title):
         raise ValidationError(f"title {title!r} cannot contain characters XML 1.0 forbids")
+    if by_source and color is not None:
+        raise ValidationError(f"coloring by source and by {color!r} cannot be combined")
     if color is not None and features is None:
         raise ValidationError(f"coloring by {color!r} needs a features table")
     if by_source and records is None:
@@ -175,14 +185,8 @@ def render_svg(
         if "ef_exists" in features.columns:
             cross_flags = [bool(row["ef_exists"]) for row in cells]
 
-    all_x = np.concatenate([xs, [p[0] for p in bpts]]) if bpts else xs
-    all_y = np.concatenate([ys, [p[1] for p in bpts]]) if bpts else ys
-    xmin, xmax = float(all_x.min()), float(all_x.max())
-    ymin, ymax = float(all_y.min()), float(all_y.max())
-    xpad = 0.05 * (xmax - xmin) or 0.5
-    ypad = 0.05 * (ymax - ymin) or 0.5
-    xmin, xmax = xmin - xpad, xmax + xpad
-    ymin, ymax = ymin - ypad, ymax + ypad
+    xmin, xmax = _padded(np.concatenate([xs, [x for x, _ in bpts]]))
+    ymin, ymax = _padded(np.concatenate([ys, [y for _, y in bpts]]))
 
     def sx(x):
         return _LEFT + (x - xmin) / (xmax - xmin) * _PLOT_W
@@ -232,8 +236,7 @@ def render_svg(
         ET.SubElement(root, "line", {"x1": f"{_LEFT - 5}", "y1": f"{ty:.1f}", "x2": f"{_LEFT}", "y2": f"{ty:.1f}", **axis})
         _text(root, _LEFT - 8, ty + 4, f"{tick:.3g}", anchor="end")
     _text(root, _LEFT + _PLOT_W / 2, _H - 18, x_label, size=13, anchor="middle")
-    ylab = _text(root, 20, _TOP + _PLOT_H / 2, y_label, size=13, anchor="middle")
-    ylab.set("transform", f"rotate(-90 20 {_TOP + _PLOT_H / 2:.1f})")
+    _text(root, 20, _TOP + _PLOT_H / 2, y_label, size=13, anchor="middle", transform=f"rotate(-90 20 {_TOP + _PLOT_H / 2:.1f})")
     if title:
         _text(root, _LEFT + _PLOT_W / 2, 28, title, size=15, anchor="middle")
 
@@ -250,49 +253,34 @@ def render_svg(
     for idx in range(k):
         px, py = sx(xs[idx]), sy(ys[idx])
         fill = fills[idx]
-        is_star = star_flags is not None and bool(star_flags[idx])
-        is_cross = cross_flags is not None and bool(cross_flags[idx])
-        if is_star:
-            el = ET.SubElement(
-                root,
-                "path",
-                {"class": "pt", "d": _star_d(px, py), "fill": fill, "stroke": "#111111", "stroke-width": "0.8"},
-            )
-        elif is_cross:
+        if star_flags is not None and star_flags[idx]:
+            tag, mark = "path", {"d": _star_d(px, py), "fill": fill, "stroke": "#111111", "stroke-width": "0.8"}
+        elif cross_flags is not None and cross_flags[idx]:
             d = (
                 f"M {px - 4:.2f} {py - 4:.2f} L {px + 4:.2f} {py + 4:.2f} "
                 f"M {px - 4:.2f} {py + 4:.2f} L {px + 4:.2f} {py - 4:.2f}"
             )
-            el = ET.SubElement(
-                root,
-                "path",
-                {"class": "pt", "d": d, "stroke": fill, "stroke-width": "2.2", "fill": "none"},
-            )
+            tag, mark = "path", {"d": d, "stroke": fill, "stroke-width": "2.2", "fill": "none"}
         else:
-            el = ET.SubElement(
-                root,
-                "circle",
-                {
-                    "class": "pt",
-                    "cx": f"{px:.2f}",
-                    "cy": f"{py:.2f}",
-                    "r": "4",
-                    "fill": fill,
-                    "stroke": "#333333",
-                    "stroke-width": "0.6",
-                },
-            )
-        tip = ET.SubElement(el, "title")
-        tip.text = str(labels[idx])
+            tag, mark = "circle", {
+                "cx": f"{px:.2f}",
+                "cy": f"{py:.2f}",
+                "r": "4",
+                "fill": fill,
+                "stroke": "#333333",
+                "stroke-width": "0.6",
+            }
+        el = ET.SubElement(root, tag, {"class": "pt", **mark})
+        ET.SubElement(el, "title").text = str(labels[idx])
 
     # legend
     lx = _W - _RIGHT + 20
     ly = _TOP + 10
     if categories is not None:
         _text(root, lx, ly - 2, "source", size=12)
-        for i, cat in enumerate(sorted(set(categories))):
+        for i, (cat, cat_fill) in enumerate(cat_color.items()):
             yy = ly + 14 + i * 16
-            ET.SubElement(root, "rect", {"x": f"{lx}", "y": f"{yy - 9}", "width": "11", "height": "11", "fill": _DISCRETE[i % len(_DISCRETE)]})
+            ET.SubElement(root, "rect", {"x": f"{lx}", "y": f"{yy - 9}", "width": "11", "height": "11", "fill": cat_fill})
             _text(root, lx + 16, yy, cat)
     elif color_values is not None:
         defs = ET.SubElement(root, "defs")

@@ -239,6 +239,16 @@ MUTANTS = [
         ONE_WRITER,
     ),
     Mutant(
+        "circle markers drawn with a larger radius",
+        "src/allocmap/render.py",
+        '"r": "4"',
+        '"r": "5"',
+        (
+            "tests/test_io.py::test_render_svg_marker_classes",
+            "tests/test_io.py::test_render_svg_category_colors",
+        ),
+    ),
+    Mutant(
         "SVG written by ElementTree.write",
         "src/allocmap/render.py",
         'dataio._write_text(path, [ET.tostring(root, encoding="unicode", xml_declaration=True)])',

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import re
@@ -38,6 +39,10 @@ def record(label, u, model="test", seed=None):
 
 def tiny_records(k=6, n=3, m=4):
     return [record(f"r{i}", gen_iid(n, m, "uniform01", seed=i)) for i in range(k)]
+
+
+def sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def svg_markers(path):
@@ -87,11 +92,12 @@ def test_distance_csv_row_format_is_fmt17(tmp_path):
     )
 )
 def test_instance_rows_are_fmt17_by_bytes(arr):
-    # the dataset writer formats each instance row with one "%", which must
-    # give fmt17's bytes for every cell, with repeated values, subnormals and
-    # signed zeros
-    want = "\n".join(" ".join(fmt17(v) for v in row) for row in arr)
-    assert "\n".join(dataio._matrix_to_rows(arr)).encode() == want.encode()
+    # every numeric table row (instance rows with " ", distance and point CSV
+    # rows with ",") is formatted with one "%", which must give fmt17's bytes
+    # for every cell, with repeated values, subnormals and signed zeros
+    for sep in (" ", ","):
+        want = "\n".join(sep.join(fmt17(v) for v in row) for row in arr)
+        assert "\n".join(dataio._float_rows(arr, sep)).encode() == want.encode()
 
 
 # --------------------------------------------------------------- dataset
@@ -497,6 +503,8 @@ def test_render_svg_marker_classes(tmp_path):
         if el.tag.endswith("path") and el.get("stroke-dasharray")
     ]
     assert len(dashed) == 1
+    # every byte pinned: no BLAS product feeds these points or records
+    assert sha256(p) == "3fd7c9e56a6cdd8685bd887f55940eb218ffc6359799c801b818ca5eb65c0ba9"
 
 
 def test_render_svg_category_colors(tmp_path):
@@ -510,6 +518,7 @@ def test_render_svg_category_colors(tmp_path):
     markers = svg_markers(p)
     fills = [m.get("fill") for m in markers]
     assert fills[0] == fills[2] != fills[1]
+    assert sha256(p) == "740d6d38acd983985ed89aedf8dbd8f7106a0c8292d6c9fde967df647a606cac"
 
 
 def test_render_refuses_labels_and_titles_an_svg_cannot_carry(tmp_path, capsys):
@@ -701,8 +710,9 @@ def test_cli_bad_input_file(tmp_path, capsys, monkeypatch, case):
     [
         (["--color", "max_demand"], "coloring by 'max_demand' needs a features table"),
         (["--by-source"], "coloring by source needs the dataset"),
+        (["--by-source", "--color", "max_demand"], "coloring by source and by 'max_demand' cannot be combined"),
     ],
-    ids=["color", "by_source"],
+    ids=["color", "by_source", "both"],
 )
 def test_cli_render_annotation_without_its_input_exits_2(tmp_path, capsys, flags, message):
     pts = tmp_path / "p.csv"
