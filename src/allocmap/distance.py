@@ -5,13 +5,14 @@ and goods. The full valuation distance minimizes over both labelings and is
 exact but exponential in n: a leaf pass bounds all n! agent matchings by the
 reduced costs of their goods assignment problems, matches the goods of only
 those the bound cannot rule out by one assignment each, and keeps each leaf
-that can decide its pair with the pair and the agent matching. Where leaves
-of distinct value lie within the demand bound, the pair takes the one a
-depth-first branch-and-bound walk would reach first, an order priced from
-the two instances' rows. The demand distance compares the multiset of
-sorted demand columns and needs one polynomial matching; it never exceeds
-the valuation distance, which makes it both a cheap stand-in at scale and
-the search's stopping bound.
+that can decide its pair with the pair and the agent matching. The identity
+matching, each pair's first incumbent, is bounded the same way and solved
+only where it can decide the pair. Where leaves of distinct value lie within
+the demand bound, the pair takes the one a depth-first branch-and-bound walk
+would reach first, an order priced from the two instances' rows. The demand
+distance compares the multiset of sorted demand columns and needs one
+polynomial matching; it never exceeds the valuation distance, which makes it
+both a cheap stand-in at scale and the search's stopping bound.
 
 The pairs i < j of a matrix are numbered once, in row order, as
 ``np.triu_indices`` gives them, and every cut of the work is a slice of that
@@ -149,7 +150,8 @@ _PRUNE_SLACK = 1e-12
 
 # A group's pairs go in blocks of at most this many float64 entries of the
 # agent-to-agent goods-cost tensor, and the leaf pass builds its leaves'
-# goods costs in chunks of at most this many entries.
+# goods costs in chunks of whole pairs, of at most this many entries (or one
+# pair).
 _BLOCK_ENTRIES = 1 << 16
 
 # Pairs go in groups of at most this many l1 terms in all (or one pair). A
@@ -199,7 +201,9 @@ def _settle(tensor, orders, live, bounds, perms):
     each, solve those the bound cannot rule out, and return the leaves whose
     canonical values can decide what a branch-and-bound walk returns, as
     three arrays with one row per leaf: its block pair, its agent matching
-    (a row of ``perms``) and its l1 terms. They are empty if ``live`` is.
+    (a row of ``perms``) and its l1 terms. They are empty if ``live`` is. A
+    fourth array holds each block pair's least leaf total, infinite for
+    pairs not in ``live``.
 
     The walk of block pair p matches agent ``orders[p, s]`` of its first
     instance at step s, prices a node by the goods-assignment relaxation of
@@ -209,14 +213,15 @@ def _settle(tensor, orders, live, bounds, perms):
     the demand bound.
 
     A leaf's goods costs are summed the same way, so the solver matches its
-    goods as the walk would. Each chunk of leaves first solves the leaf of
-    least reduced-cost bound of each of its pairs, which sets the pair's
-    least total, then every other leaf whose bound is within
-    ``_PRUNE_SLACK`` of the pair's demand bound or least total. Only leaves
-    whose plain total is within the same slack are returned. A leaf's bound
-    lies at most a few ulps above its total, and its total within a few ulps
-    of its canonical value, so a leaf left out either way can neither be the
-    least leaf nor lie within the demand bound.
+    goods as the walk would. Leaves go in chunks of whole pairs. Each chunk
+    first solves the leaf of least reduced-cost bound of each of its pairs
+    (the first of equal bounds), which sets the pair's least total, then
+    every other leaf whose bound is within ``_PRUNE_SLACK`` of the pair's
+    demand bound or least total. Only leaves whose plain total is within the
+    same slack are returned. A leaf's bound lies at most a few ulps above its
+    total, and its total within a few ulps of its canonical value, so a leaf
+    left out either way can neither be the least leaf nor lie within the
+    demand bound.
 
     A leaf never falls below an ancestor's relaxation by more than a few
     ulps, so no leaf the walk skips could lower the minimum or stop the
@@ -226,33 +231,30 @@ def _settle(tensor, orders, live, bounds, perms):
     """
     n, m, f = orders.shape[1], tensor.shape[-1], len(perms)
     least = np.full(len(bounds), np.inf)
-    goods, step = np.arange(m), max(1, _BLOCK_ENTRIES // (m * m))
+    goods, step = np.arange(m), max(1, _BLOCK_ENTRIES // (m * m * f))
     kept = [(live[:0], perms[:0], np.empty((0, n * m)))]
-    for lo in range(0, len(live) * f, step):
-        t = np.arange(lo, min(lo + step, len(live) * f))
-        pairs, paths = live[t // f], perms[t % f]
+    for lo in range(0, len(live), step):
+        chunk = live[lo : lo + step]
+        pairs, paths = chunk.repeat(f), np.tile(perms, (len(chunk), 1))
         rows = orders[pairs]
-        costs = np.zeros((len(t), m, m))
+        costs = np.zeros((len(pairs), m, m))
         for s in range(n):
             costs += tensor[pairs, rows[:, s], paths[:, s]]
         lower = _reduced_bound(costs)
-        cols = np.zeros((len(t), m), dtype=np.intp)
-        totals = np.full(len(t), np.inf)  # until the leaf is solved
+        cols = np.zeros((len(pairs), m), dtype=np.intp)
+        totals = np.full(len(pairs), np.inf)  # until the leaf is solved
 
         def solve(idx):
             cols[idx] = _assign(costs[idx])
             totals[idx] = costs[idx[:, None], goods, cols[idx]].sum(axis=-1)
-            np.minimum.at(least, pairs[idx], totals[idx])
+            least[chunk] = totals.reshape(-1, f).min(axis=1)
 
-        # in (pair, bound) order each pair's first leaf is its least-bound leaf
-        by_bound = np.lexsort((lower, pairs))
-        solve(by_bound[np.unique(pairs[by_bound], return_index=True)[1]])
-        rest = np.flatnonzero((totals == np.inf) & (lower <= np.maximum(bounds, least)[pairs] + _PRUNE_SLACK))
-        if rest.size:
-            solve(rest)
+        # each pair's least-bound leaf, the first of equal bounds, sets its least total
+        solve(lower.reshape(-1, f).argmin(axis=1) + np.arange(0, len(pairs), f))
+        solve(np.flatnonzero((totals == np.inf) & (lower <= np.maximum(bounds, least)[pairs] + _PRUNE_SLACK)))
         keep = totals <= np.maximum(bounds, least)[pairs] + _PRUNE_SLACK
         kept.append((pairs[keep], paths[keep], _matched_terms(tensor, pairs[keep], rows[keep], paths[keep], cols[keep])))
-    return [np.concatenate(leaves) for leaves in zip(*kept)]
+    return [np.concatenate(leaves) for leaves in zip(*kept)] + [least]
 
 
 def _walk_key(first, second, order, path) -> list:
@@ -283,43 +285,66 @@ def _valuation_pairs(values: np.ndarray, a: np.ndarray, b: np.ndarray, demand: n
     Pairs go in blocks, which may hold pairs of several first instances.
     One broadcast builds each block's agent-to-agent goods-cost tensor; the
     identity matchings (costs summed in agent order) give every pair's first
-    incumbent. A pair whose plain identity total lies above its bound by
-    more than ``_PRUNE_SLACK`` is open, one below it by more is settled, and
-    one in between is decided at once by its canonical value. ``_settle``
-    picks the leaves of the open pairs that can decide them, each pair
-    walking the agents of its first instance in the order ``_orders`` gives,
-    and returns each with its pair and agent matching. The other canonical
-    values wait for one ``_fsum_rows`` call at the end. Then each pair takes
-    the least of its identity and leaf values, unless leaves of distinct
-    values lie within its bound: then it takes the first of them in walk
-    order, keyed from the pair's instance rows.
+    incumbent. A pair whose identity's reduced-cost bound lies more than
+    2 ``_PRUNE_SLACK`` above its demand bound is open without a solve: the
+    bound is at most a few ulps above the identity's plain total. Every
+    other pair solves its identity, and is open if the plain total lies
+    above its bound by more than ``_PRUNE_SLACK``, settled if it lies below
+    it by more, and decided at once by its canonical value in between.
+    ``_settle`` picks the leaves of the open pairs that can decide them,
+    each pair walking the agents of its first instance in the order
+    ``_orders`` gives, and returns each with its pair and agent matching,
+    and each pair's least leaf total. An open pair's unsolved identity is
+    solved then only if its bound lies within 2 ``_PRUNE_SLACK`` of that
+    total; otherwise its value lies more than the slack above the least
+    kept leaf, so it can neither be the least value nor lie within the
+    bound. Leaf and identity rows, each with its pair, wait for one
+    ``_fsum_rows`` call at the end, and each pair takes the least of its
+    values, unless leaves of distinct values lie within its bound: then it
+    takes the first of them in walk order, keyed from the pair's instance
+    rows.
     """
     n, m = values.shape[1:]
     ident, perms = np.arange(n), np.array(list(itertools.permutations(range(n))), dtype=np.intp)
     orders = _orders(values)
     step = max(1, _BLOCK_ENTRIES // (n * n * m * m))
-    idents, leaves = [], []  # leaves: (pairs, agent matchings, l1 terms) of each block
+    leaves, idents, paths = [], [], []  # (pairs, l1 terms) of leaves and of identities; leaf matchings
     for lo in range(0, len(a), step):
         block = slice(lo, lo + step)
         first, second = values.take(a[block], axis=0), values.take(b[block], axis=0)
-        # entry [p, x, y, g, h] is |first[p, x, g] - second[p, y, h]|
-        tensor = np.abs(first[:, :, None, :, None] - second[:, None, :, None, :])
+        # entry [p, x, y, g, h] is |first[p, x, g] - second[p, y, h]|, made absolute in place
+        tensor = first[:, :, None, :, None] - second[:, None, :, None, :]
+        tensor = np.abs(tensor, out=tensor)
         bounds = demand[block]
-        cols = _assign(tensor[:, ident, ident].sum(axis=1))
-        idents.append(_matched_terms(tensor, np.arange(len(tensor)), ident[None], ident[None], cols))
-        over = idents[-1].sum(axis=1) - bounds
-        live = over > _PRUNE_SLACK
+        costs = tensor[:, ident, ident].sum(axis=1)
+        lower = _reduced_bound(costs)
+
+        def identity(pairs):
+            terms = _matched_terms(tensor, pairs, ident[None], ident[None], _assign(costs[pairs]))
+            idents.append((lo + pairs, terms))
+            return terms
+
+        early = lower <= bounds + 2 * _PRUNE_SLACK  # the rest are open without a solve
+        solved = np.flatnonzero(early)
+        terms = identity(solved)
+        over = terms.sum(axis=1) - bounds[solved]
         band = np.abs(over) <= _PRUNE_SLACK
-        live[band] = _fsum_rows(idents[-1][band]) > bounds[band]
-        pairs, paths, terms = _settle(tensor, orders[a[block]], np.flatnonzero(live), bounds, perms)
-        leaves.append((lo + pairs, paths, terms))
-    owner, paths, terms = (np.concatenate(part) for part in zip(*leaves))
-    sums = _fsum_rows(np.concatenate(idents + [terms]))
-    best, found = sums[: len(a)], sums[len(a) :]
-    np.minimum.at(best, owner, found)
+        live = ~early
+        live[solved] = over > _PRUNE_SLACK
+        live[solved[band]] = _fsum_rows(terms[band]) > bounds[solved[band]]
+        pairs, matchings, terms, least = _settle(tensor, orders[a[block]], np.flatnonzero(live), bounds, perms)
+        leaves.append((lo + pairs, terms))
+        paths.append(matchings)
+        # an open identity far above the least kept leaf can decide nothing
+        identity(np.flatnonzero(~early & (lower <= least + 2 * _PRUNE_SLACK)))
+    owner, terms = (np.concatenate(part) for part in zip(*leaves, *idents))
+    sums, paths = _fsum_rows(terms), np.concatenate(paths)
+    best = np.full(len(a), np.inf)
+    np.minimum.at(best, owner, sums)
     # an open pair's identity value lies above its bound, and a settled pair
     # has no leaves, so only leaves can lie within a bound beside another,
     # and only leaves of distinct values there need the walk order
+    owner, found = owner[: len(paths)], sums[: len(paths)]
     within = np.flatnonzero(found <= demand[owner])
     low, high = np.full(len(best), np.inf), np.full(len(best), -np.inf)
     np.minimum.at(low, owner[within], found[within])

@@ -82,6 +82,16 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "open pair's identity never solved after the leaf pass",
+        DISTANCE,
+        "        identity(np.flatnonzero(~early & (lower <= least + 2 * _PRUNE_SLACK)))\n",
+        "",
+        (
+            "tests/test_distance.py::test_valuation_open_pair_solves_its_identity_near_the_least_leaf",
+            "tests/test_distance.py::test_preset_matrices_keep_their_bytes_at_any_thread_count",
+        ),
+    ),
+    Mutant(
         "walk order keyed by partner agents only",
         DISTANCE,
         "key += [cost[np.arange(m), _assign(cost[None])[0]].sum(), a]",

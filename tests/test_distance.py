@@ -442,6 +442,17 @@ def test_valuation_block_pairs_walk_their_own_first_instances_agents():
     assert got.tobytes() == np.float64(want).tobytes()
 
 
+def test_valuation_open_pair_solves_its_identity_near_the_least_leaf():
+    # this pair's identity bound lies far above its demand bound, so the pair
+    # is open before its identity is solved. The identity's canonical value
+    # is 1 ulp below the pair's least leaf, so the leaf pass must solve the
+    # identity after it, since the bound lies near the least leaf total
+    recs = {r.label: r for r in gen_preset("3x6", 1007)}
+    pair = [recs["iid_uniform_030"], recs["iid_exp_017"]]
+    got = pairwise_distances(pair, "valuation").values[0, 1]
+    assert got.tobytes() == np.float64(1.353420552182108).tobytes()
+
+
 @pytest.mark.parametrize("n,m", [(3, 6), (5, 5)])
 def test_valuation_first_leaf_in_walk_order_matches_search_oracle_bitwise(n, m):
     # The search stops at the first leaf it reaches within its root bound,
@@ -496,7 +507,9 @@ def test_valuation_leaf_pass_settles_every_preset_pair_without_the_walk(monkeypa
 
 def test_valuation_leaf_pass_solves_under_half_of_the_preset_leaves(monkeypatch):
     # the reduced-cost bound rules out most leaves of the open pairs (those
-    # whose identity incumbent lies above the demand bound) without solving them
+    # whose identity, or its reduced-cost bound, lies above the demand bound)
+    # without solving them. The leaf pass takes whole pairs, so each pair's
+    # least-bound leaf is solved once
     open_pairs, solved, settle, assign = [], [], distance._settle, distance._assign
 
     def settle_counted(tensor, orders, live, *rest):
@@ -515,13 +528,33 @@ def test_valuation_leaf_pass_solves_under_half_of_the_preset_leaves(monkeypatch)
 
 def test_valuation_matrix_makes_the_pinned_number_of_assignment_solves(monkeypatch):
     # every goods assignment the seed-7 3x6 valuation matrix solves: one per
-    # demand pair, one per identity matching and one per leaf the reduced
-    # bound cannot rule out. Batching the canonical sums must not change
-    # which leaves are solved
-    solved, assign = [], distance._assign
-    monkeypatch.setattr(distance, "_assign", lambda costs: solved.append(len(costs)) or assign(costs))
+    # demand pair, one per identity matching whose bound does not rule it out
+    # and one per leaf the reduced bound cannot rule out. Batching the
+    # canonical sums must not change which leaves are solved. Identity
+    # matchings are the solves made outside _settle and _demand_pairs; this
+    # matrix needs no walk key
+    solved, inside, assign = {"demand": 0, "identity": 0, "leaf": 0}, ["identity"], distance._assign
+
+    def counted(costs):
+        solved[inside[-1]] += len(costs)
+        return assign(costs)
+
+    def inner(name, call):
+        def wrapped(*args):
+            inside.append(name)
+            try:
+                return call(*args)
+            finally:
+                inside.pop()
+
+        return wrapped
+
+    monkeypatch.setattr(distance, "_assign", counted)
+    monkeypatch.setattr(distance, "_settle", inner("leaf", distance._settle))
+    monkeypatch.setattr(distance, "_demand_pairs", inner("demand", distance._demand_pairs))
     pairwise_distances(gen_preset("3x6", 7), "valuation")
-    assert sum(solved) == 54_671
+    assert sum(solved.values()) == 47_291
+    assert solved["identity"] == 6_150
 
 
 # sha256 of the float64 bytes of whole preset matrices. The distance layer
