@@ -4,18 +4,22 @@ Floats are serialized with 17 significant digits everywhere, which
 round-trips 64-bit values exactly; reading back a written file reproduces
 matrices bit for bit. Every numeric table row (an instance row of the
 dataset JSON, a distance CSV row, the coordinates of a point CSV row) is
-formatted by ``_float_rows``; ``fmt17`` formats single values. Matrix rows
-inside the dataset JSON use the same space-separated row syntax as the
-single-instance text format.
+formatted by ``_float_rows``, which formats each distinct value once, so a
+symmetric distance CSV formats about half its cells and the instance rows
+of one width in a dataset take one call; ``fmt17`` formats single values.
+Matrix rows inside the dataset JSON use the same space-separated row syntax
+as the single-instance text format.
 Every label follows ``core.check_labels``: writing one that breaks the rule
 is a ValidationError, reading one a ParseError that names its line.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -31,11 +35,15 @@ def fmt17(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _float_rows(arr: np.ndarray, sep: str) -> list[str]:
-    """Each row of a 2-D array as its cells in fmt17's text, joined by ``sep``."""
-    # one "%" per row; "%.17g" % x is fmt17(x) on the Python floats of tolist()
-    line = sep.join(["%.17g"] * arr.shape[1])
-    return [line % tuple(row.tolist()) for row in arr]
+def _float_rows(arr: np.ndarray, sep: str) -> Iterator[str]:
+    """Each row of a 2-D array as its cells in fmt17's text, joined by
+    ``sep``, made row by row as the iterator is read. Each distinct bit
+    pattern is formatted once: unique is taken on the int64 view, so 0.0 and
+    -0.0 keep their own text."""
+    bits, cells = np.unique(np.ascontiguousarray(arr, dtype=np.float64).ravel().view(np.int64), return_inverse=True)
+    # "%.17g" % x is fmt17(x) on the Python floats of tolist()
+    text = np.array(["%.17g" % x for x in bits.view(np.float64).tolist()], dtype=object)
+    return (sep.join(text[row].tolist()) for row in cells.reshape(arr.shape))
 
 
 def _parse_floats(tokens: list[str], line_no: int, context: str = "") -> list[float]:
@@ -127,7 +135,13 @@ def _seed(obj: dict, where: str) -> int | None:
 
 
 def write_dataset(path, records: list[InstanceRecord], seed: int | None = None) -> None:
+    """Write the records as dataset JSON; the matrix rows of all instances of
+    one width are formatted in one ``_float_rows`` call."""
     check_labels([r.label for r in records])
+    widths: dict[int, list[np.ndarray]] = {}
+    for rec in records:
+        widths.setdefault(rec.matrix.m, []).append(rec.matrix.values)
+    rows = {m: _float_rows(np.concatenate(arrs), " ") for m, arrs in widths.items()}
     doc = {
         "format": DATASET_FORMAT,
         "version": 1,
@@ -137,7 +151,7 @@ def write_dataset(path, records: list[InstanceRecord], seed: int | None = None) 
                 "label": rec.label,
                 "source": {"model": rec.source.model, "params": rec.source.params},
                 "seed": rec.seed,
-                "matrix": _float_rows(rec.matrix.values, " "),
+                "matrix": list(itertools.islice(rows[rec.matrix.m], rec.matrix.n)),
             }
             for rec in records
         ],
@@ -278,7 +292,7 @@ def _subsample(
 
 def write_distance_csv(path, dm: DistanceMatrix) -> None:
     check_labels(dm.labels)
-    _write_text(path, [f"# metric={dm.metric}", ",".join(dm.labels), *_float_rows(dm.values, ",")])
+    _write_text(path, itertools.chain([f"# metric={dm.metric}", ",".join(dm.labels)], _float_rows(dm.values, ",")))
 
 
 def _read_csv(path) -> tuple[dict, tuple[int, list[str]], list[tuple[int, list[str]]]]:

@@ -17,9 +17,12 @@ both a cheap stand-in at scale and the search's stopping bound.
 The pairs i < j of a matrix are numbered once, in row order, as
 ``np.triu_indices`` gives them, and every cut of the work is a slice of that
 order: the pool's slices, the groups whose canonical sums are one batch, and
-the valuation search's blocks, which may hold pairs of several rows. Each
-demand group prices its goods in one temporary, made absolute in place,
-since a second one of that size made glibc trim and re-fault the heap.
+the valuation search's blocks, which may hold pairs of several rows. Demand
+vectors are agent-major, so each demand group prices its goods in one
+temporary of contiguous (m, m) slabs, one per pair and agent rank, made
+absolute and summed in place in NumPy's pairwise order, since a second one
+of that size made glibc trim and re-fault the heap. The valuation search
+gathers leaf costs and matched terms by flat takes from its block tensor.
 """
 
 from __future__ import annotations
@@ -120,24 +123,53 @@ def _fsum_rows(terms: np.ndarray) -> np.ndarray:
 
 
 def _demand_stack(values: np.ndarray) -> np.ndarray:
-    """(k, m, n) C-contiguous demand vectors of the stacked (k, n, m) values
-    of k instances, sorted in one call."""
-    vectors = values.transpose(0, 2, 1).copy()
-    vectors.sort(axis=2)
-    return vectors[:, :, ::-1].copy()
+    """(k, n, m) C-contiguous demand vectors of the stacked (k, n, m) values
+    of k instances, agent-major: entry [i, s, g] is the s-th largest value
+    of good g in instance i. One call sorts them all."""
+    vectors = np.sort(values, axis=1)
+    return vectors[:, ::-1].copy()
+
+
+def _agent_sum(slabs: np.ndarray) -> np.ndarray:
+    """The sum over axis 1 of the nonnegative (P, n, m, m) ``slabs``, added
+    in place into the first slab, which is returned. The slabs are added in
+    the order NumPy's pairwise summation adds a contiguous last axis of
+    length n, so each (m, m) sum has the bits of ``.sum(axis=-1)`` over a
+    goods-major copy: in sequence below 8 terms, in 8 lanes and then a fixed
+    tree up to 128, and in two halves, the first a multiple of 8 long, above
+    128 (Higham, *The accuracy of floating point summation*, 1993)."""
+    n = slabs.shape[1]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        out = _agent_sum(slabs[:, :half])
+        out += _agent_sum(slabs[:, half:])
+        return out
+    out, rest = slabs[:, 0], 1
+    if n >= 8:
+        lanes, rest = slabs[:, :8], n - n % 8
+        for s in range(8, rest, 8):
+            lanes += slabs[:, s : s + 8]
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), into r0
+        for gap in (1, 2, 4):
+            lanes[:, :: 2 * gap] += lanes[:, gap :: 2 * gap]
+    for s in range(rest, n):
+        out += slabs[:, s]
+    return out
 
 
 def _demand_pairs(vectors: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Demand distances of the pairs (a[p], b[p]), given the stacked (k, m,
-    n) demand vectors. One broadcast prices every pair's goods, summing over
-    the same contiguous length-n axis a single (m, m) cost would, so each
-    pair's assignment and canonical sum see the same numbers either way.
-    The canonical sums are one ``_fsum_rows`` call."""
+    """Demand distances of the pairs (a[p], b[p]), given the stacked (k, n,
+    m) demand vectors. One broadcast prices every pair's goods: n contiguous
+    (m, m) slabs per pair, one per agent rank, which ``_agent_sum`` adds in
+    place in the order a sum over a contiguous length-n axis takes, so each
+    pair's assignment sees the bits of a single goods-major (m, m) cost. The
+    canonical sums are one ``_fsum_rows`` call."""
     d1, d2 = vectors.take(a, axis=0), vectors.take(b, axis=0)
     # one temporary, absolute in place: a second made glibc trim and re-fault the heap
-    costs = d1[:, :, None, :] - d2[:, None, :, :]
-    costs = np.abs(costs, out=costs).sum(axis=3)
-    matched = d2[np.arange(len(d2))[:, None], _assign(costs)]
+    slabs = d1[:, :, :, None] - d2[:, :, None, :]
+    cols = _assign(_agent_sum(np.abs(slabs, out=slabs)))
+    del slabs  # freed before the canonical sums' temporaries are made
+    matched = np.take_along_axis(d2, cols[:, None, :], axis=2)
     return _fsum_rows(np.abs(d1 - matched).reshape(len(d1), -1))
 
 
@@ -172,14 +204,14 @@ def _assign(costs) -> np.ndarray:
     return cols
 
 
-def _matched_terms(tensor, pairs, rows, paths, cols) -> np.ndarray:
-    """The l1 terms of N matchings, one row each. Matching t takes block
-    pair ``pairs[t]``, matches agent ``rows[t, s]`` of its first instance to
-    agent ``paths[t, s]`` of its second (``rows`` and ``paths`` may be one
-    row for all) and good g to good ``cols[t, g]``."""
-    goods = np.arange(cols.shape[-1])
-    terms = tensor[pairs[:, None, None], rows[:, :, None], paths[:, :, None], goods, cols[:, None]]
-    return terms.reshape(len(cols), rows.shape[-1] * goods.size)
+def _matched_terms(tensor, cells, cols) -> np.ndarray:
+    """The l1 terms of N matchings, one row each, in one flat take from the
+    block tensor. Matching t takes, at each step s, the (m, m) agent-to-agent
+    slab ``cells[t, s]`` of the tensor's (pairs x agents x agents) slabs in
+    C order, and matches good g to good ``cols[t, g]`` in each."""
+    m = cols.shape[-1]
+    terms = tensor.take((cells[:, :, None] * m + np.arange(m)) * m + cols[:, None])
+    return terms.reshape(len(cols), cells.shape[1] * m)
 
 
 def _reduced_bound(costs) -> np.ndarray:
@@ -213,15 +245,17 @@ def _settle(tensor, orders, live, bounds, perms):
     the demand bound.
 
     A leaf's goods costs are summed the same way, so the solver matches its
-    goods as the walk would. Leaves go in chunks of whole pairs. Each chunk
-    first solves the leaf of least reduced-cost bound of each of its pairs
-    (the first of equal bounds), which sets the pair's least total, then
-    every other leaf whose bound is within ``_PRUNE_SLACK`` of the pair's
-    demand bound or least total. Only leaves whose plain total is within the
-    same slack are returned. A leaf's bound lies at most a few ulps above its
-    total, and its total within a few ulps of its canonical value, so a leaf
-    left out either way can neither be the least leaf nor lie within the
-    demand bound.
+    goods as the walk would: each step's (m, m) slab of the tensor is one
+    flat take, and the first starts the sum. Leaves go in chunks of whole
+    pairs. Each chunk first solves the leaf of least reduced-cost bound of
+    each of its pairs (the first of equal bounds), which sets the pair's
+    least total, then every other leaf whose bound is within
+    ``_PRUNE_SLACK`` of the pair's demand bound or least total. Only leaves
+    whose plain total is within the same slack are returned, their l1 terms
+    taken by ``_matched_terms``. A leaf's bound lies at most a few ulps
+    above its total, and its total within a few ulps of its canonical value,
+    so a leaf left out either way can neither be the least leaf nor lie
+    within the demand bound.
 
     A leaf never falls below an ancestor's relaxation by more than a few
     ulps, so no leaf the walk skips could lower the minimum or stop the
@@ -232,14 +266,15 @@ def _settle(tensor, orders, live, bounds, perms):
     n, m, f = orders.shape[1], tensor.shape[-1], len(perms)
     least = np.full(len(bounds), np.inf)
     goods, step = np.arange(m), max(1, _BLOCK_ENTRIES // (m * m * f))
+    slabs = tensor.reshape(-1, m, m)
     kept = [(live[:0], perms[:0], np.empty((0, n * m)))]
     for lo in range(0, len(live), step):
         chunk = live[lo : lo + step]
         pairs, paths = chunk.repeat(f), np.tile(perms, (len(chunk), 1))
-        rows = orders[pairs]
-        costs = np.zeros((len(pairs), m, m))
-        for s in range(n):
-            costs += tensor[pairs, rows[:, s], paths[:, s]]
+        cells = (pairs[:, None] * n + orders[pairs]) * n + paths  # each step's slab
+        costs = slabs.take(cells[:, 0], axis=0)
+        for s in range(1, n):
+            costs += slabs.take(cells[:, s], axis=0)
         lower = _reduced_bound(costs)
         cols = np.zeros((len(pairs), m), dtype=np.intp)
         totals = np.full(len(pairs), np.inf)  # until the leaf is solved
@@ -253,7 +288,7 @@ def _settle(tensor, orders, live, bounds, perms):
         solve(lower.reshape(-1, f).argmin(axis=1) + np.arange(0, len(pairs), f))
         solve(np.flatnonzero((totals == np.inf) & (lower <= np.maximum(bounds, least)[pairs] + _PRUNE_SLACK)))
         keep = totals <= np.maximum(bounds, least)[pairs] + _PRUNE_SLACK
-        kept.append((pairs[keep], paths[keep], _matched_terms(tensor, pairs[keep], rows[keep], paths[keep], cols[keep])))
+        kept.append((pairs[keep], paths[keep], _matched_terms(tensor, cells[keep], cols[keep])))
     return [np.concatenate(leaves) for leaves in zip(*kept)] + [least]
 
 
@@ -320,7 +355,8 @@ def _valuation_pairs(values: np.ndarray, a: np.ndarray, b: np.ndarray, demand: n
         lower = _reduced_bound(costs)
 
         def identity(pairs):
-            terms = _matched_terms(tensor, pairs, ident[None], ident[None], _assign(costs[pairs]))
+            cells = pairs[:, None] * n * n + ident * (n + 1)  # slab [p, s, s] at step s
+            terms = _matched_terms(tensor, cells, _assign(costs[pairs]))
             idents.append((lo + pairs, terms))
             return terms
 

@@ -53,8 +53,8 @@ MUTANTS = [
     Mutant(
         "leaf costs summed in reversed agent order",
         DISTANCE,
-        "for s in range(n):\n            costs += tensor[pairs, rows[:, s], paths[:, s]]",
-        "for s in reversed(range(n)):\n            costs += tensor[pairs, rows[:, s], paths[:, s]]",
+        "cells = (pairs[:, None] * n + orders[pairs]) * n + paths",
+        "cells = ((pairs[:, None] * n + orders[pairs]) * n + paths)[:, ::-1]",
         ("tests/test_distance.py::test_valuation_leaf_pass_sums_leaf_costs_in_matching_order",),
     ),
     Mutant(
@@ -151,9 +151,20 @@ MUTANTS = [
     Mutant(
         "demand costs replaced by a fixed matrix",
         DISTANCE,
-        "costs = np.abs(costs, out=costs).sum(axis=3)",
-        "costs = np.ones(costs.shape[:3])",
+        "cols = _assign(_agent_sum(np.abs(slabs, out=slabs)))",
+        "cols = _assign(np.ones(slabs.shape[:1] + slabs.shape[2:]))",
         ("tests/test_distance.py::test_pairwise_demand_matches_oracle_bitwise",),
+    ),
+    Mutant(
+        "two lanes of the demand costs' 8-lane tree swapped",
+        DISTANCE,
+        "        for gap in (1, 2, 4):\n",
+        "        lanes[:, [1, 2]] = lanes[:, [2, 1]]\n        for gap in (1, 2, 4):\n",
+        (
+            "tests/test_distance.py::test_demand_costs_add_agents_in_numpys_pairwise_order",
+            "tests/test_distance.py::test_preset_matrices_keep_their_bytes_at_any_thread_count"
+            "[10x20-7-demand-eda5a6ca8a815ba15268e05964274f05415952e09380f259dd642dce76d0461f]",
+        ),
     ),
     Mutant(
         "envy sums folded in reversed agent order",
@@ -239,6 +250,13 @@ MUTANTS = [
         "        elif lab.startswith(\"#\"):\n            fault = f\"label {lab!r} cannot start with '#'\"\n",
         "",
         ("tests/test_io.py::test_labels_at_the_edges_of_the_rule_round_trip_through_every_csv",),
+    ),
+    Mutant(
+        "distinct cells found by float value, which merges 0.0 and -0.0",
+        "src/allocmap/dataio.py",
+        "np.unique(np.ascontiguousarray(arr, dtype=np.float64).ravel().view(np.int64), return_inverse=True)",
+        "np.unique(np.ascontiguousarray(arr, dtype=np.float64).ravel(), return_inverse=True)",
+        ("tests/test_io.py::test_distance_csv_row_format_is_fmt17",),
     ),
     Mutant(
         "reasons file written by a direct open",

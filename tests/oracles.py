@@ -4,14 +4,16 @@ The enumerations are coded from scratch in plain Python and share only the
 arithmetic-order conventions with the library: fsum over elementary terms
 for distances, and bundles accumulated good by good with agent aggregates
 in ascending index order for allocation features. That makes exact-equality
-checks against the library meaningful rather than circular. Three oracles
+checks against the library meaningful rather than circular. Four oracles
 are former library code kept as byte oracles: ``oracle_search``, the
 per-pair valuation search, which pins the bytes of the leaf pass;
 ``oracle_smacof``, the textbook allocating SMACOF loop, which pins the bytes
-of the buffered one; and ``oracle_jacobi``, the one-matrix-at-a-time Jacobi
+of the buffered one; ``oracle_jacobi``, the one-matrix-at-a-time Jacobi
 eigensolver, which pins the bytes of the stacked one (with the singular
-values and the Dirichlet sample built on it). So are the per-instance
-matrix features in ``MATRIX_FUNCTIONS``, which pin the bytes of
+values and the Dirichlet sample built on it); and ``oracle_demand_costs``,
+the goods-major demand cost sum, which pins the summation order of the
+agent-major one. So are the per-instance matrix features in
+``MATRIX_FUNCTIONS``, which pin the bytes of
 ``feature_table``'s columns computed for all instances of a shape at once.
 """
 
@@ -368,3 +370,12 @@ MATRIX_FUNCTIONS = {
     "pickiness": pickiness,
     "frac_single_minded": frac_single_minded,
 }
+
+
+def oracle_demand_costs(d1, d2):
+    """Goods costs of the pairs of agent-major (P, n, m) demand vectors
+    ``d1`` and ``d2``, by the former library formula: the vectors are made
+    goods-major and contiguous, and each cost is one ``sum`` over a
+    contiguous length-n axis, so NumPy adds it in its pairwise order."""
+    g1, g2 = (np.ascontiguousarray(d.transpose(0, 2, 1)) for d in (d1, d2))
+    return np.abs(g1[:, :, None, :] - g2[:, None, :, :]).sum(axis=3)

@@ -320,6 +320,59 @@ def test_pairwise_demand_matches_oracle_bitwise(n, m):
     check()
 
 
+@pytest.mark.parametrize("m", [2, 3, 5])
+@pytest.mark.parametrize("n", [*range(2, 18), 63, 64, 65, 127, 128, 129, 130, 257])
+def test_demand_costs_add_agents_in_numpys_pairwise_order(monkeypatch, n, m):
+    # the agent-major slabs are added in the order NumPy sums a contiguous
+    # axis of length n: in sequence below 8 terms, in 8 lanes and a fixed
+    # tree up to 128, in halves above. The costs the solver sees must be the
+    # goods-major sum bit for bit, on values spread over six decades
+    rng = np.random.default_rng(1000 * n + m)
+    vectors = 10.0 ** rng.uniform(-3.0, 3.0, (6, n, m))
+    a, b = np.array([0, 1, 2, 0]), np.array([3, 4, 5, 5])
+    seen, assign = [], distance._assign
+
+    def recorded(costs):
+        seen.append(np.array(costs))
+        return assign(costs)
+
+    monkeypatch.setattr(distance, "_assign", recorded)
+    distance._demand_pairs(vectors, a, b)
+    want = oracles.oracle_demand_costs(vectors[a], vectors[b])
+    assert len(seen) == 1 and seen[0].tobytes() == want.tobytes()
+
+
+def test_flat_gathers_equal_the_fancy_index_forms(monkeypatch):
+    # the leaf pass takes each step's (m, m) slab, and _matched_terms each
+    # matched cell, by flat index into the block tensor; both must give the
+    # multi-array fancy-indexed entries, and the leaf costs their sum from
+    # zero in matching order
+    rng = np.random.default_rng(3)
+    n, m = 3, 4
+    tensor = rng.random((5, n, n, m, m))
+    pairs, rows = rng.integers(0, 5, 40), rng.permuted(np.tile(np.arange(n), (40, 1)), axis=1)
+    paths, cols = rng.permuted(np.tile(np.arange(n), (40, 1)), axis=1), rng.permuted(np.tile(np.arange(m), (40, 1)), axis=1)
+    cells = (pairs[:, None] * n + rows) * n + paths
+    want = tensor[pairs[:, None, None], rows[:, :, None], paths[:, :, None], np.arange(m), cols[:, None]]
+    assert distance._matched_terms(tensor, cells, cols).tobytes() == want.reshape(40, n * m).tobytes()
+
+    seen, bound = [], distance._reduced_bound
+
+    def recorded(costs):
+        seen.append(costs.copy())
+        return bound(costs)
+
+    monkeypatch.setattr(distance, "_reduced_bound", recorded)
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    orders = rng.permuted(np.tile(np.arange(n), (5, 1)), axis=1)
+    distance._settle(tensor, orders, np.arange(5), np.zeros(5), perms)
+    pairs, paths = np.arange(5).repeat(len(perms)), np.tile(perms, (5, 1))
+    costs = np.zeros((len(pairs), m, m))
+    for s in range(n):
+        costs += tensor[pairs, orders[pairs][:, s], paths[:, s]]
+    assert len(seen) == 1 and seen[0].tobytes() == costs.tobytes()
+
+
 def _weights(shape):
     # every entry drawn on its own: up to 3 for tied entries, or up to 10**6
     # for instances whose search the demand bound rarely stops early
@@ -752,10 +805,10 @@ def test_every_mutant_text_occurs_once_in_src():
 
 def test_every_mutant_test_is_a_function_of_its_file():
     # a mutant whose test id names no test would stop tests/mutants.py, so
-    # the ids must follow renames
+    # the ids must follow renames; an id may pick one parametrized case
     for mutant in MUTANTS:
         for test in mutant.tests:
-            path, name = test.split("::")
+            path, name = test.split("[")[0].split("::")
             tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
             assert name in {f.name for f in tree.body if isinstance(f, ast.FunctionDef)}, (mutant.name, test)
 

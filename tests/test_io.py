@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from allocmap import cli, dataio, pipeline
@@ -60,25 +60,22 @@ def test_fmt17_round_trips_doubles():
 
 
 def test_distance_csv_row_format_is_fmt17(tmp_path):
-    # write_distance_csv formats the values with "%.17g", which must give
-    # fmt17's text for every finite double, signed zero and subnormals
-    # included; the writer takes any row, so the drawn values need not form
-    # a valid matrix
+    # write_distance_csv formats each distinct value once with "%.17g",
+    # which must give fmt17's text for every finite double, with repeated
+    # cells, -0.0 beside 0.0 and subnormals; the writer takes any matrix, so
+    # the drawn values need not form a valid one
     path = tmp_path / "d.csv"
+    cells = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, 1e308, -1e308]
+    )
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(
-        st.lists(
-            st.floats(allow_nan=False, allow_infinity=False)
-            | st.sampled_from([-0.0, 5e-324, -1e-310, 1e308, -1e308]),
-            min_size=1,
-            max_size=6,
-        )
-    )
-    def check(xs):
-        dm = SimpleNamespace(labels=[f"c{i}" for i in range(len(xs))], values=np.array([xs]), metric="demand")
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 6)), elements=cells))
+    @example(np.array([[0.0, -0.0, 0.0], [-0.0, 5e-324, 5e-324]]))
+    def check(arr):
+        dm = SimpleNamespace(labels=[f"c{i}" for i in range(arr.shape[1])], values=arr, metric="demand")
         dataio.write_distance_csv(path, dm)
-        assert path.read_text().splitlines()[-1] == ",".join(fmt17(x) for x in xs)
+        assert path.read_text().splitlines()[2:] == [",".join(fmt17(x) for x in row) for row in arr.tolist()]
 
     check()
 
@@ -218,6 +215,24 @@ def test_dataset_round_trip_is_bit_exact_at_scale(tmp_path):
     p2 = tmp_path / "copy.json"
     dataio.write_dataset(p2, back)
     assert p.read_bytes() == p2.read_bytes()
+
+
+def test_dataset_round_trip_with_instances_of_several_shapes(tmp_path):
+    # write_dataset formats the rows of all instances of one width in one
+    # call and hands each instance its own rows back, so interleaved shapes
+    # must keep every instance's rows, in the bytes of one fmt17 per cell
+    shapes = [(2, 3), (3, 5), (2, 5), (4, 4), (2, 3), (3, 3), (5, 5)]
+    recs = [record(f"s{i}", gen_iid(n, m, "exponential", seed=i), seed=i) for i, (n, m) in enumerate(shapes)]
+    p = tmp_path / "mixed.json"
+    dataio.write_dataset(p, recs, seed=5)
+    rows = [item["matrix"] for item in json.loads(p.read_text())["instances"]]
+    assert rows == [[" ".join(fmt17(v) for v in row) for row in rec.matrix.values] for rec in recs]
+    back, _ = dataio.read_dataset(p)
+    for a, b in zip(recs, back, strict=True):
+        assert a.matrix.values.tobytes() == b.matrix.values.tobytes() and a.matrix.values.shape == b.matrix.values.shape
+    copy = tmp_path / "copy.json"
+    dataio.write_dataset(copy, back, seed=5)
+    assert copy.read_bytes() == p.read_bytes()
 
 
 def test_validate_is_idempotent_on_stored_values():
