@@ -16,13 +16,15 @@ both a cheap stand-in at scale and the search's stopping bound.
 
 The pairs i < j of a matrix are numbered once, in row order, as
 ``np.triu_indices`` gives them, and every cut of the work is a slice of that
-order: the pool's slices, the groups whose canonical sums are one batch, and
-the valuation search's blocks, which may hold pairs of several rows. Demand
-vectors are agent-major, so each demand group prices its goods in one
-temporary of contiguous (m, m) slabs, one per pair and agent rank, made
-absolute and summed in place in NumPy's pairwise order, since a second one
-of that size made glibc trim and re-fault the heap. The valuation search
-gathers leaf costs and matched terms by flat takes from its block tensor.
+order: the pool's slices, and the groups, which may hold pairs of several
+rows. A group is one unit of work: one demand broadcast, one goods-cost
+tensor for the valuation search and one batch of canonical sums; only the
+leaf pass cuts it further, into chunks of whole pairs. Demand vectors are
+agent-major, so each demand group prices its goods in one temporary of
+contiguous (m, m) slabs, one per pair and agent rank, made absolute and
+summed in place in NumPy's pairwise order, since a second one of that size
+made glibc trim and re-fault the heap. The valuation search gathers leaf
+costs and matched terms by flat takes from its group tensor.
 """
 
 from __future__ import annotations
@@ -180,22 +182,21 @@ def _demand_pairs(vectors: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarr
 # Values here are at most 2n, so a few ulps is well under 1e-12.
 _PRUNE_SLACK = 1e-12
 
-# A group's pairs go in blocks of at most this many float64 entries of the
-# agent-to-agent goods-cost tensor, and the leaf pass builds its leaves'
-# goods costs in chunks of whole pairs, of at most this many entries (or one
-# pair).
-_BLOCK_ENTRIES = 1 << 16
+# The leaf pass builds its leaves' goods costs in chunks of whole pairs, of
+# at most this many float64 entries (or one pair).
+_LEAF_ENTRIES = 1 << 16
 
 # Pairs go in groups of at most this many l1 terms in all (or one pair). A
 # group's canonical sums, with its leaves', and the temporaries of
-# ``_fsum_rows`` are a few times this many float64 entries.
+# ``_fsum_rows`` are a few times this many float64 entries; its valuation
+# goods-cost tensor is n m times this many.
 _GROUP_TERMS = 1 << 14
 
 
 def _assign(costs) -> np.ndarray:
     """The goods column of each row in one min-cost assignment per (m, m)
     cost of ``costs``."""
-    # deferred so that importing allocmap never loads SciPy; once per block
+    # deferred so that importing allocmap never loads SciPy
     from scipy.optimize import linear_sum_assignment
 
     cols = np.empty(costs.shape[:2], dtype=np.intp)
@@ -206,7 +207,7 @@ def _assign(costs) -> np.ndarray:
 
 def _matched_terms(tensor, cells, cols) -> np.ndarray:
     """The l1 terms of N matchings, one row each, in one flat take from the
-    block tensor. Matching t takes, at each step s, the (m, m) agent-to-agent
+    group tensor. Matching t takes, at each step s, the (m, m) agent-to-agent
     slab ``cells[t, s]`` of the tensor's (pairs x agents x agents) slabs in
     C order, and matches good g to good ``cols[t, g]`` in each."""
     m = cols.shape[-1]
@@ -228,16 +229,16 @@ def _reduced_bound(costs) -> np.ndarray:
 
 
 def _settle(tensor, orders, live, bounds, perms):
-    """Leaf pass over the block pairs ``live``, whose identity values lie
+    """Leaf pass over the group pairs ``live``, whose identity values lie
     above their demand ``bounds``: bound all n! agent matchings ``perms`` of
     each, solve those the bound cannot rule out, and return the leaves whose
     canonical values can decide what a branch-and-bound walk returns, as
-    three arrays with one row per leaf: its block pair, its agent matching
+    three arrays with one row per leaf: its group pair, its agent matching
     (a row of ``perms``) and its l1 terms. They are empty if ``live`` is. A
-    fourth array holds each block pair's least leaf total, infinite for
+    fourth array holds each group pair's least leaf total, infinite for
     pairs not in ``live``.
 
-    The walk of block pair p matches agent ``orders[p, s]`` of its first
+    The walk of group pair p matches agent ``orders[p, s]`` of its first
     instance at step s, prices a node by the goods-assignment relaxation of
     its costs summed from zero in matching order, visits children in
     increasing relaxation, skips a child whose relaxation is at least the
@@ -265,7 +266,7 @@ def _settle(tensor, orders, live, bounds, perms):
     """
     n, m, f = orders.shape[1], tensor.shape[-1], len(perms)
     least = np.full(len(bounds), np.inf)
-    goods, step = np.arange(m), max(1, _BLOCK_ENTRIES // (m * m * f))
+    goods, step = np.arange(m), max(1, _LEAF_ENTRIES // (m * m * f))
     slabs = tensor.reshape(-1, m, m)
     kept = [(live[:0], perms[:0], np.empty((0, n * m)))]
     for lo in range(0, len(live), step):
@@ -314,11 +315,10 @@ def _orders(values):
 
 
 def _valuation_pairs(values: np.ndarray, a: np.ndarray, b: np.ndarray, demand: np.ndarray) -> np.ndarray:
-    """Valuation distances of the pairs (a[p], b[p]) of the stacked (k, n,
-    m) ``values``, with their demand distances as root bounds.
+    """Valuation distances of the group of pairs (a[p], b[p]) of the stacked
+    (k, n, m) ``values``, with their demand distances as root bounds.
 
-    Pairs go in blocks, which may hold pairs of several first instances.
-    One broadcast builds each block's agent-to-agent goods-cost tensor; the
+    One broadcast builds the group's agent-to-agent goods-cost tensor; the
     identity matchings (costs summed in agent order) give every pair's first
     incumbent. A pair whose identity's reduced-cost bound lies more than
     2 ``_PRUNE_SLACK`` above its demand bound is open without a solve: the
@@ -333,62 +333,54 @@ def _valuation_pairs(values: np.ndarray, a: np.ndarray, b: np.ndarray, demand: n
     solved then only if its bound lies within 2 ``_PRUNE_SLACK`` of that
     total; otherwise its value lies more than the slack above the least
     kept leaf, so it can neither be the least value nor lie within the
-    bound. Leaf and identity rows, each with its pair, wait for one
-    ``_fsum_rows`` call at the end, and each pair takes the least of its
-    values, unless leaves of distinct values lie within its bound: then it
-    takes the first of them in walk order, keyed from the pair's instance
-    rows.
+    bound. The group's leaf and identity rows, each with its pair, go to
+    one ``_fsum_rows`` call, and each pair takes the least of its values,
+    unless leaves of distinct values lie within its bound: then it takes
+    the first of them in walk order, keyed from the pair's instance rows.
     """
     n, m = values.shape[1:]
     ident, perms = np.arange(n), np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    orders = _orders(values)
-    step = max(1, _BLOCK_ENTRIES // (n * n * m * m))
-    leaves, idents, paths = [], [], []  # (pairs, l1 terms) of leaves and of identities; leaf matchings
-    for lo in range(0, len(a), step):
-        block = slice(lo, lo + step)
-        first, second = values.take(a[block], axis=0), values.take(b[block], axis=0)
-        # entry [p, x, y, g, h] is |first[p, x, g] - second[p, y, h]|, made absolute in place
-        tensor = first[:, :, None, :, None] - second[:, None, :, None, :]
-        tensor = np.abs(tensor, out=tensor)
-        bounds = demand[block]
-        costs = tensor[:, ident, ident].sum(axis=1)
-        lower = _reduced_bound(costs)
+    first, second = values.take(a, axis=0), values.take(b, axis=0)
+    orders = _orders(first)
+    # entry [p, x, y, g, h] is |first[p, x, g] - second[p, y, h]|, made absolute in place
+    tensor = first[:, :, None, :, None] - second[:, None, :, None, :]
+    tensor = np.abs(tensor, out=tensor)
+    costs = tensor[:, ident, ident].sum(axis=1)
+    lower = _reduced_bound(costs)
+    idents = []  # (pairs, l1 terms) of the solved identity matchings
 
-        def identity(pairs):
-            cells = pairs[:, None] * n * n + ident * (n + 1)  # slab [p, s, s] at step s
-            terms = _matched_terms(tensor, cells, _assign(costs[pairs]))
-            idents.append((lo + pairs, terms))
-            return terms
+    def identity(pairs):
+        cells = pairs[:, None] * n * n + ident * (n + 1)  # slab [p, s, s] at step s
+        terms = _matched_terms(tensor, cells, _assign(costs[pairs]))
+        idents.append((pairs, terms))
+        return terms
 
-        early = lower <= bounds + 2 * _PRUNE_SLACK  # the rest are open without a solve
-        solved = np.flatnonzero(early)
-        terms = identity(solved)
-        over = terms.sum(axis=1) - bounds[solved]
-        band = np.abs(over) <= _PRUNE_SLACK
-        live = ~early
-        live[solved] = over > _PRUNE_SLACK
-        live[solved[band]] = _fsum_rows(terms[band]) > bounds[solved[band]]
-        pairs, matchings, terms, least = _settle(tensor, orders[a[block]], np.flatnonzero(live), bounds, perms)
-        leaves.append((lo + pairs, terms))
-        paths.append(matchings)
-        # an open identity far above the least kept leaf can decide nothing
-        identity(np.flatnonzero(~early & (lower <= least + 2 * _PRUNE_SLACK)))
-    owner, terms = (np.concatenate(part) for part in zip(*leaves, *idents))
-    sums, paths = _fsum_rows(terms), np.concatenate(paths)
+    early = lower <= demand + 2 * _PRUNE_SLACK  # the rest are open without a solve
+    solved = np.flatnonzero(early)
+    terms = identity(solved)
+    over = terms.sum(axis=1) - demand[solved]
+    band = np.abs(over) <= _PRUNE_SLACK
+    live = ~early
+    live[solved] = over > _PRUNE_SLACK
+    live[solved[band]] = _fsum_rows(terms[band]) > demand[solved[band]]
+    owner, paths, terms, least = _settle(tensor, orders, np.flatnonzero(live), demand, perms)
+    # an open identity far above the least kept leaf can decide nothing
+    identity(np.flatnonzero(~early & (lower <= least + 2 * _PRUNE_SLACK)))
+    rows, terms = (np.concatenate(part) for part in zip((owner, terms), *idents))
+    sums = _fsum_rows(terms)
     best = np.full(len(a), np.inf)
-    np.minimum.at(best, owner, sums)
+    np.minimum.at(best, rows, sums)
     # an open pair's identity value lies above its bound, and a settled pair
     # has no leaves, so only leaves can lie within a bound beside another,
     # and only leaves of distinct values there need the walk order
-    owner, found = owner[: len(paths)], sums[: len(paths)]
+    found = sums[: len(owner)]
     within = np.flatnonzero(found <= demand[owner])
     low, high = np.full(len(best), np.inf), np.full(len(best), -np.inf)
     np.minimum.at(low, owner[within], found[within])
     np.maximum.at(high, owner[within], found[within])
     for p in np.flatnonzero(low < high).tolist():
-        first, second, order = values[a[p]], values[b[p]], orders[a[p]]
         cands = within[owner[within] == p].tolist()
-        best[p] = found[min(cands, key=lambda c: _walk_key(first, second, order, paths[c]))]
+        best[p] = found[min(cands, key=lambda c: _walk_key(first[p], second[p], orders[p], paths[c]))]
     return best
 
 

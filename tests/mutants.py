@@ -60,7 +60,7 @@ MUTANTS = [
     Mutant(
         "distinct leaves within the bound settled by the least one",
         DISTANCE,
-        "key=lambda c: _walk_key(first, second, order, paths[c])",
+        "key=lambda c: _walk_key(first[p], second[p], orders[p], paths[c])",
         "key=found.__getitem__",
         WALK_ORDER,
     ),
@@ -72,19 +72,19 @@ MUTANTS = [
         WALK_ORDER,
     ),
     Mutant(
-        "every pair of a block walked in its first pair's agent order",
+        "every pair of a group walked in its first pair's agent order",
         DISTANCE,
-        "_settle(tensor, orders[a[block]],",
-        "_settle(tensor, orders[a[lo]][None].repeat(len(tensor), axis=0),",
+        "orders = _orders(first)",
+        "orders = _orders(first[:1]).repeat(len(first), axis=0)",
         (
-            "tests/test_distance.py::test_valuation_block_pairs_walk_their_own_first_instances_agents",
+            "tests/test_distance.py::test_valuation_group_pairs_walk_their_own_first_instances_agents",
             "tests/test_distance.py::test_preset_matrices_keep_their_bytes_at_any_thread_count",
         ),
     ),
     Mutant(
         "open pair's identity never solved after the leaf pass",
         DISTANCE,
-        "        identity(np.flatnonzero(~early & (lower <= least + 2 * _PRUNE_SLACK)))\n",
+        "    identity(np.flatnonzero(~early & (lower <= least + 2 * _PRUNE_SLACK)))\n",
         "",
         (
             "tests/test_distance.py::test_valuation_open_pair_solves_its_identity_near_the_least_leaf",

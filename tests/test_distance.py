@@ -344,7 +344,7 @@ def test_demand_costs_add_agents_in_numpys_pairwise_order(monkeypatch, n, m):
 
 def test_flat_gathers_equal_the_fancy_index_forms(monkeypatch):
     # the leaf pass takes each step's (m, m) slab, and _matched_terms each
-    # matched cell, by flat index into the block tensor; both must give the
+    # matched cell, by flat index into the group tensor; both must give the
     # multi-array fancy-indexed entries, and the leaf costs their sum from
     # zero in matching order
     rng = np.random.default_rng(3)
@@ -383,8 +383,8 @@ def _weights(shape):
 
 @pytest.mark.parametrize(
     "entries",
-    [None, lambda n, m: (1, 1), lambda n, m: (3 * n * n * m * m, 7 * n * m)],
-    ids=["default", "one_leaf_chunks", "blocks_straddle_rows"],
+    [None, lambda n, m: (1, 1), lambda n, m: (3 * m * m * math.factorial(n), 7 * n * m)],
+    ids=["default", "one_leaf_chunks", "groups_straddle_rows"],
 )
 @pytest.mark.parametrize("n,m", [(2, 2), (2, 5), (3, 6), (4, 5), (5, 5), (6, 6), (6, 8)])
 def test_pairwise_valuation_matches_search_oracle_bitwise(monkeypatch, n, m, entries):
@@ -394,16 +394,16 @@ def test_pairwise_valuation_matches_search_oracle_bitwise(monkeypatch, n, m, ent
     # for none) is zeroed. Some draws rebuild the first instance from drawn
     # rows of its own, so rows repeat, and replace the last by a relabeled
     # copy of it: many of that pair's leaves then tie at its bound.
-    # By default a leaf chunk can split a pair from n = 6. One entry per block
-    # puts each pair in a block of its own and each leaf in a chunk of its
-    # own, so a pair's least total is known only after its last chunk, and
-    # one term per group puts each pair in a group of its own. Groups of 7
-    # pairs and blocks of 3 straddle rows: of the 10 pairs, pairs 3 to 5
-    # share a block and 0 to 6 a group, with first instances 0 and 1, whose
-    # walk orders can differ. The pool inherits the patch by forking.
+    # By default the 10 pairs are one group, and from n = 6 a leaf chunk
+    # holds one or two of them. One entry puts each pair in a leaf chunk of
+    # its own, and one term each pair in a group of its own. Groups of 7
+    # pairs and leaf chunks of 3 straddle rows: pairs 0 to 6 share a group,
+    # with first instances 0 and 1, whose walk orders can differ, and a
+    # chunk of open pairs can hold pairs of both. The pool inherits the
+    # patch by forking.
     if entries is not None:
-        block, group = entries(n, m)
-        monkeypatch.setattr(distance, "_BLOCK_ENTRIES", block)
+        leaf, group = entries(n, m)
+        monkeypatch.setattr(distance, "_LEAF_ENTRIES", leaf)
         monkeypatch.setattr(distance, "_GROUP_TERMS", group)
 
     @settings(max_examples=10, deadline=None, derandomize=True)
@@ -482,8 +482,8 @@ def test_valuation_leaf_pass_decides_pairs_by_walk_order(monkeypatch):
         assert got.tobytes() == np.float64(want).tobytes(), (a, b)
 
 
-def test_valuation_block_pairs_walk_their_own_first_instances_agents():
-    # the three pairs of these records share one block, whose first pair's
+def test_valuation_group_pairs_walk_their_own_first_instances_agents():
+    # the three pairs of these records share one group, whose first pair's
     # first instance is attr_d2_000. Pair (1, 2) must walk the agents of
     # attr_d2_001 in that instance's order, [0, 1, 2]: in attr_d2_000's,
     # [0, 2, 1], the cell lands 1 ulp higher
@@ -617,6 +617,7 @@ def test_valuation_matrix_makes_the_pinned_number_of_assignment_solves(monkeypat
 PRESET_DIGESTS = [
     ("3x6", 7, "valuation", "35ff49d20e9a7a9e6b12f7c75d42fd3bed51af2a5dd35adde522caaecdcc6782"),
     ("3x6", 1007, "valuation", "4368b3b08fc44161bf2077e98ce7bec36855e34f849756fa98f007766534cfd2"),
+    ("5x5", 7, "valuation", "603bfad875b10d536eded3cbff3e04f50c6388a71a6c794ddaa7eac814e85856"),
     ("3x6", 7, "demand", "14ffc9265ce462bce6eb2e480ef9abe5749a562077f79803acd7ac55d94ca070"),
     ("5x5", 7, "demand", "dff34683a5e44a65dda3a87dfbb9b1b95e9a286daed01d58a14e9286a462a1fd"),
     ("10x20", 7, "demand", "eda5a6ca8a815ba15268e05964274f05415952e09380f259dd642dce76d0461f"),
@@ -645,7 +646,7 @@ def test_preset_matrices_keep_their_bytes_at_any_thread_count(preset, seed_, met
 )
 def test_appending_an_instance_keeps_every_cell_of_the_matrix(preset, seed_, metric, size):
     # appending one instance renumbers every pair after the first row, so
-    # pool slices, groups, blocks and leaf chunks hold other pairs than
+    # pool slices, groups and leaf chunks hold other pairs than
     # before; each pair's arithmetic must not depend on its neighbours. The
     # records are shuffled so that neighbours mix generators
     recs = gen_preset(preset, seed_)
@@ -661,16 +662,23 @@ def test_appending_an_instance_keeps_every_cell_of_the_matrix(preset, seed_, met
 def test_row_groups_cover_each_span_in_order_within_their_term_budget(monkeypatch, k, terms):
     # _pairs cuts each of three slices of the row-ordered pairs into groups:
     # consecutive slices of it, each within the term budget or of one pair,
-    # each ending only where the next pair would not fit. The demand layer
-    # is stubbed, so values of any width cost nothing
-    groups = []
+    # each ending only where the next pair would not fit. The valuation
+    # search takes each group whole, once, just after its demand distances.
+    # Both layers are stubbed, so values of any width cost nothing
+    groups, searched = [], []  # searched: (demand groups priced by then, pairs) of each search
     monkeypatch.setattr(distance, "_demand_stack", lambda values: values)
     monkeypatch.setattr(distance, "_demand_pairs", lambda vectors, a, b: groups.append((a, b)) or np.zeros(len(a)))
+    monkeypatch.setattr(
+        distance, "_valuation_pairs", lambda values, a, b, demand: searched.append((len(groups), a.tolist(), b.tolist())) or demand
+    )
     a, b = np.triu_indices(k, 1)
     values = np.broadcast_to(0.0, (k, 1, terms))
-    for span in np.array_split(np.arange(len(a)), 3):
+    for metric, span in itertools.product(distance.METRICS, np.array_split(np.arange(len(a)), 3)):
         groups.clear()
-        distance._pairs(values, "demand", a[span], b[span])
+        searched.clear()
+        distance._pairs(values, metric, a[span], b[span])
+        want = [(i + 1, g.tolist(), h.tolist()) for i, (g, h) in enumerate(groups)]
+        assert searched == (want if metric == "valuation" else [])
         assert np.concatenate([g for g, _ in groups] or [[]]).tolist() == a[span].tolist()
         assert np.concatenate([g for _, g in groups] or [[]]).tolist() == b[span].tolist()
         sizes = [len(g) for g, _ in groups]
